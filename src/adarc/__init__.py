@@ -6,7 +6,6 @@ plus the synthetic-shift generators, closed-form accuracy oracle, and
 experiment harness used to study it.
 """
 
-from ._kernels import BACKEND
 from .adapt import (
     AdaptationDivergedError,
     AdaptConfig,
@@ -25,12 +24,12 @@ from .csbm import (
     preset_params,
 )
 from .graph import (
+    BACKEND,
     Dataset,
     Graph,
     PropagationOperator,
     build_graph,
     node_homophily,
-    propagate,
 )
 from .harness import (
     ExperimentReport,
@@ -102,7 +101,6 @@ __all__ = [
     "PropagationOperator",
     "build_graph",
     "node_homophily",
-    "propagate",
     # csbm
     "CsbmParams",
     "PRESETS",

@@ -218,10 +218,10 @@ def _cmd_pretrain(args) -> int:
     model, history = pretrain_on(dataset, config)
     out = _require_out(args, "pretrain")
     save_checkpoint(model, out)
-    last_epoch, last_objective, last_val = history[-1]
+    best_val = max(val for _, _, val in history)
     print(
         f"wrote {out} after {len(history)} epochs "
-        f"(final objective {last_objective:.6f}, best-restored val acc {last_val:.4f})"
+        f"(final objective {history[-1][1]:.6f}, best-restored val acc {best_val:.4f})"
     )
     return 0
 

@@ -5,17 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _kernels
+import scipy.sparse as sp
 
 __all__ = [
+    "BACKEND",
     "Graph",
     "Dataset",
     "PropagationOperator",
     "build_graph",
     "node_homophily",
-    "propagate",
 ]
+
+#: The library that applies Ã: a pre-normalized ``scipy.sparse`` CSR matrix.
+BACKEND = "scipy"
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,15 @@ class Graph:
     num_nodes: int
     row_offsets: np.ndarray  # int64, length N+1
     neighbor_ids: np.ndarray  # int64, length row_offsets[-1]
-    symmetric: bool = True
 
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Source node of each CSR entry, aligned with ``neighbor_ids``."""
+        return np.repeat(np.arange(self.num_nodes), self.degrees)
 
     @property
     def num_edges(self) -> int:
@@ -41,7 +47,7 @@ class Graph:
 
     def edge_list(self) -> np.ndarray:
         """Undirected edges as an E×2 array with u < v, lexicographically sorted."""
-        row_ids = np.repeat(np.arange(self.num_nodes), self.degrees)
+        row_ids = self.row_ids
         keep = row_ids < self.neighbor_ids
         return np.column_stack([row_ids[keep], self.neighbor_ids[keep]])
 
@@ -64,8 +70,10 @@ class Dataset:
             )
         if self.labels.shape[0] != n:
             raise ValueError(f"label count {self.labels.shape[0]} != num_nodes {n}")
-        if self.labels.size and int(self.labels.max()) >= self.num_classes:
-            raise ValueError("label value out of range")
+        if self.labels.size and (
+            int(self.labels.min()) < 0 or int(self.labels.max()) >= self.num_classes
+        ):
+            raise ValueError(f"label value out of range [0, {self.num_classes})")
         for name, mask in self.masks.items():
             if mask.shape[0] != n:
                 raise ValueError(f"mask {name!r} length {mask.shape[0]} != {n}")
@@ -84,8 +92,9 @@ class PropagationOperator:
 
     ``mode="row"`` applies D⁻¹A (each nonzero row sums to 1); ``mode="sym"``
     applies D^{-1/2} A D^{-1/2} (a symmetric operator). Degree-0 rows map to
-    zero. Every application increments ``calls`` — the caching-discipline
-    counter asserted by the adaptation loop.
+    zero. Ã is built once as a CSR matrix with the degree scaling folded into
+    its entries. Every application increments ``calls`` — the
+    caching-discipline counter asserted by the adaptation loop.
     """
 
     def __init__(self, graph: Graph, mode: str = "sym"):
@@ -94,15 +103,16 @@ class PropagationOperator:
         self.graph = graph
         self.mode = mode
         self.calls = 0
+        # Every stored entry joins two nodes of degree >= 1, so no division by 0.
         deg = graph.degrees.astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(deg > 0, 1.0 / deg, 0.0)
-            inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        ones = np.ones_like(deg)
+        rows, cols = graph.row_ids, graph.neighbor_ids
         if mode == "row":
-            self._in_scale, self._out_scale = ones, inv
+            weights = 1.0 / deg[rows]
         else:
-            self._in_scale, self._out_scale = inv_sqrt, inv_sqrt
+            weights = 1.0 / np.sqrt(deg[rows] * deg[cols])
+        n = graph.num_nodes
+        self.matrix = sp.csr_matrix((weights, cols, graph.row_offsets), shape=(n, n))
+        self.matrix_t = self.matrix.T.tocsr() if mode == "row" else self.matrix
 
     def apply(self, dense: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Ã·H (or Ãᵀ·H with ``transpose``); counts one propagate call."""
@@ -111,25 +121,7 @@ class PropagationOperator:
                 f"row count {dense.shape[0]} != num_nodes {self.graph.num_nodes}"
             )
         self.calls += 1
-        in_s, out_s = self._in_scale, self._out_scale
-        if transpose:
-            in_s, out_s = out_s, in_s
-        squeeze = dense.ndim == 1
-        if squeeze:
-            dense = dense[:, None]
-        out = _kernels.csr_scaled_matmul(
-            self.graph.row_offsets,
-            self.graph.neighbor_ids,
-            in_s,
-            out_s,
-            np.asarray(dense, dtype=np.float64),
-        )
-        return out[:, 0] if squeeze else out
-
-
-def propagate(op: PropagationOperator, dense: np.ndarray) -> np.ndarray:
-    """Functional alias for ``op.apply`` (one hop of Ã)."""
-    return op.apply(dense)
+        return (self.matrix_t if transpose else self.matrix) @ dense
 
 
 def build_graph(edges: np.ndarray | list, num_nodes: int) -> Graph:
@@ -170,9 +162,9 @@ def node_homophily(
     if labels.shape[0] != graph.num_nodes:
         raise ValueError("labels length != num_nodes")
     deg = graph.degrees.astype(np.float64)
-    counts = _kernels.homophily_counts(
-        graph.row_offsets, graph.neighbor_ids, labels
-    )
+    rows = graph.row_ids
+    same = labels[rows] == labels[graph.neighbor_ids]
+    counts = np.bincount(rows[same], minlength=graph.num_nodes)
     with np.errstate(invalid="ignore", divide="ignore"):
         per_node = np.where(deg > 0, counts / deg, np.nan)
     positive = deg > 0

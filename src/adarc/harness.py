@@ -14,11 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import (
-    BACKEND,
-    csr_scaled_matmul_numba,
-    csr_scaled_matmul_numpy,
-)
 from .adapt import AdaptConfig, adapt
 from .csbm import (
     PRESET_D,
@@ -28,7 +23,7 @@ from .csbm import (
     generate,
     preset_params,
 )
-from .graph import Dataset, PropagationOperator
+from .graph import BACKEND, Dataset, PropagationOperator
 from .losses import LOSS_KINDS, loss_and_grad_z
 from .model import (
     GprModel,
@@ -468,9 +463,8 @@ def bench(
 ) -> dict:
     """Median wall-clock timings for the adaptation pipeline stages.
 
-    Measures initial inference (cold cache build + classify), the four
-    per-epoch stages (forward, loss, backward, update), the cached-versus-
-    cold forward comparison, and the CSR kernel backends.
+    Measures initial inference (cold cache build + classify) and the four
+    per-epoch stages (forward, loss, backward, update) on the cached hops.
     """
     if isinstance(spec, str):
         spec = ScenarioSpec(preset=spec)
@@ -518,38 +512,6 @@ def bench(
 
     t_update = _median_seconds(update, repetitions)
 
-    def forward_cold():
-        m = model.copy()
-        c = featurize_hops(m, target, op)
-        classify(aggregate(c, m.gamma), m)
-
-    def forward_cached():
-        base_predict(kind, work, cache, target)
-
-    t_cold = _median_seconds(forward_cold, repetitions)
-    t_cached = _median_seconds(forward_cached, repetitions)
-
-    dense = np.ascontiguousarray(cache.basis[0])
-    graph = target.graph
-    ones = np.ones(graph.num_nodes)
-    kernel_times = {}
-    kernel_times["numpy"] = _median_seconds(
-        lambda: csr_scaled_matmul_numpy(
-            graph.row_offsets, graph.neighbor_ids, ones, ones, dense
-        ),
-        repetitions,
-    )
-    if csr_scaled_matmul_numba is not None:
-        csr_scaled_matmul_numba(
-            graph.row_offsets, graph.neighbor_ids, ones, ones, dense
-        )  # compile outside the timed region
-        kernel_times["numba"] = _median_seconds(
-            lambda: csr_scaled_matmul_numba(
-                graph.row_offsets, graph.neighbor_ids, ones, ones, dense
-            ),
-            repetitions,
-        )
-
     stages = {
         "forward": t_forward,
         "loss": t_loss,
@@ -567,8 +529,4 @@ def bench(
         "per_epoch_over_initial": per_epoch / t_initial if t_initial > 0 else 0.0,
         "stage_seconds": stages,
         "cheapest_stage": min(stages, key=stages.get),
-        "forward_cold_seconds": t_cold,
-        "forward_cached_seconds": t_cached,
-        "cold_over_cached": t_cold / t_cached if t_cached > 0 else 0.0,
-        "kernel_seconds": kernel_times,
     }

@@ -89,10 +89,14 @@ def read_dataset(directory: str | Path) -> Dataset:
             f"features.bin: expected {expected} bytes, found {len(raw)}"
         )
     features = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, d).copy()
+    if not np.isfinite(features).all():
+        raise FormatError("features.bin: non-finite feature value")
 
     labels = np.loadtxt(directory / "labels.csv", dtype=np.int64, ndmin=1)
     if labels.shape[0] != n:
         raise FormatError("labels.csv row count does not match features.bin")
+    if labels.size and labels.min() < 0:
+        raise FormatError("labels.csv: negative label")
 
     edges_path = directory / "edges.csv"
     text = edges_path.read_text().strip()

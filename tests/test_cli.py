@@ -1,7 +1,8 @@
 """End-to-end command-line tests driving the installed entry point.
 
-Every command is run in a subprocess against tiny synthetic scenarios; the
-double-run checks pin the byte-determinism contract for all ``--out`` files.
+Commands run in a subprocess against tiny synthetic scenarios (one test calls
+``cli.main`` in-process to substitute the training history); the double-run
+checks pin the byte-determinism contract for all ``--out`` files.
 """
 
 from __future__ import annotations
@@ -108,6 +109,29 @@ def test_pretrain_is_byte_deterministic(workspace, tmp_path):
     assert second.read_bytes() == workspace["ckpt"].read_bytes()
 
 
+def test_pretrain_prints_best_val_acc_not_last(workspace, tmp_path, monkeypatch, capsys):
+    from adarc import cli
+
+    real = cli.pretrain_on
+    seen = {}
+
+    def worse_last_epoch(dataset, config):
+        model, history = real(dataset, config)
+        seen["history"] = history + [(len(history), history[-1][1], 0.0)]
+        return model, seen["history"]
+
+    monkeypatch.setattr(cli, "pretrain_on", worse_last_epoch)
+    code = cli.main([
+        "pretrain", "--data", str(workspace["data"] / "source"),
+        "--config", str(workspace["config"]), "--seed", "1",
+        "--out", str(tmp_path / "m.ckpt"),
+    ])
+    assert code == 0
+    best = max(val for _, _, val in seen["history"])
+    assert best > 0.0
+    assert f"best-restored val acc {best:.4f})" in capsys.readouterr().out
+
+
 def test_eval_reports_masked_accuracies(workspace, tmp_path):
     out = tmp_path / "eval.json"
     result = run_cli(
@@ -208,6 +232,35 @@ def test_missing_dataset_exits_2(workspace, tmp_path):
     assert result.returncode == 2
 
 
+def _negative_first_label(path: Path) -> None:
+    rows = path.read_text().splitlines(True)
+    path.write_text("-1\n" + "".join(rows[1:]))
+
+
+def _nan_first_feature(path: Path) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16] + b"\x00\x00\xc0\x7f" + raw[20:])  # f32 NaN
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [("labels.csv", _negative_first_label), ("features.bin", _nan_first_feature)],
+    ids=["labels.csv", "features.bin"],
+)
+def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, corrupt):
+    data = tmp_path / "target"
+    data.mkdir()
+    for source in (workspace["data"] / "target").iterdir():
+        (data / source.name).write_bytes(source.read_bytes())
+    corrupt(data / name)
+    result = run_cli(
+        "adapt", "--ckpt", workspace["ckpt"], "--data", data,
+        "--out", tmp_path / "report.json",
+    )
+    assert result.returncode == 2
+    assert name in result.stderr
+
+
 def test_bench_rejects_out_and_prints_json(tmp_path):
     rejected = run_cli(
         "bench", "--preset", "homo2hetero", "--n", "160", "--dim", "24",
@@ -223,7 +276,7 @@ def test_bench_rejects_out_and_prints_json(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert set(report["stage_seconds"]) == {"forward", "loss", "backward", "update"}
-    assert report["backend"] in ("numpy", "numba")
+    assert report["backend"] == "scipy"
 
 
 def test_theory_report_and_determinism(tmp_path):

@@ -14,7 +14,6 @@ from adarc import (
     drop_homophilic_edges,
     generate,
     node_homophily,
-    propagate,
 )
 
 from conftest import tiny_params
@@ -68,13 +67,36 @@ def test_propagate_matches_dense_operator(mode):
     X = rng.normal(size=(40, 7))
     P = dense_propagation(g, mode)
     op = PropagationOperator(g, mode)
-    np.testing.assert_allclose(propagate(op, X), P @ X, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.apply(X), P @ X, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["row", "sym"])
+def test_propagate_transpose_matches_dense_operator(mode):
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 40, 0.12)
+    X = rng.normal(size=(40, 7))
+    P = dense_propagation(g, mode)
+    op = PropagationOperator(g, mode)
+    np.testing.assert_allclose(
+        op.apply(X, transpose=True), P.T @ X, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("mode", ["row", "sym"])
+def test_propagate_edgeless_graph_is_zero(mode):
+    g = build_graph([], num_nodes=4)
+    op = PropagationOperator(g, mode)
+    for transpose in (False, True):
+        out = op.apply(np.ones((4, 3)), transpose=transpose)
+        np.testing.assert_array_equal(out, np.zeros((4, 3)))
+    per_node, mean = node_homophily(g, np.array([0, 1, 0, 1]))
+    assert np.isnan(per_node).all() and np.isnan(mean)
 
 
 def test_propagate_isolated_node_row_is_zero():
     g = path_graph()
     op = PropagationOperator(g, "sym")
-    out = propagate(op, np.ones((5, 2)))
+    out = op.apply(np.ones((5, 2)))
     np.testing.assert_array_equal(out[4], 0.0)
 
 
@@ -82,7 +104,7 @@ def test_row_mode_rows_sum_to_one():
     rng = np.random.default_rng(6)
     g = random_graph(rng, 30, 0.2)
     P = dense_propagation(g, "row")
-    sums = propagate(PropagationOperator(g, "row"), np.ones(30))
+    sums = PropagationOperator(g, "row").apply(np.ones(30))
     expected = (P.sum(axis=1) > 0).astype(float)
     np.testing.assert_allclose(sums, expected, atol=1e-12)
 
@@ -92,21 +114,21 @@ def test_sym_mode_is_self_adjoint():
     g = random_graph(rng, 25, 0.25)
     op = PropagationOperator(g, "sym")
     x, y = rng.normal(size=25), rng.normal(size=25)
-    assert propagate(op, x) @ y == pytest.approx(x @ propagate(op, y), abs=1e-12)
+    assert op.apply(x) @ y == pytest.approx(x @ op.apply(y), abs=1e-12)
 
 
 def test_propagate_counts_calls():
     op = PropagationOperator(path_graph(), "sym")
     assert op.calls == 0
-    propagate(op, np.ones(5))
-    propagate(op, np.ones((5, 3)))
+    op.apply(np.ones(5))
+    op.apply(np.ones((5, 3)))
     assert op.calls == 2
 
 
 def test_propagate_rejects_wrong_row_count():
     op = PropagationOperator(path_graph(), "sym")
     with pytest.raises(ValueError):
-        propagate(op, np.ones((4, 2)))
+        op.apply(np.ones((4, 2)))
 
 
 def test_propagation_operator_rejects_bad_mode():
@@ -123,8 +145,8 @@ def test_propagate_is_linear(seed, mode):
     X, Y = rng.normal(size=(15, 3)), rng.normal(size=(15, 3))
     a, b = rng.normal(), rng.normal()
     np.testing.assert_allclose(
-        propagate(op, a * X + b * Y),
-        a * propagate(op, X) + b * propagate(op, Y),
+        op.apply(a * X + b * Y),
+        a * op.apply(X) + b * op.apply(Y),
         atol=1e-10,
     )
 

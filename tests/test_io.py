@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adarc import (
+    Dataset,
     FormatError,
     PropagationOperator,
     attach_split_masks,
@@ -62,6 +63,34 @@ def test_dataset_write_is_byte_deterministic(tmp_path):
 def test_read_dataset_missing_directory(tmp_path):
     with pytest.raises((FormatError, OSError)):
         read_dataset(tmp_path / "nope")
+
+
+def test_read_dataset_rejects_negative_label(tmp_path):
+    write_dataset(generate(tiny_params(0.7, seed=31)), tmp_path / "ds")
+    labels = tmp_path / "ds" / "labels.csv"
+    rows = labels.read_text().splitlines(True)
+    labels.write_text("-1\n" + "".join(rows[1:]))
+    with pytest.raises(FormatError, match="labels.csv"):
+        read_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_dataset_rejects_non_finite_features(tmp_path, value):
+    write_dataset(generate(tiny_params(0.7, seed=31)), tmp_path / "ds")
+    features = tmp_path / "ds" / "features.bin"
+    raw = bytearray(features.read_bytes())
+    raw[16 + 4 * 5 : 16 + 4 * 6] = np.array([value], dtype="<f4").tobytes()
+    features.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="features.bin"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_dataset_rejects_negative_label():
+    dataset = generate(tiny_params(0.7, seed=31))
+    labels = dataset.labels.copy()
+    labels[0] = -1
+    with pytest.raises(ValueError, match="out of range"):
+        Dataset(dataset.graph, dataset.features, labels, dataset.num_classes)
 
 
 def test_checkpoint_roundtrip_is_f32_exact(tmp_path, tiny_model, tiny_target):

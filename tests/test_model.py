@@ -15,7 +15,6 @@ from adarc import (
     init_model,
     predict,
     prediction_accuracy,
-    propagate,
     softmax,
 )
 from adarc.model import aggregate_affine, backward_ce, gamma_grad_from_dz
@@ -55,7 +54,7 @@ def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
     level = H0
     np.testing.assert_allclose(hops[0], H0, atol=1e-9)
     for k in range(1, tiny_model.num_hops + 1):
-        level = propagate(ref, level)
+        level = ref.apply(level)
         np.testing.assert_allclose(hops[k], level, atol=1e-9)
 
 
