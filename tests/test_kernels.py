@@ -1,137 +1,90 @@
-"""Backend kernels: numpy/numba agreement and environment selection."""
+"""Sparse kernels under PropagationOperator and node_homophily, against naive loops."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from adarc import _kernels
+from adarc import PropagationOperator, build_graph, node_homophily
 
 
-def random_csr(rng, n, max_degree=6):
-    degrees = rng.integers(0, max_degree + 1, size=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = rng.integers(0, n, size=int(indptr[-1])).astype(np.int64)
-    return indptr, indices
+def random_graph(rng, n, num_pairs):
+    # Random pairs include self-loops and duplicates; build_graph drops them,
+    # and a sparse draw leaves some nodes isolated.
+    return build_graph(rng.integers(0, n, size=(num_pairs, 2)), num_nodes=n)
 
 
-def dense_from_csr(indptr, indices, n):
+def dense_from_csr(graph):
+    n = graph.num_nodes
     a = np.zeros((n, n))
     for i in range(n):
-        for e in range(indptr[i], indptr[i + 1]):
-            a[i, indices[e]] += 1.0
+        for e in range(graph.row_offsets[i], graph.row_offsets[i + 1]):
+            a[i, graph.neighbor_ids[e]] += 1.0
     return a
+
+
+def dense_operator(graph, mode):
+    a = dense_from_csr(graph)
+    deg = a.sum(axis=1)
+    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    if mode == "row":
+        return np.diag(inv) @ a
+    return np.diag(np.sqrt(inv)) @ a @ np.diag(np.sqrt(inv))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_numpy_matmul_matches_dense_reference(seed):
     rng = np.random.default_rng(seed)
     n, f = 23, 4
-    indptr, indices = random_csr(rng, n)
-    in_scale = rng.normal(size=n)
-    out_scale = rng.normal(size=n)
+    graph = random_graph(rng, n, num_pairs=30)
     dense = rng.normal(size=(n, f))
-    expected = np.diag(out_scale) @ dense_from_csr(indptr, indices, n)
-    expected = expected @ np.diag(in_scale) @ dense
-    got = _kernels.csr_scaled_matmul_numpy(indptr, indices, in_scale, out_scale, dense)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    for mode in ("row", "sym"):
+        op = PropagationOperator(graph, mode=mode)
+        expected = dense_operator(graph, mode)
+        np.testing.assert_allclose(op.apply(dense), expected @ dense, atol=1e-12)
+        np.testing.assert_allclose(
+            op.apply(dense, transpose=True), expected.T @ dense, atol=1e-12
+        )
 
 
 def test_numpy_matmul_zero_rows_are_exact_zero():
-    indptr = np.array([0, 0, 2, 2], dtype=np.int64)
-    indices = np.array([0, 2], dtype=np.int64)
-    dense = np.ones((3, 2))
-    out = _kernels.csr_scaled_matmul_numpy(
-        indptr, indices, np.ones(3), np.ones(3), dense
-    )
-    np.testing.assert_array_equal(out[0], 0.0)
-    np.testing.assert_array_equal(out[2], 0.0)
-    np.testing.assert_array_equal(out[1], 2.0)
+    # Nodes 0 and 2 are isolated; node 1 has two neighbors.
+    graph = build_graph([(1, 3), (1, 4)], num_nodes=5)
+    dense = np.ones((5, 2))
+    for mode in ("row", "sym"):
+        op = PropagationOperator(graph, mode=mode)
+        for transpose in (False, True):
+            out = op.apply(dense, transpose=transpose)
+            np.testing.assert_array_equal(out[0], 0.0)
+            np.testing.assert_array_equal(out[2], 0.0)
+    out = PropagationOperator(graph, mode="row").apply(dense)
+    np.testing.assert_array_equal(out[[1, 3, 4]], 1.0)
 
 
 def test_numpy_matmul_empty_matrix():
-    indptr = np.zeros(5, dtype=np.int64)
-    indices = np.zeros(0, dtype=np.int64)
-    out = _kernels.csr_scaled_matmul_numpy(
-        indptr, indices, np.ones(4), np.ones(4), np.ones((4, 3))
-    )
-    np.testing.assert_array_equal(out, np.zeros((4, 3)))
+    graph = build_graph(np.zeros((0, 2), dtype=np.int64), num_nodes=4)
+    for mode in ("row", "sym"):
+        op = PropagationOperator(graph, mode=mode)
+        for transpose in (False, True):
+            out = op.apply(np.ones((4, 3)), transpose=transpose)
+            np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
 
 def test_numpy_homophily_counts_reference():
     rng = np.random.default_rng(7)
     n = 40
-    indptr, indices = random_csr(rng, n)
+    graph = random_graph(rng, n, num_pairs=60)
     labels = rng.integers(0, 3, size=n).astype(np.int64)
-    expected = np.array(
+    counts = np.array(
         [
-            sum(
-                1.0
-                for e in range(indptr[i], indptr[i + 1])
-                if labels[indices[e]] == labels[i]
-            )
+            sum(1.0 for j in graph.neighbors(i) if labels[j] == labels[i])
             for i in range(n)
         ]
     )
-    got = _kernels.homophily_counts_numpy(indptr, indices, labels)
-    np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.skipif(
-    _kernels.csr_scaled_matmul_numba is None, reason="numba unavailable"
-)
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_backends_agree(seed):
-    rng = np.random.default_rng(100 + seed)
-    n, f = 57, 6
-    indptr, indices = random_csr(rng, n)
-    in_scale = rng.normal(size=n)
-    out_scale = rng.normal(size=n)
-    dense = rng.normal(size=(n, f))
-    labels = rng.integers(0, 4, size=n).astype(np.int64)
-    ref = _kernels.csr_scaled_matmul_numpy(indptr, indices, in_scale, out_scale, dense)
-    fast = _kernels.csr_scaled_matmul_numba(indptr, indices, in_scale, out_scale, dense)
-    np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(
-        _kernels.homophily_counts_numba(indptr, indices, labels),
-        _kernels.homophily_counts_numpy(indptr, indices, labels),
+    deg = graph.degrees
+    expected = np.array(
+        [counts[i] / deg[i] if deg[i] > 0 else np.nan for i in range(n)]
     )
-
-
-def test_active_backend_consistent():
-    assert _kernels.BACKEND in ("numpy", "numba")
-    if _kernels.BACKEND == "numba":
-        assert _kernels.csr_scaled_matmul is _kernels.csr_scaled_matmul_numba
-    else:
-        assert _kernels.csr_scaled_matmul is _kernels.csr_scaled_matmul_numpy
-
-
-def run_probe(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("ADARC_KERNELS", None)
-    else:
-        env["ADARC_KERNELS"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import adarc; print(adarc.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_flag_forces_numpy_backend():
-    proc = run_probe("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_value():
-    proc = run_probe("cuda")
-    assert proc.returncode != 0
-    assert "ADARC_KERNELS" in proc.stderr
+    assert (deg == 0).any() and (deg > 0).any()
+    per_node, _ = node_homophily(graph, labels)
+    np.testing.assert_array_equal(per_node, expected)
