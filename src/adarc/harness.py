@@ -32,6 +32,7 @@ from .model import (
     featurize_hops,
     gamma_grad_from_dz,
     init_model,
+    log_softmax,
     prediction_accuracy,
     softmax,
 )
@@ -373,9 +374,7 @@ def fit_linear_head(
 
     def ce_and_grad(W, b):
         logits = Z @ W + b[None, :]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        ce = float(-np.mean((shifted - log_norm)[np.arange(n), labels]))
+        ce = float(-np.mean(log_softmax(logits)[np.arange(n), labels]))
         probs = softmax(logits)
         g = (probs - onehot) / n
         return ce, Z.T @ g, g.sum(axis=0)
@@ -415,16 +414,18 @@ def decompose_gap(
     featurizer allows. Δ_f = acc_source − sup_g_acc and
     Δ_g = sup_g_acc − acc_target.
     """
+    # featurize_hops changes only the stored statistics, never these.
+    weights = (model.gamma, model.scale, model.shift)
     source_model = model.copy()
     source_op = PropagationOperator(source.graph, prop_mode)
     source_cache = featurize_hops(source_model, source, source_op)
-    _, source_pred = classify(aggregate(source_cache, source_model.gamma), source_model)
+    _, source_pred = classify(aggregate(source_cache, *weights), source_model)
     acc_source = prediction_accuracy(source_pred, source.labels)
 
     target_model = model.copy()
     target_op = PropagationOperator(target.graph, prop_mode)
     target_cache = featurize_hops(target_model, target, target_op)
-    Z_t = aggregate(target_cache, target_model.gamma)
+    Z_t = aggregate(target_cache, *weights)
     _, target_pred = classify(Z_t, target_model)
     acc_target = prediction_accuracy(target_pred, target.labels)
 
@@ -485,7 +486,7 @@ def bench(
     def initial_inference():
         m = model.copy()
         cache = featurize_hops(m, target, op)
-        classify(aggregate(cache, m.gamma), m)
+        classify(aggregate(cache, m.gamma, m.scale, m.shift), m)
 
     t_initial = _median_seconds(initial_inference, repetitions)
 
@@ -493,9 +494,9 @@ def bench(
     cache = featurize_hops(work, target, op)
     kind = BaseTtaKind(variant="erm")
     prediction = base_predict(kind, work, cache, target)
-    Z = aggregate(cache, work.gamma)
+    Z = aggregate(cache, work.gamma, work.scale, work.shift)
     _, dZ = loss_and_grad_z("pic", Z, prediction, work)
-    grad = gamma_grad_from_dz(cache, dZ)
+    grad = gamma_grad_from_dz(cache, dZ, work.scale, work.shift)
 
     t_forward = _median_seconds(
         lambda: base_predict(kind, work, cache, target), repetitions
@@ -504,7 +505,7 @@ def bench(
         lambda: loss_and_grad_z("pic", Z, prediction, work), repetitions
     )
     t_backward = _median_seconds(
-        lambda: gamma_grad_from_dz(cache, dZ), repetitions
+        lambda: gamma_grad_from_dz(cache, dZ, work.scale, work.shift), repetitions
     )
 
     def update():

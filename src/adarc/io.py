@@ -14,12 +14,16 @@ Checkpoint
 arrays as little-endian f32 in declared field order (see ``model``).
 
 All writers produce byte-identical files for identical inputs; readers
-round-trip f32 payloads bit-exactly.
+round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
+padded or non-finite data. Checkpoints hold f32, so ``adapt`` from a loaded
+checkpoint matches in-memory ``adapt`` in accuracy and within 1e-5 in
+probabilities (tested; at most 1e-6 seen at the preset scale).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -80,6 +84,8 @@ def read_dataset(directory: str | Path) -> Dataset:
     raw = (directory / "features.bin").read_bytes()
     if raw[:4] != FEATURES_MAGIC:
         raise FormatError(f"features.bin: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise FormatError(f"features.bin: truncated header ({len(raw)} bytes)")
     version, n, d = struct.unpack("<III", raw[4:16])
     if version != 1:
         raise FormatError(f"features.bin: unsupported version {version}")
@@ -140,23 +146,26 @@ def read_checkpoint_arrays(
     """
     raw = Path(path).read_bytes()
     if raw[:5] != CHECKPOINT_MAGIC:
-        raise FormatError(f"checkpoint: bad magic {raw[:5]!r}")
+        raise FormatError(f"checkpoint: bad magic {raw[:5]!r} in {path}")
+    if len(raw) < 25:
+        raise FormatError(f"checkpoint: truncated header in {path}")
     (version,) = struct.unpack("<I", raw[5:9])
     if version != 1:
-        raise FormatError(f"checkpoint: unsupported version {version}")
+        raise FormatError(f"checkpoint: unsupported version {version} in {path}")
     dims = struct.unpack("<IIII", raw[9:25])
-    offset = 25
-    arrays = []
+    expected = 25 + 4 * sum(math.prod(shape) for shape in shapes(dims))
+    if len(raw) != expected:
+        raise FormatError(
+            f"checkpoint: expected {expected} bytes, found {len(raw)} in {path}"
+        )
+    values = np.frombuffer(raw, dtype="<f4", offset=25)
+    if not np.isfinite(values).all():
+        raise FormatError(f"checkpoint: non-finite parameter in {path}")
+    arrays, offset = [], 0
     for shape in shapes(dims):
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = 4 * count
-        if offset + nbytes > len(raw):
-            raise FormatError("checkpoint: truncated parameter payload")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.reshape(shape).copy())
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError("checkpoint: trailing bytes after parameters")
+        count = math.prod(shape)
+        arrays.append(values[offset : offset + count].reshape(shape).copy())
+        offset += count
     return dims, arrays
 
 

@@ -25,6 +25,7 @@ from .model import (
     aggregate,
     classify,
     gamma_grad_from_dz,
+    log_softmax,
     softmax,
 )
 
@@ -140,10 +141,7 @@ def pic_grad_logits(Z: np.ndarray, logits: np.ndarray) -> np.ndarray:
     exactly σ²_intra/σ².
     """
     Z = np.asarray(Z, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = softmax(np.asarray(logits, dtype=np.float64))
     terms = _variance_terms(Z, probs)
     row_sq = (Z * Z).sum(axis=1)
     cent_sq = (terms.centroids * terms.centroids).sum(axis=1)
@@ -176,8 +174,7 @@ def diff_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.nd
 
 def entropy_from_logits(logits: np.ndarray) -> float:
     """Mean per-row softmax entropy."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(logits)
     probs = np.exp(log_probs)
     return float(-(probs * log_probs).sum(axis=1).mean())
 
@@ -185,8 +182,7 @@ def entropy_from_logits(logits: np.ndarray) -> float:
 def entropy_grad_logits(logits: np.ndarray) -> np.ndarray:
     """∂(mean entropy)/∂logits = −P ⊙ (log P + H_row) / N."""
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(logits)
     probs = np.exp(log_probs)
     row_entropy = -(probs * log_probs).sum(axis=1, keepdims=True)
     return -probs * (log_probs + row_entropy) / n
@@ -197,8 +193,7 @@ def pseudo_from_logits(
 ) -> float:
     """Mean cross-entropy against argmax(Ŷ) pseudo-labels (no threshold)."""
     hard = _as_probs(prediction).argmax(axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(logits)
     return float(-log_probs[np.arange(logits.shape[0]), hard].mean())
 
 
@@ -246,8 +241,7 @@ def surrogate_loss_and_grad_gamma(
     cache: HopCache,
     prediction: SoftPrediction | np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Loss at Z = aggregate(cache, γ) and its analytic γ-gradient."""
-    cache.materialize(model.scale, model.shift)
-    Z = aggregate(cache, model.gamma)
+    """Loss at Z = aggregate(cache, γ, scale, shift) and its analytic γ-gradient."""
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
     loss, dZ = loss_and_grad_z(kind, Z, prediction, model)
-    return loss, gamma_grad_from_dz(cache, dZ)
+    return loss, gamma_grad_from_dz(cache, dZ, model.scale, model.shift)

@@ -5,21 +5,23 @@ normalization (no nonlinearity), K-hop propagation H^(k) = Ã^k H^(0),
 aggregation Z = Σ_k γ_k H^(k) with trainable per-hop weights γ, and a
 linear classifier.
 
-The hop cache stores the propagated *pre-affine* normalized features
-(basis B_k = Ã^k X̂) together with the propagated all-ones column
-(o_k = Ã^k 1). Because the normalization affine map is per-column linear,
+The hop cache is one array: the hops of the *pre-affine* normalized
+features with an all-ones column appended, Ã^k [X̂ | 1], of shape
+(K+1)×N×(H+1). The normalization affine is the (H+1)×H matrix
+A = [diag(scale); shiftᵀ], and propagation commutes with it, so
 
-    H^(k) = scale ⊙ B_k + o_k · shiftᵀ,
+    H^(k) = Ã^k [X̂ | 1] A    and    Z = (Σ_k γ_k Ã^k [X̂ | 1]) A.
 
-so representations for *any* scale/shift are reconstructable without new
-propagate calls — norm-affine test-time adaptation reuses the cache, and
-an entire adaptation run costs exactly K propagate applications.
+Every Z is one γ-contraction of the stack followed by one small GEMM, and
+∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩ is one contraction back. Any scale and
+shift reuse the cache, so norm-affine test-time adaptation costs no new
+propagate calls and an entire adaptation run costs exactly K of them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +34,12 @@ __all__ = [
     "SoftPrediction",
     "init_model",
     "featurize_hops",
+    "mix_hops",
+    "affine_matrix",
     "aggregate",
-    "aggregate_affine",
     "classify",
     "softmax",
+    "log_softmax",
     "predict",
     "evaluate",
     "backward_ce",
@@ -74,7 +78,6 @@ class GprModel:
     gamma: np.ndarray  # K+1
     W_cls: np.ndarray  # H×C
     b_cls: np.ndarray  # C
-    freeze_stats: bool = False  # use stored statistics instead of recomputing
 
     def __post_init__(self) -> None:
         d, h = self.W1.shape
@@ -107,10 +110,7 @@ class GprModel:
         return [getattr(self, name) for name in _FIELD_ORDER]
 
     def copy(self) -> "GprModel":
-        return GprModel(
-            *(getattr(self, name).copy() for name in _FIELD_ORDER),
-            freeze_stats=self.freeze_stats,
-        )
+        return GprModel(*(getattr(self, name).copy() for name in _FIELD_ORDER))
 
 
 @dataclass
@@ -136,35 +136,20 @@ class SoftPrediction:
 
 @dataclass
 class HopCache:
-    """Hop representations factored through the normalization affine."""
+    """Hops of the pre-affine normalized features and the all-ones column."""
 
-    basis: np.ndarray  # (K+1)×N×H, hops of the pre-affine normalized features
-    ones_hops: np.ndarray  # (K+1)×N, hops of the all-ones column
-    xhat: np.ndarray  # N×H, normalized pre-affine features (hop 0 basis)
-    used_mean: np.ndarray  # H, statistics used by the normalization
-    used_std: np.ndarray  # H, √(var + eps)
-    theta_fingerprint: str  # hash of (W1, b1, statistics, graph layout)
-    affine_scale: np.ndarray = field(repr=False, default=None)
-    affine_shift: np.ndarray = field(repr=False, default=None)
-    hops: np.ndarray = field(repr=False, default=None)  # (K+1)×N×H materialized
+    hops: np.ndarray  # (K+1)×N×(H+1), Ã^k [X̂ | 1]
+    used_std: np.ndarray  # H, √(var + eps) of the normalization
+    theta_fingerprint: str  # hash of (W1, b1, graph layout)
 
     @property
     def num_hops(self) -> int:
-        return self.basis.shape[0] - 1
+        return self.hops.shape[0] - 1
 
-    def materialize(self, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Post-affine hop stack for the given norm affine; cached per affine."""
-        if (
-            self.hops is None
-            or not np.array_equal(self.affine_scale, scale)
-            or not np.array_equal(self.affine_shift, shift)
-        ):
-            self.hops = self.basis * scale[None, None, :] + np.einsum(
-                "kn,h->knh", self.ones_hops, shift
-            )
-            self.affine_scale = scale.copy()
-            self.affine_shift = shift.copy()
-        return self.hops
+    @property
+    def xhat(self) -> np.ndarray:
+        """N×H normalized pre-affine features (a view of hop 0)."""
+        return self.hops[0, :, :-1]
 
     def is_fresh(self, model: GprModel, graph) -> bool:
         return self.theta_fingerprint == _theta_fingerprint(model, graph)
@@ -178,10 +163,6 @@ def _theta_fingerprint(model: GprModel, graph) -> str:
     hasher = hashlib.sha256()
     hasher.update(np.ascontiguousarray(model.W1).tobytes())
     hasher.update(np.ascontiguousarray(model.b1).tobytes())
-    hasher.update(b"frozen" if model.freeze_stats else b"batch")
-    if model.freeze_stats:
-        hasher.update(np.ascontiguousarray(model.running_mean).tobytes())
-        hasher.update(np.ascontiguousarray(model.running_var).tobytes())
     hasher.update(np.ascontiguousarray(graph.row_offsets).tobytes())
     hasher.update(np.ascontiguousarray(graph.neighbor_ids).tobytes())
     return hasher.hexdigest()
@@ -217,65 +198,50 @@ def featurize_hops(
     """Build the hop cache with exactly K propagate applications.
 
     Normalization statistics are computed over all nodes of the current
-    graph (full-batch transductive) and stored on the model, unless
-    ``model.freeze_stats`` keeps the stored source statistics.
+    graph (full-batch transductive) and stored on the model.
     """
     if dataset.features.shape[1] != model.W1.shape[0]:
         raise ValueError("feature dimension does not match the model")
     pre = dataset.features @ model.W1 + model.b1[None, :]
-    if model.freeze_stats:
-        mean, var = model.running_mean, model.running_var
-    else:
-        mean = pre.mean(axis=0)
-        var = pre.var(axis=0)
-        model.running_mean = mean.copy()
-        model.running_var = var.copy()
+    mean = pre.mean(axis=0)
+    var = pre.var(axis=0)
+    model.running_mean = mean.copy()
+    model.running_var = var.copy()
     std = np.sqrt(var + BN_EPS)
-    xhat = (pre - mean[None, :]) / std[None, :]
 
-    n, h = xhat.shape
+    n, h = pre.shape
     k = model.num_hops
     # Propagate the normalized features and the all-ones column together so
     # the whole cache costs exactly K propagate calls.
-    augmented = np.concatenate([xhat, np.ones((n, 1))], axis=1)
     stack = np.empty((k + 1, n, h + 1))
-    stack[0] = augmented
+    np.divide(pre - mean[None, :], std[None, :], out=stack[0, :, :h])
+    stack[0, :, h] = 1.0
     for step in range(1, k + 1):
         stack[step] = op.apply(stack[step - 1])
-    cache = HopCache(
-        basis=np.ascontiguousarray(stack[:, :, :h]),
-        ones_hops=np.ascontiguousarray(stack[:, :, h]),
-        xhat=xhat,
-        used_mean=mean.copy(),
+    return HopCache(
+        hops=stack,
         used_std=std,
         theta_fingerprint=_theta_fingerprint(model, dataset.graph),
     )
-    cache.materialize(model.scale, model.shift)
-    return cache
 
 
-def aggregate(cache: HopCache, gamma: np.ndarray) -> np.ndarray:
-    """Z = Σ_k γ_k H^(k) for the cache's current affine materialization."""
-    if gamma.shape[0] != cache.basis.shape[0]:
+def mix_hops(cache: HopCache, gamma: np.ndarray) -> np.ndarray:
+    """Σ_k γ_k Ã^k [X̂ | 1], the N×(H+1) block [S_B | t_o] that Z is built from."""
+    if gamma.shape[0] != cache.hops.shape[0]:
         raise ValueError("gamma length must equal K+1")
-    if cache.hops is None:
-        raise StaleCacheError("cache has no materialized hops")
     return np.tensordot(gamma, cache.hops, axes=1)
 
 
-def aggregate_affine(
-    cache: HopCache, gamma: np.ndarray, scale: np.ndarray, shift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z for an arbitrary norm affine, plus the γ-combined basis pieces.
+def affine_matrix(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """A = [diag(scale); shiftᵀ], so [x̂ | 1] A = scale ⊙ x̂ + shift."""
+    return np.vstack([np.diag(scale), shift[None, :]])
 
-    Returns (Z, S_B, t_o) where S_B = Σ γ_k B_k and t_o = Σ γ_k o_k, so
-    Z = scale ⊙ S_B + t_o · shiftᵀ. Used by norm-affine adaptation.
-    """
-    if gamma.shape[0] != cache.basis.shape[0]:
-        raise ValueError("gamma length must equal K+1")
-    s_b = np.tensordot(gamma, cache.basis, axes=1)
-    t_o = cache.ones_hops.T @ gamma
-    return s_b * scale[None, :] + t_o[:, None] * shift[None, :], s_b, t_o
+
+def aggregate(
+    cache: HopCache, gamma: np.ndarray, scale: np.ndarray, shift: np.ndarray
+) -> np.ndarray:
+    """Z = Σ_k γ_k H^(k) under the norm affine (scale, shift)."""
+    return mix_hops(cache, gamma) @ affine_matrix(scale, shift)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -283,6 +249,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row log-softmax, stabilized by row-max subtraction."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def classify(Z: np.ndarray, model: GprModel) -> tuple[np.ndarray, SoftPrediction]:
@@ -300,7 +272,8 @@ def predict(
     if op is None:
         op = PropagationOperator(dataset.graph, "sym")
     cache = featurize_hops(model, dataset, op)
-    _, prediction = classify(aggregate(cache, model.gamma), model)
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    _, prediction = classify(Z, model)
     return prediction
 
 
@@ -326,18 +299,17 @@ def evaluate(
     return prediction_accuracy(predict(model, dataset, op), dataset.labels, mask)
 
 
-def gamma_grad_from_dz(cache: HopCache, dZ: np.ndarray) -> np.ndarray:
+def gamma_grad_from_dz(
+    cache: HopCache, dZ: np.ndarray, scale: np.ndarray, shift: np.ndarray
+) -> np.ndarray:
     """∇_γ of any loss given ∂L/∂Z: component k is ⟨H^(k), ∂L/∂Z⟩."""
-    if cache.hops is None:
-        raise StaleCacheError("cache has no materialized hops")
-    return np.tensordot(cache.hops, dZ, axes=([1, 2], [0, 1]))
+    d_mix = dZ @ affine_matrix(scale, shift).T
+    return np.tensordot(cache.hops, d_mix, axes=([1, 2], [0, 1]))
 
 
-def affine_grad_from_dz(
-    s_b: np.ndarray, t_o: np.ndarray, dZ: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(∂L/∂scale, ∂L/∂shift) given ∂L/∂Z, for Z = scale⊙S_B + t_o·shiftᵀ."""
-    return (s_b * dZ).sum(axis=0), t_o @ dZ
+def affine_grad_from_dz(mix: np.ndarray, dZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(∂L/∂scale, ∂L/∂shift) given ∂L/∂Z, for Z = mix_hops(…) @ A(scale, shift)."""
+    return (mix[:, :-1] * dZ).sum(axis=0), mix[:, -1] @ dZ
 
 
 def backward_ce(
@@ -355,8 +327,7 @@ def backward_ce(
     """
     if not cache.is_fresh(model, dataset.graph):
         raise StaleCacheError("hop cache is stale for the current parameters")
-    hops = cache.materialize(model.scale, model.shift)
-    Z = np.tensordot(model.gamma, hops, axes=1)
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
     logits = Z @ model.W_cls + model.b_cls[None, :]
     probs = softmax(logits)
 
@@ -365,10 +336,7 @@ def backward_ce(
         raise ValueError("empty training mask")
     m = rows.size
     labels = dataset.labels[rows]
-    # Stable log-softmax just on the masked rows.
-    shifted = logits[rows] - logits[rows].max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(m), labels].mean())
+    loss = float(-log_softmax(logits[rows])[np.arange(m), labels].mean())
 
     dlogits = np.zeros_like(logits)
     dlogits[rows] = probs[rows]
@@ -379,7 +347,7 @@ def backward_ce(
     grad_b_cls = dlogits.sum(axis=0)
     dZ = dlogits @ model.W_cls.T
 
-    grad_gamma = np.tensordot(hops, dZ, axes=([1, 2], [0, 1]))
+    grad_gamma = gamma_grad_from_dz(cache, dZ, model.scale, model.shift)
 
     # ∂L/∂H^(0) via Horner: G = Σ_k γ_k (Ãᵀ)^k dZ.
     k = model.num_hops
@@ -387,18 +355,15 @@ def backward_ce(
     for step in range(k - 1, -1, -1):
         G = op.apply(G, transpose=True) + model.gamma[step] * dZ
 
-    grad_scale = (cache.xhat * G).sum(axis=0)
+    xhat = cache.xhat
+    grad_scale = (xhat * G).sum(axis=0)
     grad_shift = G.sum(axis=0)
     d_xhat = G * model.scale[None, :]
-
-    if model.freeze_stats:
-        d_pre = d_xhat / cache.used_std[None, :]
-    else:
-        mean_d = d_xhat.mean(axis=0)
-        mean_dx = (d_xhat * cache.xhat).mean(axis=0)
-        d_pre = (
-            d_xhat - mean_d[None, :] - cache.xhat * mean_dx[None, :]
-        ) / cache.used_std[None, :]
+    mean_d = d_xhat.mean(axis=0)
+    mean_dx = (d_xhat * xhat).mean(axis=0)
+    d_pre = (
+        d_xhat - mean_d[None, :] - xhat * mean_dx[None, :]
+    ) / cache.used_std[None, :]
 
     grad_W1 = dataset.features.T @ d_pre
     grad_b1 = d_pre.sum(axis=0)

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset, PropagationOperator
-from .model import GprModel, backward_ce, featurize_hops, init_model
+from .model import (
+    GprModel,
+    aggregate,
+    backward_ce,
+    classify,
+    featurize_hops,
+    init_model,
+)
 
 __all__ = ["TrainConfig", "TrainDivergedError", "train_source", "pretrain_on"]
 
@@ -166,10 +173,8 @@ def train_source(
 
 
 def _predict_hard(model: GprModel, cache) -> np.ndarray:
-    from .model import aggregate, classify
-
-    _, prediction = classify(aggregate(cache, model.gamma), model)
-    return prediction.hard
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    return classify(Z, model)[1].hard
 
 
 def pretrain_on(

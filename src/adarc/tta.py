@@ -6,8 +6,7 @@ scale/shift only, on cloned parameters. ``T3aLite`` classifies by distance
 to per-class prototypes built from the most confident predictions.
 
 None of the variants mutates γ, and none triggers new propagate calls:
-norm-affine variants reconstruct hop representations from the cache's
-pre-affine basis.
+norm-affine variants rebuild Z from the cache's pre-affine hop stack.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ from .model import (
     SoftPrediction,
     StaleCacheError,
     affine_grad_from_dz,
+    affine_matrix,
     aggregate,
-    aggregate_affine,
     classify,
+    mix_hops,
     softmax,
 )
 from .losses import entropy_from_logits, entropy_grad_logits
@@ -58,8 +58,9 @@ class BaseTtaKind:
 
 
 def _erm_predict(model: GprModel, cache: HopCache) -> SoftPrediction:
-    cache.materialize(model.scale, model.shift)
-    _, prediction = classify(aggregate(cache, model.gamma), model)
+    _, prediction = classify(
+        aggregate(cache, model.gamma, model.scale, model.shift), model
+    )
     return prediction
 
 
@@ -73,15 +74,16 @@ def tent_lite_affine(
     """
     scale = model.scale.copy()
     shift = model.shift.copy()
-    Z, s_b, t_o = aggregate_affine(cache, model.gamma, scale, shift)
+    mix = mix_hops(cache, model.gamma)
+    Z = mix @ affine_matrix(scale, shift)
     logits = Z @ model.W_cls + model.b_cls[None, :]
     entropy = entropy_from_logits(logits)
     for _ in range(kind.steps):
         dZ = entropy_grad_logits(logits) @ model.W_cls.T
-        d_scale, d_shift = affine_grad_from_dz(s_b, t_o, dZ)
+        d_scale, d_shift = affine_grad_from_dz(mix, dZ)
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
-        Z = s_b * new_scale[None, :] + t_o[:, None] * new_shift[None, :]
+        Z = mix @ affine_matrix(new_scale, new_shift)
         logits = Z @ model.W_cls + model.b_cls[None, :]
         new_entropy = entropy_from_logits(logits)
         if not new_entropy < entropy:
@@ -94,17 +96,15 @@ def _tent_predict(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
 ) -> SoftPrediction:
     scale, shift = tent_lite_affine(kind, model, cache)
-    Z, _, _ = aggregate_affine(cache, model.gamma, scale, shift)
-    logits = Z @ model.W_cls + model.b_cls[None, :]
-    return SoftPrediction(softmax(logits))
+    _, prediction = classify(aggregate(cache, model.gamma, scale, shift), model)
+    return prediction
 
 
 def _t3a_predict(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
 ) -> SoftPrediction:
-    cache.materialize(model.scale, model.shift)
-    Z = aggregate(cache, model.gamma)
-    logits, prediction = classify(Z, model)
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    _, prediction = classify(Z, model)
     probs = prediction.probs
     hard = prediction.hard
     log_probs = np.log(np.clip(probs, 1e-300, None))

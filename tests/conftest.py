@@ -1,27 +1,17 @@
-"""Shared fixtures: a fast tiny scenario for mechanics tests and a lazily
-populated desk-scale laboratory shared by the acceptance criteria."""
+"""Shared fixtures: a fast tiny scenario for mechanics tests."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adarc import (
-    AdaptConfig,
     CsbmParams,
     PropagationOperator,
-    ScenarioSpec,
     TrainConfig,
-    adapt,
     attach_split_masks,
-    build_scenario_datasets,
-    evaluate,
     generate,
-    prediction_accuracy,
     pretrain_on,
-    scenario_seeds,
 )
 
 # --- tiny scale: strong features so a 320-node graph trains in seconds ---
@@ -69,58 +59,3 @@ def tiny_model(tiny_source):
 @pytest.fixture()
 def tiny_op(tiny_target):
     return PropagationOperator(tiny_target.graph, "sym")
-
-
-# --- desk scale: one pretrain per (scenario, seed), shared across criteria ---
-
-
-class DeskLab:
-    """Lazily builds and caches desk-scale scenarios, models, and accuracies."""
-
-    def __init__(self):
-        self._data = {}
-        self._models = {}
-        self._accs = {}
-        self.train_config = TrainConfig()
-
-    def datasets(self, spec: ScenarioSpec, seed: int):
-        key = (spec, seed)
-        if key not in self._data:
-            self._data[key] = build_scenario_datasets(spec, seed)
-        return self._data[key]
-
-    def model(self, spec: ScenarioSpec, seed: int):
-        key = (spec, seed)
-        if key not in self._models:
-            source, _ = self.datasets(spec, seed)
-            config = replace(self.train_config, seed=scenario_seeds(seed)["model"])
-            model, _ = pretrain_on(source, config)
-            self._models[key] = model
-        return self._models[key]
-
-    def erm_accuracy(self, spec: ScenarioSpec, seed: int) -> float:
-        key = (spec, seed, "erm")
-        if key not in self._accs:
-            _, target = self.datasets(spec, seed)
-            op = PropagationOperator(target.graph, self.train_config.prop_mode)
-            self._accs[key] = evaluate(self.model(spec, seed), target, op=op)
-        return self._accs[key]
-
-    def adapt_result(self, spec: ScenarioSpec, seed: int, **overrides):
-        config = replace(AdaptConfig(), **overrides)
-        key = (spec, seed, config)
-        if key not in self._accs:
-            _, target = self.datasets(spec, seed)
-            op = PropagationOperator(target.graph, self.train_config.prop_mode)
-            result = adapt(self.model(spec, seed), target, op, config)
-            accuracy = prediction_accuracy(result.prediction, target.labels)
-            self._accs[key] = (accuracy, result)
-        return self._accs[key]
-
-    def adapt_accuracy(self, spec: ScenarioSpec, seed: int, **overrides) -> float:
-        return self.adapt_result(spec, seed, **overrides)[0]
-
-
-@pytest.fixture(scope="session")
-def desk():
-    return DeskLab()

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "adarc.cli"]
@@ -242,10 +243,18 @@ def _nan_first_feature(path: Path) -> None:
     path.write_bytes(raw[:16] + b"\x00\x00\xc0\x7f" + raw[20:])  # f32 NaN
 
 
+def _truncated_header(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:10])
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
-    [("labels.csv", _negative_first_label), ("features.bin", _nan_first_feature)],
-    ids=["labels.csv", "features.bin"],
+    [
+        ("labels.csv", _negative_first_label),
+        ("features.bin", _nan_first_feature),
+        ("features.bin", _truncated_header),
+    ],
+    ids=["labels.csv", "features.bin", "features.bin-truncated-header"],
 )
 def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, corrupt):
     data = tmp_path / "target"
@@ -259,6 +268,35 @@ def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, cor
     )
     assert result.returncode == 2
     assert name in result.stderr
+
+
+def _nan_gamma(path: Path) -> None:
+    from adarc import load_checkpoint, save_checkpoint
+
+    model = load_checkpoint(path)
+    model.gamma[0] = np.nan
+    save_checkpoint(model, path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda path: path.write_bytes(path.read_bytes()[:7]), "truncated header"),
+        (_nan_gamma, "non-finite parameter"),
+    ],
+    ids=["truncated-header", "nan-gamma"],
+)
+def test_adapt_rejects_bad_checkpoint_with_exit_2(workspace, tmp_path, corrupt, message):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(workspace["ckpt"].read_bytes())
+    corrupt(ckpt)
+    result = run_cli(
+        "adapt", "--ckpt", ckpt, "--data", workspace["data"] / "target",
+        "--out", tmp_path / "report.json",
+    )
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr
+    assert "bad.ckpt" in result.stderr
 
 
 def test_bench_rejects_out_and_prints_json(tmp_path):

@@ -303,7 +303,7 @@ def test_decompose_gap_paired_attribute_shift_cancels():
     source, target = build_scenario_datasets(spec, seed=0)
     model = init_model(dim=64, hidden=16, num_classes=2, num_hops=4, seed=1)
     op = PropagationOperator(source.graph, "sym")
-    z = aggregate(featurize_hops(model, source, op), model.gamma)
+    z = aggregate(featurize_hops(model, source, op), model.gamma, model.scale, model.shift)
     W, b, _, _ = fit_linear_head(z, source.labels, num_classes=2)
     model.W_cls[...] = W
     model.b_cls[...] = b

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adarc import (
+    AdaptConfig,
+    BaseTtaKind,
+    CsbmParams,
     Dataset,
     FormatError,
     PropagationOperator,
+    adapt,
     attach_split_masks,
     generate,
     init_model,
     load_checkpoint,
     predict,
+    prediction_accuracy,
     read_dataset,
     save_checkpoint,
     write_dataset,
@@ -131,6 +141,115 @@ def test_checkpoint_rejects_truncation(tmp_path, tiny_model):
     (tmp_path / "cut.ckpt").write_bytes(blob[: len(blob) // 2])
     with pytest.raises((FormatError, ValueError, OSError)):
         load_checkpoint(tmp_path / "cut.ckpt")
+
+
+def test_truncated_features_header_is_a_format_error(tmp_path):
+    write_dataset(generate(tiny_params(0.7, seed=31)), tmp_path / "ds")
+    features = tmp_path / "ds" / "features.bin"
+    features.write_bytes(features.read_bytes()[:10])
+    with pytest.raises(FormatError, match="features.bin"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_truncated_checkpoint_header_is_a_format_error(tmp_path, tiny_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    path.write_bytes(path.read_bytes()[:7])
+    with pytest.raises(FormatError, match="model.ckpt"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, tiny_model, value):
+    model = tiny_model.copy()
+    model.gamma[0] = value
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    with pytest.raises(FormatError, match="checkpoint: non-finite parameter"):
+        load_checkpoint(tmp_path / "model.ckpt")
+
+
+@pytest.mark.parametrize("variant", ["erm", "t3a"])
+def test_adapt_from_f32_checkpoint_matches_in_memory(
+    tmp_path, tiny_model, tiny_target, variant
+):
+    # The tolerance stated in the io module docstring.
+    save_checkpoint(tiny_model, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    config = AdaptConfig(base=BaseTtaKind(variant))
+    results = [
+        adapt(model, tiny_target, PropagationOperator(tiny_target.graph), config)
+        for model in (tiny_model, loaded)
+    ]
+    accuracies = [prediction_accuracy(r.prediction, tiny_target.labels) for r in results]
+    assert accuracies[0] == accuracies[1]
+    np.testing.assert_allclose(
+        results[1].prediction.probs, results[0].prediction.probs, rtol=0, atol=1e-5
+    )
+
+
+# --- fuzzing: a damaged file is either still readable or a FormatError ---
+
+
+SMALL = CsbmParams(
+    n=40, dim=3, mu=np.full(3, 0.5), delta_mu=np.zeros(3),
+    avg_degree=3.0, homophily=0.7, seed=0,
+)
+
+
+def _valid_files() -> dict[str, bytes]:
+    """Every file of a small dataset directory, plus ``m.ckpt`` of a small model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(generate(SMALL), tmp)
+        save_checkpoint(init_model(3, 4, 2, 3, seed=0), Path(tmp) / "m.ckpt")
+        return {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+
+
+VALID = _valid_files()
+
+
+@st.composite
+def damaged(draw, blob: bytes) -> bytes:
+    """``blob`` cut to any length, or with up to four bytes overwritten.
+
+    Half of the cut points and positions fall in the first 32 bytes, where
+    the headers are.
+    """
+
+    def position(end: int) -> int:
+        return draw(st.one_of(st.integers(0, min(31, end)), st.integers(0, end)))
+
+    if draw(st.booleans()):
+        return blob[: position(len(blob))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        out[position(len(blob) - 1)] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def _read_damaged(name: str, blob: bytes, reader) -> None:
+    """Run ``reader`` on a directory of VALID files where ``name`` holds ``blob``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, data in VALID.items():
+            (Path(tmp) / other).write_bytes(blob if other == name else data)
+        try:
+            reader(Path(tmp))
+        except FormatError:
+            pass
+
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_FUZZ
+@given(damaged(VALID["features.bin"]))
+def test_fuzz_read_dataset_features(blob):
+    _read_damaged("features.bin", blob, read_dataset)
+
+
+@_FUZZ
+@given(damaged(VALID["m.ckpt"]))
+def test_fuzz_load_checkpoint(blob):
+    _read_damaged("m.ckpt", blob, lambda directory: load_checkpoint(directory / "m.ckpt"))
 
 
 def test_report_text_is_canonical():

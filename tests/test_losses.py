@@ -131,7 +131,7 @@ def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
         def value(gamma):
             probe = tiny_model.copy()
             probe.gamma[:] = gamma
-            Z = aggregate(cache, probe.gamma)
+            Z = aggregate(cache, probe.gamma, probe.scale, probe.shift)
             return loss_and_grad_z(kind, Z, prediction, probe)[0]
 
         numeric = fd_grad(value, model.gamma)

@@ -17,7 +17,7 @@ from adarc import (
     prediction_accuracy,
     softmax,
 )
-from adarc.model import aggregate_affine, backward_ce, gamma_grad_from_dz
+from adarc.model import backward_ce, gamma_grad_from_dz, mix_hops
 
 from oracle_utils import fd_grad, relative_error
 
@@ -33,6 +33,11 @@ def test_init_model_ppr_gamma():
     np.testing.assert_array_equal(model.running_var, 1.0)
 
 
+def hop(cache, k, scale, shift):
+    """H^(k) under (scale, shift), read through aggregate with a one-hot γ."""
+    return aggregate(cache, np.eye(cache.num_hops + 1)[k], scale, shift)
+
+
 def test_featurize_uses_exactly_k_propagate_calls(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     featurize_hops(tiny_model, tiny_target, op)
@@ -42,7 +47,8 @@ def test_featurize_uses_exactly_k_propagate_calls(tiny_model, tiny_target):
 def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
-    hops = cache.materialize(tiny_model.scale, tiny_model.shift)
+    scale, shift = tiny_model.scale, tiny_model.shift
+    hops = [hop(cache, k, scale, shift) for k in range(cache.num_hops + 1)]
 
     # manual pipeline: linear, batch-norm on target statistics, then K hops
     X = tiny_target.features.astype(np.float64)
@@ -61,35 +67,53 @@ def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
 def test_aggregate_is_gamma_weighted_sum(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
-    hops = cache.materialize(tiny_model.scale, tiny_model.shift)
+    scale, shift = tiny_model.scale, tiny_model.shift
     gamma = np.linspace(-0.5, 0.8, tiny_model.num_hops + 1)
-    manual = np.tensordot(gamma, hops, axes=1)
-    np.testing.assert_allclose(aggregate(cache, gamma), manual, atol=1e-12)
+    manual = sum(g * hop(cache, k, scale, shift) for k, g in enumerate(gamma))
+    np.testing.assert_allclose(aggregate(cache, gamma, scale, shift), manual, atol=1e-12)
 
 
 def test_cache_affine_factorization(tiny_model, tiny_target):
-    # hops materialized under a new affine must equal a fresh featurization
+    # hops read under a new affine must equal a fresh featurization's
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
     bumped = tiny_model.copy()
     bumped.scale[:] = np.linspace(0.5, 1.5, bumped.scale.size)
     bumped.shift[:] = np.linspace(-0.3, 0.4, bumped.shift.size)
-    via_affine = cache.materialize(bumped.scale, bumped.shift)
     fresh = featurize_hops(bumped, tiny_target, PropagationOperator(tiny_target.graph))
-    expected = fresh.materialize(bumped.scale, bumped.shift)
-    np.testing.assert_allclose(via_affine, expected, atol=1e-9)
+    for k in range(cache.num_hops + 1):
+        via_affine = hop(cache, k, bumped.scale, bumped.shift)
+        expected = hop(fresh, k, bumped.scale, bumped.shift)
+        np.testing.assert_allclose(via_affine, expected, atol=1e-9)
 
 
-def test_aggregate_affine_consistency(tiny_model, tiny_target):
+def test_aggregate_splits_into_scale_and_shift_parts(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
     gamma = tiny_model.gamma
-    Z, s_b, t_o = aggregate_affine(cache, gamma, tiny_model.scale, tiny_model.shift)
-    cache.materialize(tiny_model.scale, tiny_model.shift)
-    np.testing.assert_allclose(Z, aggregate(cache, gamma), atol=1e-12)
+    Z = aggregate(cache, gamma, tiny_model.scale, tiny_model.shift)
     # Z decomposes as scale⊙(Σγ_k B_k) + (Σγ_k o_k)·shiftᵀ
+    mix = mix_hops(cache, gamma)
+    s_b, t_o = mix[:, :-1], mix[:, -1]
     rebuilt = tiny_model.scale[None, :] * s_b + np.outer(t_o, tiny_model.shift)
     np.testing.assert_allclose(Z, rebuilt, atol=1e-12)
+
+
+def test_hop_cache_holds_one_stack(tiny_model, tiny_target):
+    op = PropagationOperator(tiny_target.graph, "sym")
+    cache = featurize_hops(tiny_model, tiny_target, op)
+    n, k, h = tiny_target.num_nodes, tiny_model.num_hops, tiny_model.W1.shape[1]
+    arrays = [
+        value
+        for value in vars(cache).values()
+        if isinstance(value, np.ndarray) and value.size >= n
+    ]
+    assert len(arrays) == 1
+    assert arrays[0] is cache.hops
+    assert cache.hops.shape == (k + 1, n, h + 1)
+    assert cache.hops.dtype == np.float64
+    assert np.shares_memory(cache.xhat, cache.hops)
+    np.testing.assert_array_equal(cache.hops[0, :, -1], 1.0)
 
 
 def test_cache_freshness_fingerprint(tiny_model, tiny_target):
@@ -102,14 +126,14 @@ def test_cache_freshness_fingerprint(tiny_model, tiny_target):
     affine_only = tiny_model.copy()
     affine_only.scale[0] += 0.5
     assert cache.is_fresh(affine_only, tiny_target.graph), (
-        "affine changes must not invalidate the cache; they re-materialize"
+        "affine changes must not invalidate the cache; aggregate applies them"
     )
 
 
 def test_classify_and_predict_agree(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
-    Z = aggregate(cache, tiny_model.gamma)
+    Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
     logits, soft = classify(Z, tiny_model)
     np.testing.assert_allclose(
         soft.probs.sum(axis=1), 1.0, atol=1e-12
@@ -136,12 +160,12 @@ def test_prediction_accuracy_and_evaluate(tiny_model, tiny_target):
 def test_gamma_grad_from_dz_is_exact_adjoint(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
-    cache.materialize(tiny_model.scale, tiny_model.shift)
+    scale, shift = tiny_model.scale, tiny_model.shift
     rng = np.random.default_rng(0)
-    dZ = rng.normal(size=cache.hops.shape[1:])
-    grad = gamma_grad_from_dz(cache, dZ)
+    dZ = rng.normal(size=(tiny_target.num_nodes, scale.size))
+    grad = gamma_grad_from_dz(cache, dZ, scale, shift)
     manual = np.array(
-        [float((cache.hops[k] * dZ).sum()) for k in range(cache.num_hops + 1)]
+        [float((hop(cache, k, scale, shift) * dZ).sum()) for k in range(cache.num_hops + 1)]
     )
     np.testing.assert_allclose(grad, manual, rtol=1e-12)
 
@@ -154,7 +178,7 @@ def test_backward_ce_matches_finite_differences(tiny_source):
 
     def loss_at(model_in):
         cache = featurize_hops(model_in, tiny_source, PropagationOperator(tiny_source.graph))
-        Z = aggregate(cache, model_in.gamma)
+        Z = aggregate(cache, model_in.gamma, model_in.scale, model_in.shift)
         logits, _ = classify(Z, model_in)
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -48,7 +48,8 @@ def test_erm_is_plain_classifier(tiny_model, tiny_target, cache_and_op):
     pred = base_predict(BaseTtaKind("erm"), tiny_model, cache, tiny_target)
     from adarc import classify
 
-    _, direct = classify(aggregate(cache, tiny_model.gamma), tiny_model)
+    Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
+    _, direct = classify(Z, tiny_model)
     np.testing.assert_array_equal(pred.probs, direct.probs)
 
 
@@ -77,9 +78,7 @@ def test_tent_entropy_monotone_in_steps(tiny_model, tiny_target, cache_and_op):
         scale, shift = tent_lite_affine(
             BaseTtaKind("tent", steps=steps, lr=0.02), tiny_model, cache
         )
-        from adarc.model import aggregate_affine
-
-        Z, _, _ = aggregate_affine(cache, tiny_model.gamma, scale, shift)
+        Z = aggregate(cache, tiny_model.gamma, scale, shift)
         logits = Z @ tiny_model.W_cls + tiny_model.b_cls[None, :]
         entropies.append(entropy_from_logits(logits))
     assert entropies[0] >= entropies[1] >= entropies[2]
@@ -91,10 +90,9 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
     # entropy, so whatever the rate, the returned affine is at least as
     # confident as the model's own.
     cache, _ = cache_and_op
-    from adarc.model import aggregate_affine
 
     def affine_entropy(scale, shift):
-        Z, _, _ = aggregate_affine(cache, tiny_model.gamma, scale, shift)
+        Z = aggregate(cache, tiny_model.gamma, scale, shift)
         logits = Z @ tiny_model.W_cls + tiny_model.b_cls[None, :]
         return entropy_from_logits(logits)
 
@@ -126,8 +124,7 @@ def test_t3a_probs_follow_prototype_distances(tiny_model, tiny_target, cache_and
     # reconstruct prototypes with the same rule and verify the soft scores
     from adarc import classify, softmax
 
-    cache.materialize(tiny_model.scale, tiny_model.shift)
-    Z = aggregate(cache, tiny_model.gamma)
+    Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
     _, base = classify(Z, tiny_model)
     probs = np.clip(base.probs, 1e-300, None)
     node_entropy = -(base.probs * np.log(probs)).sum(axis=1)
