@@ -35,7 +35,6 @@ from .harness import (
     ExperimentReport,
     GapDecomposition,
     ScenarioSpec,
-    bench,
     build_scenario_datasets,
     decompose_gap,
     fit_linear_head,
@@ -169,7 +168,6 @@ __all__ = [
     "sweep",
     "fit_linear_head",
     "decompose_gap",
-    "bench",
     # io
     "FormatError",
     "read_dataset",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Eight subcommands: ``generate``, ``pretrain``, ``adapt``, ``eval``,
-``sweep``, ``decompose``, ``bench``, ``theory``. Shared flags: ``--seed``,
+Seven subcommands: ``generate``, ``pretrain``, ``adapt``, ``eval``,
+``sweep``, ``decompose``, ``theory``. Shared flags: ``--seed``,
 ``--out``, ``--config FILE`` where FILE holds ``key=value`` lines (``#``
 comments allowed). Recognized keys use prefixes ``scenario.``, ``train.``,
 ``adapt.``, ``base.`` over the corresponding config dataclasses; explicit
@@ -34,7 +34,6 @@ from .harness import (
     METHOD_NAMES,
     SWEEP_AXES,
     ScenarioSpec,
-    bench,
     build_scenario_datasets,
     decompose_gap,
     run_scenario,
@@ -51,7 +50,6 @@ from .io import (
 )
 from .losses import LOSS_KINDS, DegenerateRepresentationError
 from .model import (
-    evaluate,
     featurize_hops,
     load_checkpoint,
     prediction_accuracy,
@@ -286,16 +284,24 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    overrides = _load_overrides(args)
+    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
     dataset = read_dataset(args.data)
     model = load_checkpoint(args.ckpt)
-    report = {"accuracy_all": evaluate(model, dataset)}
+    op = PropagationOperator(dataset.graph, train_cfg.prop_mode)
+    # The ERM prediction: one featurization serves every mask.
+    prediction = base_predict(
+        BaseTtaKind(), model, featurize_hops(model, dataset, op), dataset
+    )
+    labels = dataset.labels
+    report = {"accuracy_all": prediction_accuracy(prediction, labels)}
     if dataset.masks:
         covered = np.zeros(dataset.num_nodes, dtype=bool)
         for name, mask in sorted(dataset.masks.items()):
-            report[f"accuracy_{name}"] = evaluate(model, dataset, mask)
+            report[f"accuracy_{name}"] = prediction_accuracy(prediction, labels, mask)
             covered |= mask
         if covered.any() and not covered.all():
-            report["accuracy_test"] = evaluate(model, dataset, ~covered)
+            report["accuracy_test"] = prediction_accuracy(prediction, labels, ~covered)
     _emit(args, report)
     return 0
 
@@ -383,21 +389,6 @@ def _cmd_decompose(args) -> int:
         },
     }
     _emit(args, report)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.out:
-        raise ValueError(
-            "bench reports wall-clock times, which are not reproducible; "
-            "it prints to stdout and does not accept --out"
-        )
-    overrides = _load_overrides(args)
-    spec = _scenario_from(args, overrides)
-    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
-    seed = args.seed if args.seed is not None else 0
-    result = bench(spec, seed=seed, repetitions=args.repetitions, train_config=train_cfg)
-    sys.stdout.write(report_text(result))
     return 0
 
 
@@ -516,14 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("bench", help="stage timing report (stdout only)")
-    _add_common(p)
-    p.add_argument("--preset", choices=presets, default=None)
-    p.add_argument("--repetitions", type=int, default=20)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("theory", help="closed-form accuracy oracle")
     _add_common(p)

@@ -1,4 +1,4 @@
-"""Experiment harness: scenario presets, sweeps, gap decomposition, benchmarks.
+"""Experiment harness: scenario presets, sweeps and gap decomposition.
 
 A scenario ties together CSBM generation, source pretraining, and one or
 more adaptation methods evaluated on the target graph. Seeds are expanded
@@ -9,8 +9,7 @@ model initialization with ``s+1``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,15 +22,13 @@ from .csbm import (
     generate,
     preset_params,
 )
-from .graph import BACKEND, Dataset, PropagationOperator
-from .losses import LOSS_KINDS, loss_and_grad_z
+from .graph import Dataset, PropagationOperator
+from .losses import LOSS_KINDS
 from .model import (
     GprModel,
     aggregate,
     classify,
     featurize_hops,
-    gamma_grad_from_dz,
-    init_model,
     log_softmax,
     prediction_accuracy,
     softmax,
@@ -51,7 +48,6 @@ __all__ = [
     "sweep",
     "fit_linear_head",
     "decompose_gap",
-    "bench",
 ]
 
 METHOD_NAMES = ("erm", "tent", "t3a", "erm+adarc", "tent+adarc", "t3a+adarc")
@@ -99,10 +95,9 @@ class ExperimentReport:
     mean: dict[str, float]
     sd: dict[str, float]
     config: dict
-    wall_seconds: dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "scenario": self.scenario,
             "seeds": list(self.seeds),
             "methods": list(self.methods),
@@ -111,9 +106,6 @@ class ExperimentReport:
             "sd": dict(self.sd),
             "config": self.config,
         }
-        if include_timing:
-            out["wall_seconds"] = dict(self.wall_seconds)
-        return out
 
 
 def scenario_seeds(seed: int) -> dict[str, int]:
@@ -215,16 +207,11 @@ def run_scenario(
     adapt_config = adapt_config or AdaptConfig()
 
     accs: dict[str, list[float]] = {m: [] for m in methods}
-    wall: dict[str, float] = {"pretrain": 0.0}
-    wall.update({m: 0.0 for m in methods})
 
     for seed in seeds:
         source, target = build_scenario_datasets(spec, seed)
         seed_train = replace(train_config, seed=scenario_seeds(seed)["model"])
-
-        t0 = time.perf_counter()
         model, _history = pretrain_on(source, seed_train)
-        wall["pretrain"] += time.perf_counter() - t0
 
         op = PropagationOperator(target.graph, seed_train.prop_mode)
         plain_model = None
@@ -232,7 +219,6 @@ def run_scenario(
         for name in methods:
             base, use_adarc = _parse_method(name)
             kind = BaseTtaKind(variant=base)
-            t0 = time.perf_counter()
             if use_adarc:
                 result = adapt(
                     model, target, op, replace(adapt_config, base=kind)
@@ -243,7 +229,6 @@ def run_scenario(
                     plain_model = model.copy()
                     plain_cache = featurize_hops(plain_model, target, op)
                 prediction = base_predict(kind, plain_model, plain_cache, target)
-            wall[name] += time.perf_counter() - t0
             accs[name].append(prediction_accuracy(prediction, target.labels))
 
     per_seed = {m: tuple(v) for m, v in accs.items()}
@@ -260,7 +245,6 @@ def run_scenario(
         mean=mean,
         sd=sd,
         config=_config_echo(spec, tuple(methods), tuple(seeds), train_config, adapt_config),
-        wall_seconds=wall,
     )
 
 
@@ -445,89 +429,3 @@ def decompose_gap(
         fit_grad_norm=grad_norm,
         fit_converged=bool(grad_norm < 1e-6),
     )
-
-
-def _median_seconds(fn, repetitions: int) -> float:
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def bench(
-    spec: ScenarioSpec | str = "homo2hetero",
-    seed: int = 0,
-    repetitions: int = 20,
-    train_config: TrainConfig | None = None,
-) -> dict:
-    """Median wall-clock timings for the adaptation pipeline stages.
-
-    Measures initial inference (cold cache build + classify) and the four
-    per-epoch stages (forward, loss, backward, update) on the cached hops.
-    """
-    if isinstance(spec, str):
-        spec = ScenarioSpec(preset=spec)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    train_config = train_config or TrainConfig()
-    _, target = build_scenario_datasets(spec, seed)
-    model = init_model(
-        dim=target.num_features,
-        hidden=train_config.hidden,
-        num_classes=target.num_classes,
-        num_hops=train_config.num_hops,
-        seed=scenario_seeds(seed)["model"],
-        alpha=train_config.gamma_alpha,
-    )
-    op = PropagationOperator(target.graph, train_config.prop_mode)
-
-    def initial_inference():
-        m = model.copy()
-        cache = featurize_hops(m, target, op)
-        classify(aggregate(cache, m.gamma, m.scale, m.shift), m)
-
-    t_initial = _median_seconds(initial_inference, repetitions)
-
-    work = model.copy()
-    cache = featurize_hops(work, target, op)
-    kind = BaseTtaKind(variant="erm")
-    prediction = base_predict(kind, work, cache, target)
-    Z = aggregate(cache, work.gamma, work.scale, work.shift)
-    _, dZ = loss_and_grad_z("pic", Z, prediction, work)
-    grad = gamma_grad_from_dz(cache, dZ, work.scale, work.shift)
-
-    t_forward = _median_seconds(
-        lambda: base_predict(kind, work, cache, target), repetitions
-    )
-    t_loss = _median_seconds(
-        lambda: loss_and_grad_z("pic", Z, prediction, work), repetitions
-    )
-    t_backward = _median_seconds(
-        lambda: gamma_grad_from_dz(cache, dZ, work.scale, work.shift), repetitions
-    )
-
-    def update():
-        work.gamma[:] = work.gamma - 0.0 * grad
-
-    t_update = _median_seconds(update, repetitions)
-
-    stages = {
-        "forward": t_forward,
-        "loss": t_loss,
-        "backward": t_backward,
-        "update": t_update,
-    }
-    per_epoch = float(sum(stages.values()))
-    return {
-        "scenario": spec.scenario_id,
-        "seed": seed,
-        "repetitions": repetitions,
-        "backend": BACKEND,
-        "initial_inference_seconds": t_initial,
-        "per_epoch_seconds": per_epoch,
-        "per_epoch_over_initial": per_epoch / t_initial if t_initial > 0 else 0.0,
-        "stage_seconds": stages,
-        "cheapest_stage": min(stages, key=stages.get),
-    }

@@ -120,15 +120,18 @@ def pic_loss(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> PicBreak
     return _variance_terms(np.asarray(Z, dtype=np.float64), _as_probs(prediction))
 
 
-def pic_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
-    """Analytic ∂L_PIC/∂Z (Ŷ constant; centroid paths vanish identically)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    probs = _as_probs(prediction)
-    terms = _variance_terms(Z, probs)
+def _pic_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndarray:
     # ∂σ²_intra/∂z_i = 2 Σ_c Ŷ_ic (z_i − μ_c) = 2(z_i·Σ_cŶ_ic − Σ_c Ŷ_ic μ_c)
     intra_part = Z * probs.sum(axis=1)[:, None] - probs @ terms.centroids
     total_part = Z - terms.global_centroid[None, :]
     return (2.0 / terms.sigma_sq) * (intra_part - terms.loss * total_part)
+
+
+def pic_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
+    """Analytic ∂L_PIC/∂Z (Ŷ constant; centroid paths vanish identically)."""
+    Z = np.asarray(Z, dtype=np.float64)
+    probs = _as_probs(prediction)
+    return _pic_grad(Z, probs, _variance_terms(Z, probs))
 
 
 def pic_grad_logits(Z: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -158,11 +161,7 @@ def diff_loss(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> float:
     return terms.sigma_intra_sq - terms.sigma_inter_sq
 
 
-def diff_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
-    """Analytic ∂(σ²_intra − σ²_inter)/∂Z with Ŷ constant."""
-    Z = np.asarray(Z, dtype=np.float64)
-    probs = _as_probs(prediction)
-    terms = _variance_terms(Z, probs)
+def _diff_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndarray:
     row_mass = probs.sum(axis=1)[:, None]
     weighted_cent = probs @ terms.centroids
     # ∂σ²_intra/∂z_i = 2 Σ_c Ŷ_ic (z_i − μ_c);
@@ -170,6 +169,13 @@ def diff_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.nd
     d_intra = 2.0 * (Z * row_mass - weighted_cent)
     d_inter = 2.0 * (weighted_cent - row_mass * terms.global_centroid[None, :])
     return d_intra - d_inter
+
+
+def diff_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
+    """Analytic ∂(σ²_intra − σ²_inter)/∂Z with Ŷ constant."""
+    Z = np.asarray(Z, dtype=np.float64)
+    probs = _as_probs(prediction)
+    return _diff_grad(Z, probs, _variance_terms(Z, probs))
 
 
 def entropy_from_logits(logits: np.ndarray) -> float:
@@ -219,10 +225,13 @@ def loss_and_grad_z(
     ``pic`` and ``diff`` act on Z directly; ``entropy`` and ``pseudo`` act
     on classifier logits, chained back through the linear classifier.
     """
-    if kind == "pic":
-        return pic_loss(Z, prediction).loss, pic_grad_z(Z, prediction)
-    if kind == "diff":
-        return diff_loss(Z, prediction), diff_grad_z(Z, prediction)
+    if kind in ("pic", "diff"):
+        Z = np.asarray(Z, dtype=np.float64)
+        probs = _as_probs(prediction)
+        terms = _variance_terms(Z, probs)
+        if kind == "pic":
+            return terms.loss, _pic_grad(Z, probs, terms)
+        return terms.sigma_intra_sq - terms.sigma_inter_sq, _diff_grad(Z, probs, terms)
     if kind in ("entropy", "pseudo"):
         logits = Z @ model.W_cls + model.b_cls[None, :]
         if kind == "entropy":

@@ -61,8 +61,7 @@ def test_help_lists_every_subcommand():
     result = run_cli("--help")
     assert result.returncode == 0
     for name in (
-        "generate", "pretrain", "adapt", "eval", "sweep",
-        "decompose", "bench", "theory",
+        "generate", "pretrain", "adapt", "eval", "sweep", "decompose", "theory",
     ):
         assert name in result.stdout
 
@@ -154,6 +153,70 @@ def test_eval_without_out_prints_json(workspace):
     report = json.loads(result.stdout)
     assert "accuracy_all" in report
     assert "accuracy_train" not in report
+
+
+def test_eval_uses_the_configured_prop_mode(tmp_path):
+    # Under row propagation the sym-mode prediction differs on this scenario,
+    # so eval must read train.prop_mode from --config as adapt does.
+    from adarc import cli
+
+    config = tmp_path / "row.cfg"
+    config.write_text("train.prop_mode=row\ntrain.epochs=40\n")
+    data, ckpt = tmp_path / "data", tmp_path / "row.ckpt"
+    common = ["--config", str(config), "--seed", "1"]
+    assert cli.main([
+        "generate", "--preset", "high2low", "--n", "600", "--dim", "40",
+        "--seed", "1", "--out", str(data),
+    ]) == 0
+    assert cli.main([
+        "pretrain", "--data", str(data / "source"), *common, "--out", str(ckpt),
+    ]) == 0
+    target = ["--ckpt", str(ckpt), "--data", str(data / "target"), *common]
+    assert cli.main([
+        "adapt", *target, "--base-tta", "erm", "--out", str(tmp_path / "adapt.json"),
+    ]) == 0
+    assert cli.main(["eval", *target, "--out", str(tmp_path / "eval.json")]) == 0
+    adapted = json.loads((tmp_path / "adapt.json").read_text())
+    evaluated = json.loads((tmp_path / "eval.json").read_text())
+    assert evaluated["accuracy_all"] == adapted["accuracy_before"]
+
+
+def test_eval_rejects_unknown_config_key(workspace, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("not.a_key=1\n")
+    result = run_cli(
+        "eval", "--ckpt", workspace["ckpt"], "--data", workspace["data"] / "target",
+        "--config", bad,
+    )
+    assert result.returncode == 2
+    assert "not.a_key" in result.stderr
+
+
+@pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
+def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, variant):
+    from adarc import (
+        BaseTtaKind,
+        PropagationOperator,
+        base_predict,
+        cli,
+        featurize_hops,
+        load_checkpoint,
+        prediction_accuracy,
+        read_dataset,
+    )
+
+    out = tmp_path / "adapt.json"
+    assert cli.main([
+        "adapt", "--ckpt", str(workspace["ckpt"]),
+        "--data", str(workspace["data"] / "target"),
+        "--base-tta", variant, "--epochs", "2", "--out", str(out),
+    ]) == 0
+    dataset = read_dataset(workspace["data"] / "target")
+    model = load_checkpoint(workspace["ckpt"])
+    cache = featurize_hops(model, dataset, PropagationOperator(dataset.graph, "sym"))
+    fresh = base_predict(BaseTtaKind(variant=variant), model, cache, dataset)
+    expected = prediction_accuracy(fresh, dataset.labels)
+    assert json.loads(out.read_text())["accuracy_before"] == expected
 
 
 def test_adapt_report_trace_and_determinism(workspace, tmp_path):
@@ -297,24 +360,6 @@ def test_adapt_rejects_bad_checkpoint_with_exit_2(workspace, tmp_path, corrupt, 
     assert result.returncode == 2, result.stderr
     assert message in result.stderr
     assert "bad.ckpt" in result.stderr
-
-
-def test_bench_rejects_out_and_prints_json(tmp_path):
-    rejected = run_cli(
-        "bench", "--preset", "homo2hetero", "--n", "160", "--dim", "24",
-        "--out", tmp_path / "nope.json",
-    )
-    assert rejected.returncode == 2
-    assert "stdout" in rejected.stderr
-
-    result = run_cli(
-        "bench", "--preset", "homo2hetero", "--n", "160", "--dim", "24",
-        "--repetitions", "2",
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert set(report["stage_seconds"]) == {"forward", "loss", "backward", "update"}
-    assert report["backend"] == "scipy"
 
 
 def test_theory_report_and_determinism(tmp_path):

@@ -1,4 +1,4 @@
-"""Experiment harness: scenarios, sweeps, gap decomposition, benchmarks."""
+"""Experiment harness: scenarios, sweeps and gap decomposition."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import pytest
 
 from adarc import (
     AdaptConfig,
-    ExperimentReport,
     GapDecomposition,
     ScenarioSpec,
     TrainConfig,
-    bench,
     build_scenario_datasets,
     decompose_gap,
     fit_linear_head,
@@ -157,23 +155,6 @@ def test_run_scenario_validation():
         run_scenario(TINY_SPEC, methods=("erm",), seeds=())
 
 
-def test_report_as_dict_excludes_timing_by_default():
-    report = ExperimentReport(
-        scenario="x",
-        seeds=(0,),
-        methods=("erm",),
-        per_seed={"erm": (0.5,)},
-        mean={"erm": 0.5},
-        sd={"erm": 0.0},
-        config={},
-        wall_seconds={"erm": 1.23},
-    )
-    plain = report.as_dict()
-    assert "wall_seconds" not in plain
-    timed = report.as_dict(include_timing=True)
-    assert timed["wall_seconds"] == {"erm": 1.23}
-
-
 def test_sweep_shift_level_homophily():
     reports = sweep(
         "shift_level",
@@ -312,23 +293,3 @@ def test_decompose_gap_paired_attribute_shift_cancels():
         "normalization should strip the shared translation"
     )
     assert abs(gap.delta_f) <= 0.01
-
-
-def test_bench_report_shape():
-    report = bench(
-        ScenarioSpec("homo2hetero", n=320, dim=48),
-        repetitions=2,
-        train_config=TrainConfig(hidden=16, num_hops=4),
-    )
-    stage_keys = {"forward", "loss", "backward", "update"}
-    assert set(report["stage_seconds"]) == stage_keys
-    assert report["cheapest_stage"] in stage_keys
-    assert report["per_epoch_seconds"] > 0
-    assert report["initial_inference_seconds"] > 0
-    assert report["backend"] == "scipy"
-    assert report["repetitions"] == 2
-
-
-def test_bench_validation():
-    with pytest.raises(ValueError):
-        bench(TINY_SPEC, repetitions=0)

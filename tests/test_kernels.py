@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adarc import PropagationOperator, build_graph, node_homophily
+from adarc import BACKEND, PropagationOperator, build_graph, node_homophily
 
 
 def random_graph(rng, n, num_pairs):
@@ -34,6 +34,8 @@ def dense_operator(graph, mode):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_numpy_matmul_matches_dense_reference(seed):
+    # The benchmark's environment block reports this constant as the backend.
+    assert BACKEND == "scipy"
     rng = np.random.default_rng(seed)
     n, f = 23, 4
     graph = random_graph(rng, n, num_pairs=30)
