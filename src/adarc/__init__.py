@@ -67,11 +67,9 @@ from .model import (
     StaleCacheError,
     aggregate,
     classify,
-    evaluate,
     featurize_hops,
     init_model,
     load_checkpoint,
-    predict,
     prediction_accuracy,
     save_checkpoint,
     softmax,
@@ -127,8 +125,6 @@ __all__ = [
     "aggregate",
     "softmax",
     "classify",
-    "predict",
-    "evaluate",
     "prediction_accuracy",
     "save_checkpoint",
     "load_checkpoint",

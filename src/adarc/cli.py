@@ -232,9 +232,8 @@ def _cmd_adapt(args) -> int:
     model = load_checkpoint(args.ckpt)
     op = PropagationOperator(dataset.graph, train_cfg.prop_mode)
 
-    before_model = model.copy()
-    before_cache = featurize_hops(before_model, dataset, op)
-    before = base_predict(config.base, before_model, before_cache, dataset)
+    before_cache = featurize_hops(model, dataset, op)
+    before = base_predict(config.base, model, before_cache, dataset)
 
     try:
         result = adapt(model, dataset, op, config)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "BACKEND",
+    "PROP_MODES",
     "Graph",
     "Dataset",
     "PropagationOperator",
@@ -18,6 +19,9 @@ __all__ = [
 
 #: The library that applies Ã: a pre-normalized ``scipy.sparse`` CSR matrix.
 BACKEND = "scipy"
+
+#: Normalizations of Ã: row (D⁻¹A) and symmetric (D^{-1/2} A D^{-1/2}).
+PROP_MODES = ("row", "sym")
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,8 @@ class PropagationOperator:
     """
 
     def __init__(self, graph: Graph, mode: str = "sym"):
-        if mode not in ("row", "sym"):
-            raise ValueError(f"mode must be 'row' or 'sym', got {mode!r}")
+        if mode not in PROP_MODES:
+            raise ValueError(f"mode must be one of {PROP_MODES}, got {mode!r}")
         self.graph = graph
         self.mode = mode
         self.calls = 0

@@ -28,10 +28,9 @@ from .model import (
     GprModel,
     aggregate,
     classify,
+    cross_entropy,
     featurize_hops,
-    log_softmax,
     prediction_accuracy,
-    softmax,
 )
 from .pretrain import TrainConfig, pretrain_on
 from .tta import BaseTtaKind, base_predict
@@ -214,7 +213,6 @@ def run_scenario(
         model, _history = pretrain_on(source, seed_train)
 
         op = PropagationOperator(target.graph, seed_train.prop_mode)
-        plain_model = None
         plain_cache = None
         for name in methods:
             base, use_adarc = _parse_method(name)
@@ -226,9 +224,8 @@ def run_scenario(
                 prediction = result.prediction
             else:
                 if plain_cache is None:
-                    plain_model = model.copy()
-                    plain_cache = featurize_hops(plain_model, target, op)
-                prediction = base_predict(kind, plain_model, plain_cache, target)
+                    plain_cache = featurize_hops(model, target, op)
+                prediction = base_predict(kind, model, plain_cache, target)
             accs[name].append(prediction_accuracy(prediction, target.labels))
 
     per_seed = {m: tuple(v) for m, v in accs.items()}
@@ -350,17 +347,12 @@ def fit_linear_head(
     that increases the objective is rejected and the rate halved.
     Returns (W, b, iterations_used, final_gradient_norm).
     """
-    n, width = Z.shape
+    width = Z.shape[1]
     W = np.zeros((width, num_classes))
     b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
 
     def ce_and_grad(W, b):
-        logits = Z @ W + b[None, :]
-        ce = float(-np.mean(log_softmax(logits)[np.arange(n), labels]))
-        probs = softmax(logits)
-        g = (probs - onehot) / n
+        ce, g = cross_entropy(Z @ W + b[None, :], labels)
         return ce, Z.T @ g, g.sum(axis=0)
 
     lr = learning_rate
@@ -398,19 +390,16 @@ def decompose_gap(
     featurizer allows. Δ_f = acc_source − sup_g_acc and
     Δ_g = sup_g_acc − acc_target.
     """
-    # featurize_hops changes only the stored statistics, never these.
-    weights = (model.gamma, model.scale, model.shift)
-    source_model = model.copy()
     source_op = PropagationOperator(source.graph, prop_mode)
-    source_cache = featurize_hops(source_model, source, source_op)
-    _, source_pred = classify(aggregate(source_cache, *weights), source_model)
+    source_cache = featurize_hops(model, source, source_op)
+    Z_s = aggregate(source_cache, model.gamma, model.scale, model.shift)
+    _, source_pred = classify(Z_s, model)
     acc_source = prediction_accuracy(source_pred, source.labels)
 
-    target_model = model.copy()
     target_op = PropagationOperator(target.graph, prop_mode)
-    target_cache = featurize_hops(target_model, target, target_op)
-    Z_t = aggregate(target_cache, *weights)
-    _, target_pred = classify(Z_t, target_model)
+    target_cache = featurize_hops(model, target, target_op)
+    Z_t = aggregate(target_cache, model.gamma, model.scale, model.shift)
+    _, target_pred = classify(Z_t, model)
     acc_target = prediction_accuracy(target_pred, target.labels)
 
     W, b, iterations, grad_norm = fit_linear_head(

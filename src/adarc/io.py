@@ -12,6 +12,8 @@ Checkpoint
 ----------
 ``ADRCM`` magic, u32 version=1, u32 dims (D, H, C, K), then the parameter
 arrays as little-endian f32 in declared field order (see ``model``).
+``running_mean``/``running_var`` are the source feature statistics at the
+restored (best-validation) parameters.
 
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
@@ -108,6 +110,10 @@ def read_dataset(directory: str | Path) -> Dataset:
     text = edges_path.read_text().strip()
     if text:
         edges = np.loadtxt(edges_path, dtype=np.int64, delimiter=",", ndmin=2)
+        if edges.shape[1] != 2:
+            raise FormatError(
+                f"edges.csv: expected 2 columns per line, found {edges.shape[1]}"
+            )
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
     graph = build_graph(edges, n)
@@ -120,6 +126,8 @@ def read_dataset(directory: str | Path) -> Dataset:
         )
         if table.shape != (n, 2):
             raise FormatError("masks.csv shape does not match node count")
+        if not np.isin(table, (0, 1)).all():
+            raise FormatError("masks.csv: mask values must be 0 or 1")
         masks = {"train": table[:, 0].astype(bool), "val": table[:, 1].astype(bool)}
 
     num_classes = int(labels.max()) + 1 if labels.size else 0

@@ -23,7 +23,7 @@ from .model import (
     HopCache,
     SoftPrediction,
     aggregate,
-    classify,
+    cross_entropy,
     gamma_grad_from_dz,
     log_softmax,
     softmax,
@@ -41,7 +41,6 @@ __all__ = [
     "entropy_from_logits",
     "entropy_grad_logits",
     "pseudo_from_logits",
-    "pseudo_grad_logits",
     "loss_and_grad_z",
     "surrogate_loss_and_grad_gamma",
 ]
@@ -198,20 +197,7 @@ def pseudo_from_logits(
     logits: np.ndarray, prediction: SoftPrediction | np.ndarray
 ) -> float:
     """Mean cross-entropy against argmax(Ŷ) pseudo-labels (no threshold)."""
-    hard = _as_probs(prediction).argmax(axis=1)
-    log_probs = log_softmax(logits)
-    return float(-log_probs[np.arange(logits.shape[0]), hard].mean())
-
-
-def pseudo_grad_logits(
-    logits: np.ndarray, prediction: SoftPrediction | np.ndarray
-) -> np.ndarray:
-    """∂(pseudo-label CE)/∂logits = (P − onehot(argmax Ŷ)) / N."""
-    hard = _as_probs(prediction).argmax(axis=1)
-    n = logits.shape[0]
-    grad = softmax(logits)
-    grad[np.arange(n), hard] -= 1.0
-    return grad / n
+    return cross_entropy(logits, _as_probs(prediction).argmax(axis=1))[0]
 
 
 def loss_and_grad_z(
@@ -238,8 +224,7 @@ def loss_and_grad_z(
             loss = entropy_from_logits(logits)
             dlogits = entropy_grad_logits(logits)
         else:
-            loss = pseudo_from_logits(logits, prediction)
-            dlogits = pseudo_grad_logits(logits, prediction)
+            loss, dlogits = cross_entropy(logits, _as_probs(prediction).argmax(axis=1))
         return loss, dlogits @ model.W_cls.T
     raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
 

@@ -16,6 +16,10 @@ Every Z is one γ-contraction of the stack followed by one small GEMM, and
 ∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩ is one contraction back. Any scale and
 shift reuse the cache, so norm-affine test-time adaptation costs no new
 propagate calls and an entire adaptation run costs exactly K of them.
+
+Featurization reads the model and writes nothing to it: the cache keeps
+the mean and variance it normalized with. ``running_mean``/``running_var``
+are the source statistics that pretraining stores for the checkpoint.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ __all__ = [
     "classify",
     "softmax",
     "log_softmax",
-    "predict",
-    "evaluate",
+    "cross_entropy",
     "backward_ce",
     "gamma_grad_from_dz",
     "affine_grad_from_dz",
@@ -73,7 +76,7 @@ class GprModel:
     b1: np.ndarray  # H
     scale: np.ndarray  # H (norm affine)
     shift: np.ndarray  # H (norm affine)
-    running_mean: np.ndarray  # H (stored feature statistics)
+    running_mean: np.ndarray  # H (source feature statistics)
     running_var: np.ndarray  # H
     gamma: np.ndarray  # K+1
     W_cls: np.ndarray  # H×C
@@ -139,6 +142,8 @@ class HopCache:
     """Hops of the pre-affine normalized features and the all-ones column."""
 
     hops: np.ndarray  # (K+1)×N×(H+1), Ã^k [X̂ | 1]
+    mean: np.ndarray  # H, mean of X W1 + b1 over the graph's nodes
+    var: np.ndarray  # H, variance of X W1 + b1 over the graph's nodes
     used_std: np.ndarray  # H, √(var + eps) of the normalization
     theta_fingerprint: str  # hash of (W1, b1, graph layout)
 
@@ -198,15 +203,14 @@ def featurize_hops(
     """Build the hop cache with exactly K propagate applications.
 
     Normalization statistics are computed over all nodes of the current
-    graph (full-batch transductive) and stored on the model.
+    graph (full-batch transductive) and kept on the cache; the model is
+    only read.
     """
     if dataset.features.shape[1] != model.W1.shape[0]:
         raise ValueError("feature dimension does not match the model")
     pre = dataset.features @ model.W1 + model.b1[None, :]
     mean = pre.mean(axis=0)
     var = pre.var(axis=0)
-    model.running_mean = mean.copy()
-    model.running_var = var.copy()
     std = np.sqrt(var + BN_EPS)
 
     n, h = pre.shape
@@ -220,6 +224,8 @@ def featurize_hops(
         stack[step] = op.apply(stack[step - 1])
     return HopCache(
         hops=stack,
+        mean=mean,
+        var=var,
         used_std=std,
         theta_fingerprint=_theta_fingerprint(model, dataset.graph),
     )
@@ -257,24 +263,22 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of integer labels and its logits gradient (P − onehot)/n."""
+    n = logits.shape[0]
+    loss = float(-log_softmax(logits)[np.arange(n), labels].mean())
+    dlogits = softmax(logits)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
 def classify(Z: np.ndarray, model: GprModel) -> tuple[np.ndarray, SoftPrediction]:
     """Linear classifier logits and their softmax prediction."""
     if Z.shape[1] != model.W_cls.shape[0]:
         raise ValueError("representation width does not match the classifier")
     logits = Z @ model.W_cls + model.b_cls[None, :]
     return logits, SoftPrediction(softmax(logits))
-
-
-def predict(
-    model: GprModel, dataset: Dataset, op: PropagationOperator | None = None
-) -> SoftPrediction:
-    """Full forward pass on a dataset (builds a fresh hop cache)."""
-    if op is None:
-        op = PropagationOperator(dataset.graph, "sym")
-    cache = featurize_hops(model, dataset, op)
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    _, prediction = classify(Z, model)
-    return prediction
 
 
 def prediction_accuracy(
@@ -287,16 +291,6 @@ def prediction_accuracy(
     if labels.size == 0:
         raise ValueError("cannot evaluate on an empty mask")
     return float(np.mean(hard == labels))
-
-
-def evaluate(
-    model: GprModel,
-    dataset: Dataset,
-    mask: np.ndarray | None = None,
-    op: PropagationOperator | None = None,
-) -> float:
-    """Argmax accuracy over masked (or all) nodes; ties go to the lowest class."""
-    return prediction_accuracy(predict(model, dataset, op), dataset.labels, mask)
 
 
 def gamma_grad_from_dz(
@@ -329,19 +323,13 @@ def backward_ce(
         raise StaleCacheError("hop cache is stale for the current parameters")
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
     logits = Z @ model.W_cls + model.b_cls[None, :]
-    probs = softmax(logits)
 
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("empty training mask")
-    m = rows.size
-    labels = dataset.labels[rows]
-    loss = float(-log_softmax(logits[rows])[np.arange(m), labels].mean())
-
+    loss, masked_dlogits = cross_entropy(logits[rows], dataset.labels[rows])
     dlogits = np.zeros_like(logits)
-    dlogits[rows] = probs[rows]
-    dlogits[rows, labels] -= 1.0
-    dlogits[rows] /= m
+    dlogits[rows] = masked_dlogits
 
     grad_W_cls = Z.T @ dlogits
     grad_b_cls = dlogits.sum(axis=0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dataset, PropagationOperator
+from .graph import PROP_MODES, Dataset, PropagationOperator
 from .model import (
     GprModel,
     aggregate,
@@ -62,6 +62,16 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if self.num_hops < 0:
+            raise ValueError("num_hops must be >= 0")
+        if not 0.0 < self.gamma_alpha <= 1.0:
+            raise ValueError("gamma_alpha must lie in (0, 1]")
+        if self.prop_mode not in PROP_MODES:
+            raise ValueError(
+                f"prop_mode must be one of {PROP_MODES}, got {self.prop_mode!r}"
+            )
 
 
 class TrainDivergedError(RuntimeError):
@@ -99,7 +109,9 @@ def train_source(
     """Train in place; returns (model, history of (epoch, train_loss, val_acc)).
 
     Requires ``train`` and ``val`` masks on the dataset. Deterministic for
-    a fixed config and dataset.
+    a fixed config and dataset. The returned model holds the best-validation
+    parameters, and ``running_mean``/``running_var`` hold the source feature
+    statistics at those parameters, taken from that epoch's hop cache.
     """
     if "train" not in dataset.masks or "val" not in dataset.masks:
         raise ValueError("train_source requires 'train' and 'val' masks")
@@ -113,7 +125,8 @@ def train_source(
     lr = config.learning_rate
     history: list[tuple[int, float, float]] = []
     best_val = -1.0
-    best_state: list[np.ndarray] | None = None
+    # Epoch 0 is always accepted, so this is filled before the loop ends.
+    best_state: dict[str, np.ndarray] = {}
     epochs_since_best = 0
     prev_objective = np.inf
     prev_state: list[np.ndarray] | None = None
@@ -145,7 +158,10 @@ def train_source(
         history.append((epoch, objective, val_acc))
         if val_acc > best_val:
             best_val = val_acc
-            best_state = [getattr(model, n).copy() for n in _PARAM_NAMES]
+            # The cache was built from these W1 and b1, so its statistics
+            # are the source statistics that belong with them.
+            best_state = {n: getattr(model, n).copy() for n in _PARAM_NAMES}
+            best_state.update(running_mean=cache.mean, running_var=cache.var)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -162,13 +178,10 @@ def train_source(
         if epochs_since_best > config.patience:
             break
 
-    if best_state is not None:
-        for name, value in zip(_PARAM_NAMES, best_state):
-            setattr(model, name, value.copy())
+    for name, value in best_state.items():
+        setattr(model, name, value)
     if config.gauge_normalize:
         gauge_normalize(model, gamma_init_norm)
-    # Refresh stored statistics for the restored parameters.
-    featurize_hops(model, dataset, op)
     return model, history
 
 

@@ -289,6 +289,18 @@ def test_malformed_config_line_exits_2(workspace, tmp_path):
     assert "key=value" in result.stderr
 
 
+def test_pretrain_rejects_zero_hidden_width_with_exit_2(workspace, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_TRAIN_CONFIG + "train.hidden=0\n")
+    out = tmp_path / "x.ckpt"
+    result = run_cli(
+        "pretrain", "--data", workspace["data"] / "source", "--config", bad, "--out", out,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "hidden" in result.stderr
+    assert not out.exists()
+
+
 def test_missing_dataset_exits_2(workspace, tmp_path):
     result = run_cli(
         "eval", "--ckpt", workspace["ckpt"], "--data", tmp_path / "nowhere"
@@ -310,14 +322,34 @@ def _truncated_header(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:10])
 
 
+def _three_column_edges(path: Path) -> None:
+    # Valid node ids that would re-pair silently into a different edge set.
+    ids = np.loadtxt(path, dtype=np.int64, delimiter=",").reshape(-1)
+    ids = ids[: ids.size - ids.size % 6].reshape(-1, 3)
+    path.write_text("".join(f"{a},{b},{c}\n" for a, b, c in ids))
+
+
+def _mask_value_2(path: Path) -> None:
+    n = len((path.parent / "labels.csv").read_text().splitlines())
+    path.write_text("train,val\n2,0\n" + "0,0\n" * (n - 1))
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
         ("labels.csv", _negative_first_label),
         ("features.bin", _nan_first_feature),
         ("features.bin", _truncated_header),
+        ("edges.csv", _three_column_edges),
+        ("masks.csv", _mask_value_2),
     ],
-    ids=["labels.csv", "features.bin", "features.bin-truncated-header"],
+    ids=[
+        "labels.csv",
+        "features.bin",
+        "features.bin-truncated-header",
+        "edges.csv-three-columns",
+        "masks.csv-value-2",
+    ],
 )
 def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, corrupt):
     data = tmp_path / "target"

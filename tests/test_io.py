@@ -19,10 +19,11 @@ from adarc import (
     PropagationOperator,
     adapt,
     attach_split_masks,
+    base_predict,
+    featurize_hops,
     generate,
     init_model,
     load_checkpoint,
-    predict,
     prediction_accuracy,
     read_dataset,
     save_checkpoint,
@@ -31,7 +32,7 @@ from adarc import (
 )
 from adarc.io import report_text
 
-from conftest import tiny_params
+from conftest import TINY_N, tiny_params
 
 
 def test_dataset_roundtrip_exact(tmp_path):
@@ -95,6 +96,23 @@ def test_read_dataset_rejects_non_finite_features(tmp_path, value):
         read_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("edges.csv", "0,1,2\n3,4,5\n"),
+        ("edges.csv", "0\n1\n2\n3\n"),
+        ("masks.csv", "train,val\n2,0\n" + "0,1\n" * (TINY_N - 1)),
+    ],
+    ids=["edges-three-columns", "edges-one-column", "masks-value-2"],
+)
+def test_read_dataset_rejects_malformed_csv(tmp_path, name, text):
+    # Without the check, edges re-pair across lines and a 2 reads as True.
+    write_dataset(generate(tiny_params(0.7, seed=31)), tmp_path / "ds")
+    (tmp_path / "ds" / name).write_text(text)
+    with pytest.raises(FormatError, match=name):
+        read_dataset(tmp_path / "ds")
+
+
 def test_dataset_rejects_negative_label():
     dataset = generate(tiny_params(0.7, seed=31))
     labels = dataset.labels.copy()
@@ -116,8 +134,10 @@ def test_checkpoint_roundtrip_is_f32_exact(tmp_path, tiny_model, tiny_target):
     save_checkpoint(back, tmp_path / "again.ckpt")
     assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
     op = PropagationOperator(tiny_target.graph, "sym")
-    a = predict(tiny_model, tiny_target, op)
-    b = predict(back, tiny_target, op)
+    a = base_predict(
+        BaseTtaKind(), tiny_model, featurize_hops(tiny_model, tiny_target, op), tiny_target
+    )
+    b = base_predict(BaseTtaKind(), back, featurize_hops(back, tiny_target, op), tiny_target)
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-5)
 
 

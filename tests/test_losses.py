@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adarc import (
+    BaseTtaKind,
     DegenerateRepresentationError,
-    PropagationOperator,
+    base_predict,
     diff_loss,
     entropy_from_logits,
     featurize_hops,
     pic_grad_logits,
     pic_grad_z,
     pic_loss,
-    predict,
     pseudo_from_logits,
     softmax,
     surrogate_loss_and_grad_gamma,
@@ -121,7 +121,7 @@ def test_loss_and_grad_z_all_kinds_fd(tiny_model):
 
 def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
     cache = featurize_hops(tiny_model, tiny_target, tiny_op)
-    prediction = predict(tiny_model, tiny_target, PropagationOperator(tiny_target.graph))
+    prediction = base_predict(BaseTtaKind(), tiny_model, cache, tiny_target)
     from adarc import aggregate, classify
 
     for kind in LOSS_KINDS:

@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from adarc import (
+    BaseTtaKind,
     PropagationOperator,
     StaleCacheError,
     aggregate,
+    base_predict,
     classify,
-    evaluate,
     featurize_hops,
     init_model,
-    predict,
     prediction_accuracy,
     softmax,
 )
-from adarc.model import backward_ce, gamma_grad_from_dz, mix_hops
+from adarc.model import (
+    backward_ce,
+    cross_entropy,
+    gamma_grad_from_dz,
+    log_softmax,
+    mix_hops,
+)
 
 from oracle_utils import fd_grad, relative_error
 
@@ -42,6 +48,18 @@ def test_featurize_uses_exactly_k_propagate_calls(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     featurize_hops(tiny_model, tiny_target, op)
     assert op.calls == tiny_model.num_hops
+
+
+def test_featurize_hops_does_not_mutate_the_model(tiny_model, tiny_target, tiny_op):
+    before = [array.copy() for array in tiny_model.arrays()]
+    cache = featurize_hops(tiny_model, tiny_target, tiny_op)
+    for old, new in zip(before, tiny_model.arrays()):
+        np.testing.assert_array_equal(new, old)
+    # The target statistics live on the cache instead.
+    pre = tiny_target.features @ tiny_model.W1 + tiny_model.b1[None, :]
+    np.testing.assert_allclose(cache.mean, pre.mean(axis=0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cache.var, pre.var(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(cache.used_std, np.sqrt(cache.var + 1e-5), rtol=1e-12)
 
 
 def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
@@ -139,22 +157,42 @@ def test_classify_and_predict_agree(tiny_model, tiny_target):
         soft.probs.sum(axis=1), 1.0, atol=1e-12
     )
     np.testing.assert_allclose(softmax(logits), soft.probs, atol=1e-15)
-    direct = predict(tiny_model, tiny_target, PropagationOperator(tiny_target.graph))
+    fresh = featurize_hops(tiny_model, tiny_target, op)
+    direct = base_predict(BaseTtaKind(), tiny_model, fresh, tiny_target)
     np.testing.assert_allclose(direct.probs, soft.probs, atol=1e-12)
 
 
 def test_prediction_accuracy_and_evaluate(tiny_model, tiny_target):
-    soft = predict(tiny_model, tiny_target, PropagationOperator(tiny_target.graph))
+    op = PropagationOperator(tiny_target.graph, "sym")
+    soft = base_predict(
+        BaseTtaKind(), tiny_model, featurize_hops(tiny_model, tiny_target, op), tiny_target
+    )
     acc = prediction_accuracy(soft, tiny_target.labels)
     manual = float(np.mean(soft.hard == tiny_target.labels))
     assert acc == pytest.approx(manual)
-    assert evaluate(tiny_model, tiny_target) == pytest.approx(manual)
+    again = base_predict(
+        BaseTtaKind(), tiny_model, featurize_hops(tiny_model, tiny_target, op), tiny_target
+    )
+    assert prediction_accuracy(again, tiny_target.labels) == pytest.approx(manual)
     mask = np.zeros(tiny_target.num_nodes, dtype=bool)
     mask[:50] = True
     masked = prediction_accuracy(soft, tiny_target.labels, mask)
     assert masked == pytest.approx(float(np.mean(soft.hard[:50] == tiny_target.labels[:50])))
     with pytest.raises(ValueError):
         prediction_accuracy(soft, tiny_target.labels, np.zeros(tiny_target.num_nodes, bool))
+
+
+def test_cross_entropy_value_and_gradient():
+    rng = np.random.default_rng(4)
+    logits = 3.0 * rng.normal(size=(7, 3))
+    labels = rng.integers(0, 3, size=7)
+    loss, dlogits = cross_entropy(logits, labels)
+    onehot = np.eye(3)[labels]
+    expected = -float(np.mean((log_softmax(logits) * onehot).sum(axis=1)))
+    assert loss == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(dlogits, (softmax(logits) - onehot) / 7, atol=1e-15)
+    numeric = fd_grad(lambda z: cross_entropy(z, labels)[0], logits)
+    assert relative_error(dlogits, numeric) < 1e-6
 
 
 def test_gamma_grad_from_dz_is_exact_adjoint(tiny_model, tiny_target):

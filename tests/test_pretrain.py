@@ -8,18 +8,29 @@ import numpy as np
 import pytest
 
 from adarc import (
+    BaseTtaKind,
     PropagationOperator,
     TrainConfig,
     TrainDivergedError,
-    evaluate,
+    base_predict,
+    featurize_hops,
     init_model,
-    predict,
+    prediction_accuracy,
     pretrain_on,
     train_source,
 )
 from adarc.pretrain import gauge_normalize
 
 from conftest import TINY_TRAIN
+
+
+def erm_prediction(model, dataset):
+    op = PropagationOperator(dataset.graph, "sym")
+    return base_predict(BaseTtaKind(), model, featurize_hops(model, dataset, op), dataset)
+
+
+def accuracy(model, dataset, mask):
+    return prediction_accuracy(erm_prediction(model, dataset), dataset.labels, mask)
 
 
 def ppr_norm(alpha: float, num_hops: int) -> float:
@@ -36,8 +47,8 @@ def test_training_beats_initialization(tiny_source, tiny_model):
         seed=TINY_TRAIN.seed,
     )
     test_mask = ~(tiny_source.masks["train"] | tiny_source.masks["val"])
-    before = evaluate(fresh, tiny_source, test_mask)
-    after = evaluate(tiny_model, tiny_source, test_mask)
+    before = accuracy(fresh, tiny_source, test_mask)
+    after = accuracy(tiny_model, tiny_source, test_mask)
     assert after > max(before, 0.75), (before, after)
 
 
@@ -56,7 +67,7 @@ def test_early_stopping_restores_best_val(tiny_source):
     config = replace(TINY_TRAIN, epochs=400, patience=10)
     model, history = pretrain_on(tiny_source, config)
     assert len(history) < 400, "patience should truncate the run"
-    val = evaluate(model, tiny_source, tiny_source.masks["val"])
+    val = accuracy(model, tiny_source, tiny_source.masks["val"])
     best_in_history = max(v for _, _, v in history)
     assert val == pytest.approx(best_in_history, abs=1e-12)
 
@@ -68,11 +79,11 @@ def test_gauge_normalization_preserves_predictions(tiny_source):
     assert np.linalg.norm(raw.gamma) != pytest.approx(expected_norm, rel=1e-6), (
         "training should drift the gamma norm; otherwise this test is vacuous"
     )
-    before = predict(raw, tiny_source, PropagationOperator(tiny_source.graph))
+    before = erm_prediction(raw, tiny_source)
     gauged = raw.copy()
     gauge_normalize(gauged, expected_norm)
     assert np.linalg.norm(gauged.gamma) == pytest.approx(expected_norm, rel=1e-12)
-    after = predict(gauged, tiny_source, PropagationOperator(tiny_source.graph))
+    after = erm_prediction(gauged, tiny_source)
     np.testing.assert_allclose(after.probs, before.probs, atol=1e-10)
 
 
@@ -129,3 +140,58 @@ def test_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
         TrainConfig(weight_decay=-1e-4)
+    with pytest.raises(ValueError, match="hidden"):
+        TrainConfig(hidden=0)
+    with pytest.raises(ValueError, match="num_hops"):
+        TrainConfig(num_hops=-1)
+    with pytest.raises(ValueError, match="prop_mode"):
+        TrainConfig(prop_mode="col")
+    for alpha in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="gamma_alpha"):
+            TrainConfig(gamma_alpha=alpha)
+    TrainConfig(hidden=1, num_hops=0, prop_mode="row", gamma_alpha=1.0)
+
+
+class CountingOperator(PropagationOperator):
+    """Counts forward and transpose applications separately."""
+
+    def __init__(self, graph, mode="sym"):
+        super().__init__(graph, mode)
+        self.forward = 0
+        self.transposed = 0
+
+    def apply(self, dense, transpose=False):
+        if transpose:
+            self.transposed += 1
+        else:
+            self.forward += 1
+        return super().apply(dense, transpose)
+
+
+def test_train_source_propagates_2k_times_per_history_row(tiny_source):
+    # Each epoch featurizes (K forward) and back-propagates (K transposed);
+    # a rejected epoch counts too, and nothing is propagated after the loop.
+    config = replace(TINY_TRAIN, learning_rate=20.0, epochs=30, patience=30)
+    model = init_model(
+        dim=tiny_source.num_features,
+        hidden=config.hidden,
+        num_classes=tiny_source.num_classes,
+        num_hops=config.num_hops,
+        seed=config.seed,
+    )
+    op = CountingOperator(tiny_source.graph)
+    _, history = train_source(model, tiny_source, config, op)
+    objectives = [objective for _, objective, _ in history]
+    assert any(a == b for a, b in zip(objectives, objectives[1:])), "no rejected epoch"
+    k = config.num_hops
+    assert op.forward == k * len(history)
+    assert op.transposed == k * len(history)
+    assert op.calls == 2 * k * len(history)
+
+
+def test_train_source_stores_source_statistics_at_returned_parameters(tiny_source):
+    config = replace(TINY_TRAIN, epochs=60, patience=10)
+    model, _ = pretrain_on(tiny_source, config)
+    pre = tiny_source.features @ model.W1 + model.b1[None, :]
+    np.testing.assert_array_equal(model.running_mean, pre.mean(axis=0))
+    np.testing.assert_array_equal(model.running_var, pre.var(axis=0))
