@@ -18,7 +18,6 @@ from .csbm import (
     PRESETS,
     CsbmParams,
     attach_split_masks,
-    drop_homophilic_edges,
     edge_probs,
     generate,
     preset_params,
@@ -103,7 +102,6 @@ __all__ = [
     "PRESETS",
     "edge_probs",
     "generate",
-    "drop_homophilic_edges",
     "preset_params",
     "attach_split_masks",
     # theory

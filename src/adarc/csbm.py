@@ -21,7 +21,6 @@ __all__ = [
     "PRESETS",
     "edge_probs",
     "generate",
-    "drop_homophilic_edges",
     "preset_params",
     "attach_split_masks",
 ]
@@ -122,7 +121,10 @@ def generate(params: CsbmParams) -> Dataset:
     The first N/2 block is class 0 and the rest class 1, then a seeded
     permutation relabels node ids so structure statistics are
     position-independent. Features are rounded through f32 so in-memory
-    datasets match their on-disk representation bit-exactly.
+    datasets match their on-disk representation bit-exactly. They are built
+    in one pass: the noise buffer is shifted to the class centers in place,
+    then relabelled and rounded by one scatter into an f32 buffer, so the
+    only N×D arrays are that noise buffer and the f32 copy.
     """
     p, q = edge_probs(params)
     rng = np.random.default_rng(params.seed)
@@ -135,46 +137,23 @@ def generate(params: CsbmParams) -> Dataset:
     block_edges = np.concatenate([within_a, within_b, cross], axis=0)
 
     block_labels = np.repeat(np.array([0, 1], dtype=np.int64), half)
-    centers = np.where(
-        block_labels[:, None] == 0, params.mu[None, :], -params.mu[None, :]
-    )
-    block_features = (
-        centers + params.delta_mu[None, :] + rng.standard_normal((params.n, params.dim))
-    )
+    # One N×D buffer: the noise, shifted in place to each block's center.
+    # IEEE addition commutes, so z + (c + Δμ) is exactly (c + Δμ) + z.
+    features = rng.standard_normal((params.n, params.dim))
+    features[:half] += params.mu + params.delta_mu
+    features[half:] += -params.mu + params.delta_mu
 
     perm = rng.permutation(params.n)
     labels = np.empty(params.n, dtype=np.int64)
     labels[perm] = block_labels
-    features = np.empty_like(block_features)
-    features[perm] = block_features
+    # Relabel and round through f32 in one scatter, then widen back in place.
+    rounded = np.empty(features.shape, dtype=np.float32)
+    rounded[perm] = features
+    features[...] = rounded
     edges = perm[block_edges] if block_edges.size else block_edges
 
     graph = build_graph(edges, params.n)
-    features = features.astype(np.float32).astype(np.float64)
     return Dataset(graph, features, labels, num_classes=2)
-
-
-def drop_homophilic_edges(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Remove ⌊fraction × (#same-label edges)⌋ same-label edges uniformly."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
-    edges = dataset.graph.edge_list()
-    labels = dataset.labels
-    same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    homophilic = np.flatnonzero(same)
-    n_drop = int(np.floor(fraction * homophilic.size))
-    rng = np.random.default_rng(seed)
-    drop = rng.choice(homophilic, size=n_drop, replace=False) if n_drop else []
-    keep = np.ones(edges.shape[0], dtype=bool)
-    keep[drop] = False
-    graph = build_graph(edges[keep], dataset.num_nodes)
-    return Dataset(
-        graph,
-        dataset.features,
-        dataset.labels,
-        dataset.num_classes,
-        dict(dataset.masks),
-    )
 
 
 def _preset_vectors(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -80,6 +80,14 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
         (directory / "masks.csv").write_text("train,val\n" + "".join(rows))
 
 
+def _read_ints(path: Path, **loadtxt_args) -> np.ndarray:
+    """An integer CSV as int64; a value numpy cannot parse is a ``FormatError``."""
+    try:
+        return np.loadtxt(path, dtype=np.int64, **loadtxt_args)
+    except ValueError as exc:
+        raise FormatError(f"{path.name}: {exc}") from exc
+
+
 def read_dataset(directory: str | Path) -> Dataset:
     directory = Path(directory)
 
@@ -100,7 +108,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     if not np.isfinite(features).all():
         raise FormatError("features.bin: non-finite feature value")
 
-    labels = np.loadtxt(directory / "labels.csv", dtype=np.int64, ndmin=1)
+    labels = _read_ints(directory / "labels.csv", ndmin=1)
     if labels.shape[0] != n:
         raise FormatError("labels.csv row count does not match features.bin")
     if labels.size and labels.min() < 0:
@@ -109,7 +117,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     edges_path = directory / "edges.csv"
     text = edges_path.read_text().strip()
     if text:
-        edges = np.loadtxt(edges_path, dtype=np.int64, delimiter=",", ndmin=2)
+        edges = _read_ints(edges_path, delimiter=",", ndmin=2)
         if edges.shape[1] != 2:
             raise FormatError(
                 f"edges.csv: expected 2 columns per line, found {edges.shape[1]}"
@@ -121,9 +129,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     masks: dict[str, np.ndarray] = {}
     masks_path = directory / "masks.csv"
     if masks_path.exists():
-        table = np.loadtxt(
-            masks_path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2
-        )
+        table = _read_ints(masks_path, delimiter=",", skiprows=1, ndmin=2)
         if table.shape != (n, 2):
             raise FormatError("masks.csv shape does not match node count")
         if not np.isin(table, (0, 1)).all():

@@ -6,6 +6,12 @@ that raises the training objective and retries at half the learning rate,
 so the recorded loss history is non-increasing. Early stopping restores
 the best-validation-accuracy checkpoint.
 
+A rejected step restores exactly the last accepted parameters, so the
+epoch after it would recompute that epoch's featurization, objective,
+gradients and val accuracy bit for bit. It reuses them instead: the retry
+costs no propagate call and no pass over the features, and it still
+records its own history row and counts toward patience.
+
 After restoring, the hop-weight vector is gauge-normalized: logits are
 invariant under γ → γ/c, W_cls → c·W_cls, and cross-entropy training
 drifts γ to large norms (the bilinear dynamics approximately conserve
@@ -29,6 +35,7 @@ from .model import (
     classify,
     featurize_hops,
     init_model,
+    prediction_accuracy,
 )
 
 __all__ = ["TrainConfig", "TrainDivergedError", "train_source", "pretrain_on"]
@@ -83,13 +90,6 @@ def _objective(ce: float, model: GprModel, weight_decay: float) -> float:
     return ce + 0.5 * weight_decay * reg
 
 
-def _val_accuracy(probs_hard: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        raise ValueError("empty validation mask")
-    return float(np.mean(probs_hard[rows] == labels[rows]))
-
-
 def gauge_normalize(model: GprModel, target_norm: float) -> None:
     """Rescale (γ, W_cls) so ‖γ‖ = target_norm; logits are unchanged."""
     current = float(np.linalg.norm(model.gamma))
@@ -129,32 +129,42 @@ def train_source(
     best_state: dict[str, np.ndarray] = {}
     epochs_since_best = 0
     prev_objective = np.inf
-    prev_state: list[np.ndarray] | None = None
+    prev_state: list[np.ndarray] = []
+    prev_grads: dict[str, np.ndarray] = {}
+    retry = False
 
     for epoch in range(config.epochs):
-        cache = featurize_hops(model, dataset, op)
-        ce, grads = backward_ce(model, dataset, cache, train_mask, op)
-        objective = _objective(ce, model, config.weight_decay)
-        if not np.isfinite(objective):
-            raise TrainDivergedError(
-                f"training objective became non-finite at epoch {epoch}"
-            )
+        if retry:
+            # The parameters are the last accepted ones again: reuse that
+            # epoch's objective, gradients and val accuracy.
+            retry = False
+            objective, grads, val_acc = prev_objective, prev_grads, history[-1][2]
+        else:
+            cache = featurize_hops(model, dataset, op)
+            ce, grads = backward_ce(model, dataset, cache, train_mask, op)
+            objective = _objective(ce, model, config.weight_decay)
+            if not np.isfinite(objective):
+                raise TrainDivergedError(
+                    f"training objective became non-finite at epoch {epoch}"
+                )
 
-        if objective > prev_objective and prev_state is not None:
-            # Reject the step that produced this higher objective; halve the
-            # rate and continue from the previous parameters.
-            for name, value in zip(_PARAM_NAMES, prev_state):
-                setattr(model, name, value.copy())
-            lr *= 0.5
-            history.append((epoch, prev_objective, history[-1][2]))
-            epochs_since_best += 1
-            if epochs_since_best > config.patience:
-                break
-            continue
+            if objective > prev_objective:
+                # Reject the step that produced this higher objective; halve
+                # the rate and continue from the previous parameters.
+                for name, value in zip(_PARAM_NAMES, prev_state):
+                    setattr(model, name, value.copy())
+                lr *= 0.5
+                history.append((epoch, prev_objective, history[-1][2]))
+                retry = True
+                epochs_since_best += 1
+                if epochs_since_best > config.patience:
+                    break
+                continue
+
+            Z = aggregate(cache, model.gamma, model.scale, model.shift)
+            val_acc = prediction_accuracy(classify(Z, model)[1], labels, val_mask)
 
         # Accepted: record metrics at the current parameters, then step.
-        hard = _predict_hard(model, cache)
-        val_acc = _val_accuracy(hard, labels, val_mask)
         history.append((epoch, objective, val_acc))
         if val_acc > best_val:
             best_val = val_acc
@@ -167,7 +177,7 @@ def train_source(
             epochs_since_best += 1
 
         prev_state = [getattr(model, n).copy() for n in _PARAM_NAMES]
-        prev_objective = objective
+        prev_objective, prev_grads = objective, grads
 
         for name in _PARAM_NAMES:
             grad = grads[name]
@@ -183,11 +193,6 @@ def train_source(
     if config.gauge_normalize:
         gauge_normalize(model, gamma_init_norm)
     return model, history
-
-
-def _predict_hard(model: GprModel, cache) -> np.ndarray:
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    return classify(Z, model)[1].hard
 
 
 def pretrain_on(

@@ -329,6 +329,15 @@ def _three_column_edges(path: Path) -> None:
     path.write_text("".join(f"{a},{b},{c}\n" for a, b, c in ids))
 
 
+def _fractional_first_label(path: Path) -> None:
+    rows = path.read_text().splitlines(True)
+    path.write_text("1.5\n" + "".join(rows[1:]))
+
+
+def _non_integer_edge(path: Path) -> None:
+    path.write_text(path.read_text() + "0,x\n")
+
+
 def _mask_value_2(path: Path) -> None:
     n = len((path.parent / "labels.csv").read_text().splitlines())
     path.write_text("train,val\n2,0\n" + "0,0\n" * (n - 1))
@@ -342,6 +351,8 @@ def _mask_value_2(path: Path) -> None:
         ("features.bin", _truncated_header),
         ("edges.csv", _three_column_edges),
         ("masks.csv", _mask_value_2),
+        ("labels.csv", _fractional_first_label),
+        ("edges.csv", _non_integer_edge),
     ],
     ids=[
         "labels.csv",
@@ -349,6 +360,8 @@ def _mask_value_2(path: Path) -> None:
         "features.bin-truncated-header",
         "edges.csv-three-columns",
         "masks.csv-value-2",
+        "labels.csv-not-an-integer",
+        "edges.csv-not-an-integer",
     ],
 )
 def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, corrupt):

@@ -12,8 +12,14 @@ from adarc import (
     generate,
     preset_params,
 )
-from adarc.csbm import PRESET_D, PRESET_N, PRESETS
-from adarc.graph import node_homophily
+from adarc.csbm import (
+    PRESET_D,
+    PRESET_N,
+    PRESETS,
+    _sample_cross_pairs,
+    _sample_within_pairs,
+)
+from adarc.graph import build_graph, node_homophily
 
 from conftest import tiny_params
 
@@ -40,6 +46,54 @@ def test_generate_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.graph.neighbor_ids, b.graph.neighbor_ids)
     c = generate(tiny_params(homophily=0.7, seed=6))
     assert not np.array_equal(a.graph.neighbor_ids, c.graph.neighbor_ids)
+
+
+def reference_generate(params: CsbmParams):
+    """Reference CSBM draw: the direct multi-pass formula, same RNG draws as ``generate``."""
+    p, q = edge_probs(params)
+    rng = np.random.default_rng(params.seed)
+    half = params.n // 2
+    within_a = _sample_within_pairs(rng, half, p)
+    within_b = _sample_within_pairs(rng, half, p) + half
+    cross = _sample_cross_pairs(rng, half, half, q)
+    cross[:, 1] += half
+    block_edges = np.concatenate([within_a, within_b, cross], axis=0)
+    block_labels = np.repeat(np.array([0, 1], dtype=np.int64), half)
+    centers = np.where(
+        block_labels[:, None] == 0, params.mu[None, :], -params.mu[None, :]
+    )
+    block_features = (
+        centers + params.delta_mu[None, :] + rng.standard_normal((params.n, params.dim))
+    )
+    perm = rng.permutation(params.n)
+    labels = np.empty(params.n, dtype=np.int64)
+    labels[perm] = block_labels
+    features = np.empty_like(block_features)
+    features[perm] = block_features
+    edges = perm[block_edges] if block_edges.size else block_edges
+    features = features.astype(np.float32).astype(np.float64)
+    return build_graph(edges, params.n), features, labels
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        tiny_params(homophily=0.8, seed=3),
+        tiny_params(homophily=0.3, seed=4, delta=0.1),
+        CsbmParams(
+            n=2, dim=3, mu=np.full(3, 0.5), delta_mu=np.full(3, -0.2),
+            avg_degree=0.5, homophily=0.5, seed=8,
+        ),
+    ],
+    ids=["no-shift", "attribute-shift", "n2"],
+)
+def test_generate_matches_reference_formula(params):
+    dataset = generate(params)
+    graph, features, labels = reference_generate(params)
+    assert np.array_equal(dataset.features, features)
+    assert np.array_equal(dataset.labels, labels)
+    assert np.array_equal(dataset.graph.row_offsets, graph.row_offsets)
+    assert np.array_equal(dataset.graph.neighbor_ids, graph.neighbor_ids)
 
 
 def test_generated_degree_and_homophily_match_parameters():

@@ -11,12 +11,9 @@ from adarc import (
     Graph,
     PropagationOperator,
     build_graph,
-    drop_homophilic_edges,
-    generate,
     node_homophily,
 )
 
-from conftest import tiny_params
 from oracle_utils import dense_adjacency, dense_propagation
 
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]  # path on 4 nodes plus isolated node 4
@@ -171,23 +168,3 @@ def test_homophily_against_brute_force():
             assert per_node[u] == pytest.approx(
                 np.mean(labels[nbrs] == labels[u])
             )
-
-
-def test_drop_homophilic_edges_removes_only_same_label_edges():
-    dataset = generate(tiny_params(homophily=0.8, seed=21))
-    before = dataset.graph.edge_list()
-    same_before = sum(
-        1 for u, v in before if dataset.labels[u] == dataset.labels[v]
-    )
-    dropped = drop_homophilic_edges(dataset, fraction=0.5, seed=3)
-    after = dropped.graph.edge_list()
-    cross_before = len(before) - same_before
-    cross_after = sum(
-        1 for u, v in after if dataset.labels[u] != dataset.labels[v]
-    )
-    assert cross_after == cross_before, "cross-label edges must be preserved"
-    same_after = len(after) - cross_after
-    assert same_after == same_before - int(np.floor(0.5 * same_before))
-    # determinism
-    again = drop_homophilic_edges(dataset, fraction=0.5, seed=3)
-    np.testing.assert_array_equal(again.graph.neighbor_ids, dropped.graph.neighbor_ids)

@@ -102,11 +102,20 @@ def test_read_dataset_rejects_non_finite_features(tmp_path, value):
         ("edges.csv", "0,1,2\n3,4,5\n"),
         ("edges.csv", "0\n1\n2\n3\n"),
         ("masks.csv", "train,val\n2,0\n" + "0,1\n" * (TINY_N - 1)),
+        ("labels.csv", "1.5\n" + "0\n" * (TINY_N - 1)),
+        ("edges.csv", "0,1\n0,x\n"),
     ],
-    ids=["edges-three-columns", "edges-one-column", "masks-value-2"],
+    ids=[
+        "edges-three-columns",
+        "edges-one-column",
+        "masks-value-2",
+        "labels-not-an-integer",
+        "edges-not-an-integer",
+    ],
 )
 def test_read_dataset_rejects_malformed_csv(tmp_path, name, text):
-    # Without the check, edges re-pair across lines and a 2 reads as True.
+    # Without the check, edges re-pair across lines and a 2 reads as True;
+    # numpy's own parse errors do not name the file.
     write_dataset(generate(tiny_params(0.7, seed=31)), tmp_path / "ds")
     (tmp_path / "ds" / name).write_text(text)
     with pytest.raises(FormatError, match=name):

@@ -168,9 +168,25 @@ class CountingOperator(PropagationOperator):
         return super().apply(dense, transpose)
 
 
-def test_train_source_propagates_2k_times_per_history_row(tiny_source):
-    # Each epoch featurizes (K forward) and back-propagates (K transposed);
-    # a rejected epoch counts too, and nothing is propagated after the loop.
+def retry_rows(history) -> int:
+    """History rows that repeat the epoch a rejected step restored.
+
+    In a run of equal objectives the first row is evaluated and the rest
+    alternate rejection, retry, rejection, ...
+    """
+    objectives = [objective for _, objective, _ in history]
+    retries = run = 0
+    for a, b in zip(objectives, objectives[1:]):
+        run = run + 1 if a == b else 0
+        retries += run > 0 and run % 2 == 0
+    return retries
+
+
+def test_train_source_propagates_2k_times_per_evaluated_epoch(tiny_source):
+    # Each evaluated epoch featurizes (K forward) and back-propagates (K
+    # transposed), a rejected one included. The retry after a rejection
+    # reuses the restored epoch and propagates nothing, and nothing is
+    # propagated after the loop.
     config = replace(TINY_TRAIN, learning_rate=20.0, epochs=30, patience=30)
     model = init_model(
         dim=tiny_source.num_features,
@@ -181,12 +197,13 @@ def test_train_source_propagates_2k_times_per_history_row(tiny_source):
     )
     op = CountingOperator(tiny_source.graph)
     _, history = train_source(model, tiny_source, config, op)
-    objectives = [objective for _, objective, _ in history]
-    assert any(a == b for a, b in zip(objectives, objectives[1:])), "no rejected epoch"
+    retries = retry_rows(history)
+    assert retries > 0, "no retry after a rejected epoch"
     k = config.num_hops
-    assert op.forward == k * len(history)
-    assert op.transposed == k * len(history)
-    assert op.calls == 2 * k * len(history)
+    evaluated = len(history) - retries
+    assert op.forward == k * evaluated
+    assert op.transposed == k * evaluated
+    assert op.calls == 2 * k * evaluated < 2 * k * len(history)
 
 
 def test_train_source_stores_source_statistics_at_returned_parameters(tiny_source):
