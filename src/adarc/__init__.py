@@ -53,7 +53,6 @@ from .losses import (
     PicBreakdown,
     diff_loss,
     entropy_from_logits,
-    pic_grad_logits,
     pic_grad_z,
     pic_loss,
     pseudo_from_logits,
@@ -132,7 +131,6 @@ __all__ = [
     "PicBreakdown",
     "pic_loss",
     "pic_grad_z",
-    "pic_grad_logits",
     "diff_loss",
     "entropy_from_logits",
     "pseudo_from_logits",

@@ -4,8 +4,12 @@ Seven subcommands: ``generate``, ``pretrain``, ``adapt``, ``eval``,
 ``sweep``, ``decompose``, ``theory``. Shared flags: ``--seed``,
 ``--out``, ``--config FILE`` where FILE holds ``key=value`` lines (``#``
 comments allowed). Recognized keys use prefixes ``scenario.``, ``train.``,
-``adapt.``, ``base.`` over the corresponding config dataclasses; explicit
-command-line flags take precedence over the file.
+``adapt.``, ``base.`` over the corresponding config dataclasses. Each flag
+that sets a run setting names one key (``--lr`` is ``adapt.learning_rate``,
+``--base-tta`` is ``base.variant``) and is merged over the file in one
+place, so flags win; ``--seed`` is ``train.seed`` for ``pretrain``.
+``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
+``train.prop_mode`` in ``--config`` that contradicts it is an input error.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 All output files are byte-deterministic for a fixed seed; wall-clock
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+import textwrap
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +55,7 @@ from .io import (
 )
 from .losses import LOSS_KINDS, DegenerateRepresentationError
 from .model import (
+    GprModel,
     featurize_hops,
     load_checkpoint,
     prediction_accuracy,
@@ -67,14 +73,30 @@ from .tta import BASE_TTA_NAMES, BaseTtaKind, base_predict
 
 __all__ = ["main"]
 
-_CONFIG_HELP = """\
-config file keys (key=value per line, # comments):
-  scenario.preset | attribute_shift | n | dim | source_h | source_d
-  train.learning_rate | epochs | weight_decay | patience | seed | hidden |
-        num_hops | gamma_alpha | prop_mode | gauge_normalize
-  adapt.learning_rate | epochs | loss | ablation | persist_base_tta | affine_lr
-  base.variant | steps | lr | keep_per_class
-"""
+#: Config key prefix and the dataclass whose fields it sets.
+_SECTIONS = (
+    ("scenario", ScenarioSpec),
+    ("train", TrainConfig),
+    ("adapt", AdaptConfig),
+    ("base", BaseTtaKind),
+)
+
+
+def _section_keys(cls) -> list[str]:
+    # A factory-built field (``AdaptConfig.base``) has a section of its own.
+    return [f.name for f in fields(cls) if f.default_factory is MISSING]
+
+
+def _known_keys() -> set[str]:
+    return {f"{p}.{name}" for p, cls in _SECTIONS for name in _section_keys(cls)}
+
+
+def _config_help() -> str:
+    lines = ["config file keys (key=value per line, # comments; flags win):"]
+    for prefix, cls in _SECTIONS:
+        keys = f"{prefix}.{' | '.join(_section_keys(cls))}"
+        lines.append(textwrap.fill(keys, initial_indent="  ", subsequent_indent="    "))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -90,19 +112,21 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return overrides
 
 
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
+
+
 def _convert(example, text: str, key: str):
-    if isinstance(example, bool):
-        lowered = text.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
-    if isinstance(example, int):
-        return int(text)
-    if isinstance(example, float) or example is None:
-        return float(text)
-    return text
+    """``text`` as the type of the field's default (float for an optional one)."""
+    if isinstance(example, str):
+        return text
+    kind = float if example is None else type(example)
+    try:
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        message = f"config key {key}: expected {kind.__name__}, got {text!r}"
+        raise ValueError(message) from None
 
 
 def _apply_prefixed(instance, prefix: str, overrides: dict[str, str]):
@@ -115,68 +139,38 @@ def _apply_prefixed(instance, prefix: str, overrides: dict[str, str]):
     return replace(instance, **updates) if updates else instance
 
 
-def _known_keys() -> set[str]:
-    known = set()
-    for prefix, cls in (
-        ("scenario", ScenarioSpec),
-        ("train", TrainConfig),
-        ("adapt", AdaptConfig),
-        ("base", BaseTtaKind),
-    ):
-        for f in fields(cls):
-            known.add(f"{prefix}.{f.name}")
-    return known
-
-
 def _load_overrides(args) -> dict[str, str]:
-    if not getattr(args, "config", None):
-        return {}
-    overrides = _parse_config_file(args.config)
-    unknown = sorted(set(overrides) - _known_keys())
+    """The ``--config`` file's keys, then every given flag's key over them."""
+    overrides = _parse_config_file(args.config) if args.config else {}
+    known = _known_keys()
+    unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return overrides
+    flags = {k: v for k, v in vars(args).items() if k in known and v is not None}
+    return overrides | flags
 
 
-def _scenario_from(args, overrides: dict[str, str]) -> ScenarioSpec:
-    preset = getattr(args, "preset", None) or overrides.get(
-        "scenario.preset", "homo2hetero"
-    )
-    spec = ScenarioSpec(preset=preset)
-    spec = _apply_prefixed(spec, "scenario", overrides)
-    if getattr(args, "attribute_shift", False):
-        spec = replace(spec, attribute_shift=True)
-    if getattr(args, "n", None) is not None:
-        spec = replace(spec, n=args.n)
-    if getattr(args, "dim", None) is not None:
-        spec = replace(spec, dim=args.dim)
-    return spec
+def _scenario_from(overrides: dict[str, str]) -> ScenarioSpec:
+    return _apply_prefixed(ScenarioSpec(preset="homo2hetero"), "scenario", overrides)
 
 
-def _train_config_from(args, overrides: dict[str, str]) -> TrainConfig:
-    config = _apply_prefixed(TrainConfig(), "train", overrides)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    return config
-
-
-def _adapt_config_from(args, overrides: dict[str, str]) -> AdaptConfig:
+def _adapt_config_from(overrides: dict[str, str]) -> AdaptConfig:
     base = _apply_prefixed(BaseTtaKind(), "base", overrides)
-    if getattr(args, "base_tta", None) is not None:
-        base = replace(base, variant=args.base_tta)
-    config = _apply_prefixed(AdaptConfig(), "adapt", overrides)
-    config = replace(config, base=base)
-    if getattr(args, "lr", None) is not None:
-        config = replace(config, learning_rate=args.lr)
-    if getattr(args, "epochs", None) is not None:
-        config = replace(config, epochs=args.epochs)
-    if getattr(args, "loss", None) is not None:
-        config = replace(config, loss=args.loss)
-    if getattr(args, "ablation", None) is not None:
-        config = replace(config, ablation=args.ablation)
-    if getattr(args, "persist_base_tta", False):
-        config = replace(config, persist_base_tta=True)
-    return config
+    return replace(_apply_prefixed(AdaptConfig(), "adapt", overrides), base=base)
+
+
+def _load_model_and_op(
+    args, overrides: dict[str, str], dataset
+) -> tuple[GprModel, PropagationOperator]:
+    """The checkpoint's model, and its operator on the graph under its own mode."""
+    model = load_checkpoint(args.ckpt)
+    configured = overrides.get("train.prop_mode", model.prop_mode)
+    if configured != model.prop_mode:
+        raise ValueError(
+            f"config key train.prop_mode={configured} contradicts the checkpoint, "
+            f"which was trained with prop_mode={model.prop_mode}"
+        )
+    return model, PropagationOperator(dataset.graph, model.prop_mode)
 
 
 def _require_out(args, what: str) -> Path:
@@ -195,7 +189,7 @@ def _emit(args, report: dict) -> None:
 
 def _cmd_generate(args) -> int:
     overrides = _load_overrides(args)
-    spec = _scenario_from(args, overrides)
+    spec = _scenario_from(overrides)
     out_dir = _require_out(args, "generate")
     seed = args.seed if args.seed is not None else 0
     source, target = build_scenario_datasets(spec, seed)
@@ -211,7 +205,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     overrides = _load_overrides(args)
-    config = _train_config_from(args, overrides)
+    if args.seed is not None:
+        overrides["train.seed"] = str(args.seed)
+    config = _apply_prefixed(TrainConfig(), "train", overrides)
     dataset = read_dataset(args.data)
     model, history = pretrain_on(dataset, config)
     out = _require_out(args, "pretrain")
@@ -226,11 +222,9 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_adapt(args) -> int:
     overrides = _load_overrides(args)
-    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
-    config = _adapt_config_from(args, overrides)
+    config = _adapt_config_from(overrides)
     dataset = read_dataset(args.data)
-    model = load_checkpoint(args.ckpt)
-    op = PropagationOperator(dataset.graph, train_cfg.prop_mode)
+    model, op = _load_model_and_op(args, overrides, dataset)
 
     before_cache = featurize_hops(model, dataset, op)
     before = base_predict(config.base, model, before_cache, dataset)
@@ -258,7 +252,7 @@ def _cmd_adapt(args) -> int:
             "loss": config.loss,
             "ablation": config.ablation,
             "base_tta": config.base.variant,
-            "prop_mode": train_cfg.prop_mode,
+            "prop_mode": model.prop_mode,
         },
     }
     _emit(args, report)
@@ -284,10 +278,8 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_eval(args) -> int:
     overrides = _load_overrides(args)
-    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
     dataset = read_dataset(args.data)
-    model = load_checkpoint(args.ckpt)
-    op = PropagationOperator(dataset.graph, train_cfg.prop_mode)
+    model, op = _load_model_and_op(args, overrides, dataset)
     # The ERM prediction: one featurization serves every mask.
     prediction = base_predict(
         BaseTtaKind(), model, featurize_hops(model, dataset, op), dataset
@@ -337,10 +329,10 @@ def _parse_grid(axis: str, text: str) -> list:
 
 def _cmd_sweep(args) -> int:
     overrides = _load_overrides(args)
-    spec = _scenario_from(args, overrides)
+    spec = _scenario_from(overrides)
     # Per-seed model seeds are derived inside run_scenario; --seed is unused here.
     train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
-    adapt_cfg = _adapt_config_from(args, overrides)
+    adapt_cfg = _adapt_config_from(overrides)
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
     seeds = _parse_seeds(args.seeds)
     grid = _parse_grid(args.axis, args.grid)
@@ -365,13 +357,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_decompose(args) -> int:
     overrides = _load_overrides(args)
-    spec = _scenario_from(args, overrides)
-    train_cfg = _train_config_from(args, overrides)
+    spec = _scenario_from(overrides)
+    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
     seed = args.seed if args.seed is not None else 0
     source, target = build_scenario_datasets(spec, seed)
     train_cfg = replace(train_cfg, seed=scenario_seeds(seed)["model"])
     model, _ = pretrain_on(source, train_cfg)
-    decomposition = decompose_gap(model, source, target, train_cfg.prop_mode)
+    decomposition = decompose_gap(model, source, target)
     report = {
         "scenario": spec.scenario_id,
         "seed": seed,
@@ -436,23 +428,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# A flag that sets a config field has that field's key as its dest and keeps
+# its text: _load_overrides merges it over the file and _convert converts both.
+# A switch stores the text "true".
+_SWITCH = {"action": "store_const", "const": "true"}
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--preset", dest="scenario.preset", choices=sorted(PRESETS))
+    parser.add_argument("--attribute-shift", dest="scenario.attribute_shift", **_SWITCH)
+    parser.add_argument("--n", dest="scenario.n", help=f"nodes (default {PRESET_N})")
+    parser.add_argument(
+        "--dim", dest="scenario.dim", help=f"features (default {PRESET_D})"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adarc",
         description="Graph test-time adaptation laboratory.",
-        epilog=_CONFIG_HELP,
+        epilog=_config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    presets = sorted(PRESETS)
 
     p = sub.add_parser("generate", help="write a CSBM scenario to disk")
     _add_common(p)
-    p.add_argument("--preset", choices=presets, default=None)
+    _add_scenario_flags(p)
     p.add_argument("--role", choices=("source", "target", "both"), default="both")
-    p.add_argument("--attribute-shift", action="store_true")
-    p.add_argument("--n", type=int, default=None, help=f"nodes (default {PRESET_N})")
-    p.add_argument("--dim", type=int, default=None, help=f"features (default {PRESET_D})")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("pretrain", help="train a source model on a dataset directory")
@@ -465,12 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="target dataset directory")
     p.add_argument("--trace", default=None, metavar="OUT.csv", help="trace CSV path")
-    p.add_argument("--lr", type=float, default=None, help="step size on gamma")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--loss", choices=LOSS_KINDS, default=None)
-    p.add_argument("--base-tta", choices=BASE_TTA_NAMES, default=None)
-    p.add_argument("--ablation", choices=ABLATION_NAMES, default=None)
-    p.add_argument("--persist-base-tta", action="store_true")
+    p.add_argument("--lr", dest="adapt.learning_rate", help="step size on gamma")
+    p.add_argument("--epochs", dest="adapt.epochs")
+    p.add_argument("--loss", dest="adapt.loss", choices=LOSS_KINDS)
+    p.add_argument("--base-tta", dest="base.variant", choices=BASE_TTA_NAMES)
+    p.add_argument("--ablation", dest="adapt.ablation", choices=ABLATION_NAMES)
+    p.add_argument("--persist-base-tta", dest="adapt.persist_base_tta", **_SWITCH)
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -481,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a scenario grid along one axis")
     _add_common(p)
-    p.add_argument("--preset", choices=presets, default=None)
-    p.add_argument("--attribute-shift", action="store_true")
+    _add_scenario_flags(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument(
         "--grid",
@@ -495,16 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list from {', '.join(METHOD_NAMES)}",
     )
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma list of seeds")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("decompose", help="empirical gap decomposition on a preset")
     _add_common(p)
-    p.add_argument("--preset", choices=presets, default=None)
-    p.add_argument("--attribute-shift", action="store_true")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    _add_scenario_flags(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("theory", help="closed-form accuracy oracle")

@@ -212,7 +212,7 @@ def run_scenario(
         seed_train = replace(train_config, seed=scenario_seeds(seed)["model"])
         model, _history = pretrain_on(source, seed_train)
 
-        op = PropagationOperator(target.graph, seed_train.prop_mode)
+        op = PropagationOperator(target.graph, model.prop_mode)
         plain_cache = None
         for name in methods:
             base, use_adarc = _parse_method(name)
@@ -375,10 +375,7 @@ def fit_linear_head(
 
 
 def decompose_gap(
-    model: GprModel,
-    source: Dataset,
-    target: Dataset,
-    prop_mode: str = "sym",
+    model: GprModel, source: Dataset, target: Dataset
 ) -> GapDecomposition:
     """Split the source→target accuracy drop into featurizer and head parts.
 
@@ -388,15 +385,16 @@ def decompose_gap(
     ``sup_g_acc`` refits a linear head on the frozen target representations
     with target labels — an evaluation-only diagnostic giving the best the
     featurizer allows. Δ_f = acc_source − sup_g_acc and
-    Δ_g = sup_g_acc − acc_target.
+    Δ_g = sup_g_acc − acc_target. Both graphs propagate under the model's
+    ``prop_mode``.
     """
-    source_op = PropagationOperator(source.graph, prop_mode)
+    source_op = PropagationOperator(source.graph, model.prop_mode)
     source_cache = featurize_hops(model, source, source_op)
     Z_s = aggregate(source_cache, model.gamma, model.scale, model.shift)
     _, source_pred = classify(Z_s, model)
     acc_source = prediction_accuracy(source_pred, source.labels)
 
-    target_op = PropagationOperator(target.graph, prop_mode)
+    target_op = PropagationOperator(target.graph, model.prop_mode)
     target_cache = featurize_hops(model, target, target_op)
     Z_t = aggregate(target_cache, model.gamma, model.scale, model.shift)
     _, target_pred = classify(Z_t, model)

@@ -8,12 +8,15 @@ Dataset directory
 ``labels.csv``    one integer per line
 ``masks.csv``     optional; header ``train,val``, rows of 0/1
 
-Checkpoint
-----------
-``ADRCM`` magic, u32 version=1, u32 dims (D, H, C, K), then the parameter
-arrays as little-endian f32 in declared field order (see ``model``).
-``running_mean``/``running_var`` are the source feature statistics at the
-restored (best-validation) parameters.
+Checkpoint (version 2)
+----------------------
+``ADRCM`` magic, u32 version=2, u32 dims (D, H, C, K), the 4-byte mode
+word (the model's ``prop_mode`` in ASCII, ``row`` or ``sym``, then one NUL
+byte), then the parameter arrays as little-endian f32 in declared field
+order (see ``model``). ``running_mean``/``running_var`` are the source
+feature statistics at the restored (best-validation) parameters. Version 1
+files, which had no mode word, are rejected: the Ã normalization their γ
+was trained under is not recorded.
 
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Dataset, build_graph
+from .graph import PROP_MODES, Dataset, build_graph
 
 __all__ = [
     "FEATURES_MAGIC",
@@ -48,6 +51,9 @@ __all__ = [
 
 FEATURES_MAGIC = b"ADRC"
 CHECKPOINT_MAGIC = b"ADRCM"
+_CHECKPOINT_VERSION = 2
+#: Checkpoint header: magic, version, dims (D, H, C, K) and the mode word.
+_CHECKPOINT_HEADER = struct.Struct("<5sIIIII4s")
 
 
 class FormatError(ValueError):
@@ -140,20 +146,21 @@ def read_dataset(directory: str | Path) -> Dataset:
     return Dataset(graph, features.astype(np.float64), labels, num_classes, masks)
 
 
-def write_checkpoint_arrays(
-    path: str | Path, dims: tuple[int, int, int, int], arrays: list[np.ndarray]
-) -> None:
-    """Write ``ADRCM`` checkpoint: dims (D,H,C,K) then f32 arrays in order."""
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<IIII", *dims)
-    for arr in arrays:
+def write_checkpoint_arrays(path: str | Path, model) -> None:
+    """Write a ``GprModel`` as an ``ADRCM`` checkpoint: header, then f32 arrays."""
+    mode = model.prop_mode.encode("ascii")
+    blob = _CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, *model.dims, mode
+    )
+    for arr in model.arrays():
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     Path(path).write_bytes(blob)
 
 
 def read_checkpoint_arrays(
     path: str | Path, shapes: callable
-) -> tuple[tuple[int, int, int, int], list[np.ndarray]]:
-    """Read an ``ADRCM`` checkpoint.
+) -> tuple[str, list[np.ndarray]]:
+    """Read an ``ADRCM`` checkpoint as (prop_mode, arrays).
 
     ``shapes`` maps dims (D,H,C,K) to the list of expected array shapes in
     declared field order.
@@ -161,18 +168,20 @@ def read_checkpoint_arrays(
     raw = Path(path).read_bytes()
     if raw[:5] != CHECKPOINT_MAGIC:
         raise FormatError(f"checkpoint: bad magic {raw[:5]!r} in {path}")
-    if len(raw) < 25:
+    if len(raw) < _CHECKPOINT_HEADER.size:
         raise FormatError(f"checkpoint: truncated header in {path}")
-    (version,) = struct.unpack("<I", raw[5:9])
-    if version != 1:
+    _, version, *dims, mode = _CHECKPOINT_HEADER.unpack_from(raw)
+    if version != _CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint: unsupported version {version} in {path}")
-    dims = struct.unpack("<IIII", raw[9:25])
-    expected = 25 + 4 * sum(math.prod(shape) for shape in shapes(dims))
+    prop_mode = mode.rstrip(b"\0").decode("ascii", "replace")
+    if prop_mode not in PROP_MODES:
+        raise FormatError(f"checkpoint: unknown prop_mode {prop_mode!r} in {path}")
+    expected = _CHECKPOINT_HEADER.size + 4 * sum(math.prod(s) for s in shapes(dims))
     if len(raw) != expected:
         raise FormatError(
             f"checkpoint: expected {expected} bytes, found {len(raw)} in {path}"
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=25)
+    values = np.frombuffer(raw, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
     if not np.isfinite(values).all():
         raise FormatError(f"checkpoint: non-finite parameter in {path}")
     arrays, offset = [], 0
@@ -180,7 +189,7 @@ def read_checkpoint_arrays(
         count = math.prod(shape)
         arrays.append(values[offset : offset + count].reshape(shape).copy())
         offset += count
-    return dims, arrays
+    return prop_mode, arrays
 
 
 def _canonical(obj):

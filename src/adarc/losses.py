@@ -26,7 +26,6 @@ from .model import (
     cross_entropy,
     gamma_grad_from_dz,
     log_softmax,
-    softmax,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "DegenerateRepresentationError",
     "pic_loss",
     "pic_grad_z",
-    "pic_grad_logits",
     "diff_loss",
     "diff_grad_z",
     "entropy_from_logits",
@@ -131,27 +129,6 @@ def pic_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.nda
     Z = np.asarray(Z, dtype=np.float64)
     probs = _as_probs(prediction)
     return _pic_grad(Z, probs, _variance_terms(Z, probs))
-
-
-def pic_grad_logits(Z: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """∂L_PIC/∂logits for Ŷ = softmax(logits), with Z held fixed.
-
-    The prediction-side gradient: ∂L/∂Ŷ_ic = ‖z_i − μ_c‖²/σ² (the centroid
-    paths vanish), chained through the softmax Jacobian. Its Frobenius norm
-    is bounded by 2σ²_intra/σ² ≤ 2: with d_ic = ‖z_i − μ_c‖²/σ² each row
-    satisfies ‖g_i‖₂ ≤ Σ_c Ŷ_ic|d_ic − d̄_i| ≤ 2d̄_i, and Σ_i d̄_i is
-    exactly σ²_intra/σ².
-    """
-    Z = np.asarray(Z, dtype=np.float64)
-    probs = softmax(np.asarray(logits, dtype=np.float64))
-    terms = _variance_terms(Z, probs)
-    row_sq = (Z * Z).sum(axis=1)
-    cent_sq = (terms.centroids * terms.centroids).sum(axis=1)
-    d = row_sq[:, None] - 2.0 * (Z @ terms.centroids.T) + cent_sq[None, :]
-    np.maximum(d, 0.0, out=d)
-    d /= terms.sigma_sq
-    d_bar = (probs * d).sum(axis=1, keepdims=True)
-    return probs * (d - d_bar)
 
 
 def diff_loss(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> float:

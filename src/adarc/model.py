@@ -20,15 +20,19 @@ propagate calls and an entire adaptation run costs exactly K of them.
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
 are the source statistics that pretraining stores for the checkpoint.
+
+``prop_mode`` is the Ã normalization (``graph.PROP_MODES``) that γ was
+trained under; γ means nothing under another. Pretraining stamps it, ``copy``
+and the checkpoint carry it, and callers build their operator from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Dataset, PropagationOperator
+from .graph import PROP_MODES, Dataset, PropagationOperator
 from .io import read_checkpoint_arrays, write_checkpoint_arrays
 
 __all__ = [
@@ -80,6 +84,7 @@ class GprModel:
     gamma: np.ndarray  # K+1
     W_cls: np.ndarray  # H×C
     b_cls: np.ndarray  # C
+    prop_mode: str = "sym"  # the Ã normalization γ was trained under
 
     def __post_init__(self) -> None:
         d, h = self.W1.shape
@@ -93,6 +98,10 @@ class GprModel:
             raise ValueError(f"b_cls must have shape ({c},)")
         if self.gamma.ndim != 1 or self.gamma.shape[0] < 1:
             raise ValueError("gamma must be a nonempty vector")
+        if self.prop_mode not in PROP_MODES:
+            raise ValueError(
+                f"prop_mode must be one of {PROP_MODES}, got {self.prop_mode!r}"
+            )
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -112,7 +121,7 @@ class GprModel:
         return [getattr(self, name) for name in _FIELD_ORDER]
 
     def copy(self) -> "GprModel":
-        return GprModel(*(getattr(self, name).copy() for name in _FIELD_ORDER))
+        return replace(self, **{n: getattr(self, n).copy() for n in _FIELD_ORDER})
 
 
 @dataclass
@@ -388,9 +397,9 @@ def _checkpoint_shapes(dims: tuple[int, int, int, int]) -> list[tuple]:
 
 
 def save_checkpoint(model: GprModel, path) -> None:
-    write_checkpoint_arrays(path, model.dims, model.arrays())
+    write_checkpoint_arrays(path, model)
 
 
 def load_checkpoint(path) -> GprModel:
-    dims, arrays = read_checkpoint_arrays(path, _checkpoint_shapes)
-    return GprModel(*(a.astype(np.float64) for a in arrays))
+    prop_mode, arrays = read_checkpoint_arrays(path, _checkpoint_shapes)
+    return GprModel(*(a.astype(np.float64) for a in arrays), prop_mode=prop_mode)

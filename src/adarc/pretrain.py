@@ -110,8 +110,9 @@ def train_source(
 
     Requires ``train`` and ``val`` masks on the dataset. Deterministic for
     a fixed config and dataset. The returned model holds the best-validation
-    parameters, and ``running_mean``/``running_var`` hold the source feature
-    statistics at those parameters, taken from that epoch's hop cache.
+    parameters, ``running_mean``/``running_var`` hold the source feature
+    statistics at those parameters, taken from that epoch's hop cache, and
+    ``prop_mode`` is ``config.prop_mode``.
     """
     if "train" not in dataset.masks or "val" not in dataset.masks:
         raise ValueError("train_source requires 'train' and 'val' masks")
@@ -190,6 +191,7 @@ def train_source(
 
     for name, value in best_state.items():
         setattr(model, name, value)
+    model.prop_mode = config.prop_mode
     if config.gauge_normalize:
         gauge_normalize(model, gamma_init_norm)
     return model, history

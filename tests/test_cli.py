@@ -7,7 +7,9 @@ checks pin the byte-determinism contract for all ``--out`` files.
 
 from __future__ import annotations
 
+import argparse
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -461,3 +463,154 @@ def test_decompose_cli_identity_and_config_override(tmp_path):
         report["acc_source"] - report["acc_target"], abs=1e-9
     )
     assert set(report["fit"]) >= {"iterations", "grad_norm", "converged", "stop"}
+
+
+# --- one source per setting: flags are config keys, merged over the file ---
+
+#: (config key, its value in the file, the flag that sets it, the flag's value).
+FLAG_CASES = [
+    ("scenario.preset", "high2low", ["--preset", "low2high"], "low2high"),
+    ("scenario.attribute_shift", "false", ["--attribute-shift"], True),
+    ("scenario.n", "100", ["--n", "120"], 120),
+    ("scenario.dim", "10", ["--dim", "12"], 12),
+    ("adapt.learning_rate", "0.2", ["--lr", "0.3"], 0.3),
+    ("adapt.epochs", "2", ["--epochs", "3"], 3),
+    ("adapt.loss", "entropy", ["--loss", "diff"], "diff"),
+    ("adapt.ablation", "theta", ["--ablation", "joint"], "joint"),
+    ("adapt.persist_base_tta", "false", ["--persist-base-tta"], True),
+    ("base.variant", "tent", ["--base-tta", "t3a"], "t3a"),
+]
+
+
+class _Captured(Exception):
+    """Stops a command once it has built its configuration."""
+
+
+@pytest.mark.parametrize(
+    "key, in_file, flag, expected", FLAG_CASES, ids=[case[0] for case in FLAG_CASES]
+)
+def test_flag_beats_the_config_file(
+    workspace, tmp_path, monkeypatch, key, in_file, flag, expected
+):
+    from adarc import cli
+
+    seen = []
+
+    def capture(*args):
+        seen.extend(args)
+        raise _Captured
+
+    config = tmp_path / "file.cfg"
+    config.write_text(f"{key}={in_file}\n")
+    section, name = key.split(".")
+    if section == "scenario":
+        monkeypatch.setattr(cli, "build_scenario_datasets", capture)
+        argv = ["generate", "--out", str(tmp_path / "data")]
+    else:
+        monkeypatch.setattr(cli, "adapt", capture)
+        argv = [
+            "adapt", "--ckpt", str(workspace["ckpt"]),
+            "--data", str(workspace["data"] / "target"),
+        ]
+    with pytest.raises(_Captured):
+        cli.main([*argv, "--config", str(config), *flag])
+    # build_scenario_datasets(spec, seed) or adapt(model, dataset, op, config)
+    built = seen[0] if section == "scenario" else seen[3]
+    if section == "base":
+        built = built.base
+    assert getattr(built, name) == expected
+
+
+def test_every_dotted_flag_dest_is_a_config_key():
+    # A dest that is not a known key would be dropped without a word.
+    from adarc import cli
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for command in commands.choices.values()
+        for action in command._actions
+        if "." in action.dest
+    }
+    assert dests <= cli._known_keys()
+    assert dests == {case[0] for case in FLAG_CASES}
+
+
+@pytest.mark.parametrize(
+    "flag, in_file, key",
+    [
+        (["--epochs", "abc"], None, "adapt.epochs"),
+        ([], "adapt.epochs=abc", "adapt.epochs"),
+        ([], "adapt.learning_rate=fast", "adapt.learning_rate"),
+    ],
+    ids=["int-flag", "int-file", "float-file"],
+)
+def test_unconvertible_value_exits_2_naming_the_key(tmp_path, capsys, flag, in_file, key):
+    from adarc import cli
+
+    argv = ["adapt", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(tmp_path), *flag]
+    if in_file:
+        (tmp_path / "bad.cfg").write_text(in_file + "\n")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    assert cli.main(argv) == 2
+    assert f"config key {key}: expected" in capsys.readouterr().err
+
+
+# --- the checkpoint carries its propagation mode ---
+
+
+@pytest.fixture(scope="module")
+def row_checkpoint(tmp_path_factory) -> dict:
+    """A high2low scenario and a checkpoint pretrained under row propagation."""
+    from adarc import cli
+
+    root = tmp_path_factory.mktemp("row")
+    config = root / "row.cfg"
+    config.write_text("train.prop_mode=row\ntrain.epochs=40\n")
+    assert cli.main([
+        "generate", "--preset", "high2low", "--n", "600", "--dim", "40",
+        "--seed", "1", "--out", str(root / "data"),
+    ]) == 0
+    ckpt = root / "row.ckpt"
+    assert cli.main([
+        "pretrain", "--data", str(root / "data" / "source"), "--config", str(config),
+        "--seed", "1", "--out", str(ckpt),
+    ]) == 0
+    return {"ckpt": str(ckpt), "target": str(root / "data" / "target")}
+
+
+def test_eval_takes_the_prop_mode_from_the_checkpoint(row_checkpoint, tmp_path):
+    # Propagating under sym instead reads 0.585 on this scenario.
+    from adarc import cli
+
+    out = tmp_path / "eval.json"
+    assert cli.main([
+        "eval", "--ckpt", row_checkpoint["ckpt"], "--data", row_checkpoint["target"],
+        "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["accuracy_all"] == pytest.approx(0.5767, abs=5e-5)
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval"])
+def test_contradicting_prop_mode_exits_2(row_checkpoint, tmp_path, capsys, command):
+    from adarc import cli
+
+    config = tmp_path / "sym.cfg"
+    config.write_text("train.prop_mode=sym\n")
+    assert cli.main([
+        command, "--ckpt", row_checkpoint["ckpt"], "--data", row_checkpoint["target"],
+        "--config", str(config), "--out", str(tmp_path / "report.json"),
+    ]) == 2
+    assert "train.prop_mode=sym contradicts" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_version_1_checkpoint_exits_2_naming_the_version(workspace, tmp_path):
+    # Version 1: magic, u32 version, four u32 dims, then the f32 payload.
+    blob = workspace["ckpt"].read_bytes()
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(blob[:5] + struct.pack("<I", 1) + blob[9:25] + blob[29:])
+    result = run_cli("eval", "--ckpt", ckpt, "--data", workspace["data"] / "target")
+    assert result.returncode == 2
+    assert "unsupported version 1" in result.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,14 @@ def test_checkpoint_roundtrip_is_f32_exact(tmp_path, tiny_model, tiny_target):
     )
     b = base_predict(BaseTtaKind(), back, featurize_hops(back, tiny_target, op), tiny_target)
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["row", "sym"])
+def test_checkpoint_round_trips_prop_mode(tmp_path, tiny_model, mode):
+    model = replace(tiny_model, prop_mode=mode)
+    assert model.copy().prop_mode == mode
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert load_checkpoint(tmp_path / "model.ckpt").prop_mode == mode
 
 
 def test_checkpoint_write_is_byte_deterministic(tmp_path, tiny_model):

@@ -14,7 +14,6 @@ from adarc import (
     diff_loss,
     entropy_from_logits,
     featurize_hops,
-    pic_grad_logits,
     pic_grad_z,
     pic_loss,
     pseudo_from_logits,
@@ -136,28 +135,6 @@ def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
 
         numeric = fd_grad(value, model.gamma)
         assert relative_error(analytic, numeric) < 1e-4, kind
-
-
-def test_pic_grad_logits_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(3, 12))
-        h = int(rng.integers(1, 5))
-        c = int(rng.integers(2, 5))
-        Z = rng.normal(size=(n, h))
-        logits = rng.normal(size=(n, c)) * 2.0
-        analytic = pic_grad_logits(Z, logits)
-        numeric = fd_grad(lambda lg: pic_loss(Z, softmax(lg)).loss, logits)
-        assert relative_error(analytic, numeric) < 1e-4
-
-
-def test_pic_grad_logits_norm_bound():
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        Z, _ = random_instance(rng)
-        logits = rng.normal(size=(Z.shape[0], int(rng.integers(2, 6)))) * 3.0
-        G = pic_grad_logits(Z, logits)
-        assert np.linalg.norm(G) <= 2.0 + 1e-12
 
 
 def test_entropy_and_pseudo_hand_values():

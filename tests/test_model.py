@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ def test_init_model_ppr_gamma():
     np.testing.assert_array_equal(model.shift, 0.0)
     np.testing.assert_array_equal(model.running_mean, 0.0)
     np.testing.assert_array_equal(model.running_var, 1.0)
+    assert model.prop_mode == "sym"
+
+
+def test_model_rejects_unknown_prop_mode(tiny_model):
+    with pytest.raises(ValueError, match="prop_mode"):
+        replace(tiny_model, prop_mode="col")
 
 
 def hop(cache, k, scale, shift):

@@ -212,3 +212,8 @@ def test_train_source_stores_source_statistics_at_returned_parameters(tiny_sourc
     pre = tiny_source.features @ model.W1 + model.b1[None, :]
     np.testing.assert_array_equal(model.running_mean, pre.mean(axis=0))
     np.testing.assert_array_equal(model.running_var, pre.var(axis=0))
+
+def test_train_source_stamps_the_configured_prop_mode(tiny_source):
+    for mode in ("row", "sym"):
+        config = replace(TINY_TRAIN, epochs=2, prop_mode=mode)
+        assert pretrain_on(tiny_source, config)[0].prop_mode == mode
