@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Seven subcommands: ``generate``, ``pretrain``, ``adapt``, ``eval``,
-``sweep``, ``decompose``, ``theory``. Shared flags: ``--seed``,
-``--out``, ``--config FILE`` where FILE holds ``key=value`` lines (``#``
-comments allowed). Recognized keys use prefixes ``scenario.``, ``train.``,
-``adapt.``, ``base.`` over the corresponding config dataclasses. Each flag
+``sweep``, ``decompose``, ``theory``. Every subcommand takes ``--out``;
+``--seed`` is declared only where it seeds a draw (``generate``,
+``pretrain``, ``decompose``, ``theory``) and ``--config FILE`` everywhere
+but ``theory``. FILE holds ``key=value`` lines (``#`` comments allowed).
+Recognized keys use prefixes ``scenario.``, ``train.``, ``adapt.``,
+``base.`` over the corresponding config dataclasses. Each flag
 that sets a run setting names one key (``--lr`` is ``adapt.learning_rate``,
 ``--base-tta`` is ``base.variant``) and is merged over the file in one
 place, so flags win; ``--seed`` is ``train.seed`` for ``pretrain``.
@@ -220,6 +222,27 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
+#: Names the ``adapt --out`` config block has always used; every other
+#: ``adapt.``/``base.`` key is echoed under the config key itself.
+_ADAPT_ECHO_NAMES = {
+    "adapt.learning_rate": "learning_rate",
+    "adapt.epochs": "epochs",
+    "adapt.loss": "loss",
+    "adapt.ablation": "ablation",
+    "base.variant": "base_tta",
+}
+
+
+def _adapt_config_echo(config: AdaptConfig) -> dict:
+    """Every ``AdaptConfig`` and ``BaseTtaKind`` field the run used."""
+    echo = {}
+    for prefix, instance in (("adapt", config), ("base", config.base)):
+        for name in _section_keys(type(instance)):
+            key = f"{prefix}.{name}"
+            echo[_ADAPT_ECHO_NAMES.get(key, key)] = getattr(instance, name)
+    return echo
+
+
 def _cmd_adapt(args) -> int:
     overrides = _load_overrides(args)
     config = _adapt_config_from(overrides)
@@ -246,14 +269,7 @@ def _cmd_adapt(args) -> int:
         "gamma_before": [float(v) for v in model.gamma],
         "gamma_after": [float(v) for v in result.model.gamma],
         "convergence": convergence_report(result.trace),
-        "config": {
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "loss": config.loss,
-            "ablation": config.ablation,
-            "base_tta": config.base.variant,
-            "prop_mode": model.prop_mode,
-        },
+        "config": {**_adapt_config_echo(config), "prop_mode": model.prop_mode},
     }
     _emit(args, report)
     trace_path = args.trace or (
@@ -330,7 +346,6 @@ def _parse_grid(axis: str, text: str) -> list:
 def _cmd_sweep(args) -> int:
     overrides = _load_overrides(args)
     spec = _scenario_from(overrides)
-    # Per-seed model seeds are derived inside run_scenario; --seed is unused here.
     train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
     adapt_cfg = _adapt_config_from(overrides)
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
@@ -420,12 +435,17 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base random seed")
+def _add_common(
+    parser: argparse.ArgumentParser, *, seed: bool = True, config: bool = True
+) -> None:
+    # A subcommand declares only the flags it reads; any other is an error.
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="base random seed")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument(
-        "--config", default=None, metavar="FILE", help="key=value config file"
-    )
+    if config:
+        parser.add_argument(
+            "--config", default=None, metavar="FILE", help="key=value config file"
+        )
 
 
 # A flag that sets a config field has that field's key as its dest and keeps
@@ -464,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("adapt", help="adapt a checkpoint to a target dataset")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="target dataset directory")
     p.add_argument("--trace", default=None, metavar="OUT.csv", help="trace CSV path")
@@ -477,13 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="run a scenario grid along one axis")
-    _add_common(p)
+    # No abbreviations here: ``--seed`` would silently mean ``--seeds``.
+    p = sub.add_parser(
+        "sweep", help="run a scenario grid along one axis", allow_abbrev=False
+    )
+    _add_common(p, seed=False)
     _add_scenario_flags(p)
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument(
@@ -505,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("theory", help="closed-form accuracy oracle")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--d", type=float, required=True, help="average degree")
     p.add_argument("--h", type=float, required=True, help="homophily")
     p.add_argument("--gamma", type=float, default=None, help="default: optimal")

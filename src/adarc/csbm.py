@@ -115,16 +115,37 @@ def _sample_cross_pairs(
     return np.column_stack(np.divmod(flat, m_b))
 
 
+def _scatter_rows_in_place(rows: np.ndarray, perm: np.ndarray) -> None:
+    """``rows[perm] = rows.copy()`` with one row of scratch instead of a copy.
+
+    Slot k receives old row ``inv[k]`` (``inv`` inverts ``perm``); each cycle
+    of the permutation is walked once, pulling rows forward along it.
+    """
+    inv = np.argsort(perm).tolist()
+    done = bytearray(len(inv))
+    scratch = np.empty_like(rows[0])
+    for start in range(len(inv)):
+        if done[start]:
+            continue
+        scratch[...] = rows[start]
+        k = start
+        while inv[k] != start:
+            rows[k] = rows[inv[k]]
+            done[k] = 1
+            k = inv[k]
+        rows[k] = scratch
+        done[k] = 1
+
+
 def generate(params: CsbmParams) -> Dataset:
     """Draw one CSBM dataset; deterministic in ``params.seed``.
 
     The first N/2 block is class 0 and the rest class 1, then a seeded
     permutation relabels node ids so structure statistics are
     position-independent. Features are rounded through f32 so in-memory
-    datasets match their on-disk representation bit-exactly. They are built
-    in one pass: the noise buffer is shifted to the class centers in place,
-    then relabelled and rounded by one scatter into an f32 buffer, so the
-    only N×D arrays are that noise buffer and the f32 copy.
+    datasets match their on-disk representation bit-exactly. The noise
+    buffer is the only N×D array: it is shifted to the class centers,
+    rounded through f32 and row-permuted, each in place.
     """
     p, q = edge_probs(params)
     rng = np.random.default_rng(params.seed)
@@ -146,10 +167,9 @@ def generate(params: CsbmParams) -> Dataset:
     perm = rng.permutation(params.n)
     labels = np.empty(params.n, dtype=np.int64)
     labels[perm] = block_labels
-    # Relabel and round through f32 in one scatter, then widen back in place.
-    rounded = np.empty(features.shape, dtype=np.float32)
-    rounded[perm] = features
-    features[...] = rounded
+    # Round through f32 in place: the ufunc casts in small buffered chunks.
+    np.positive(features, out=features, dtype=np.float32, casting="same_kind")
+    _scatter_rows_in_place(features, perm)
     edges = perm[block_edges] if block_edges.size else block_edges
 
     graph = build_graph(edges, params.n)

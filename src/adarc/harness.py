@@ -4,11 +4,13 @@ A scenario ties together CSBM generation, source pretraining, and one or
 more adaptation methods evaluated on the target graph. Seeds are expanded
 deterministically: scenario seed ``s`` draws the source graph with ``2s``,
 the target graph with ``2s+1``, the train/val split with ``s+777``, and
-model initialization with ``s+1``.
+model initialization with ``s+1``. Each graph draw owns its random stream,
+so the source and target graphs are drawn concurrently.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,7 +130,13 @@ def _parse_method(name: str) -> tuple[str, bool]:
 def build_scenario_datasets(
     spec: ScenarioSpec, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """(source with train/val masks, target) for one scenario seed."""
+    """(source with train/val masks, target) for one scenario seed.
+
+    The two graphs are drawn at the same time on independent random streams:
+    the source on one worker thread, the target on the calling thread (numpy
+    fills the arrays without holding the GIL). The worker is joined before
+    this returns, and its exception, if any, is raised here.
+    """
     derived = scenario_seeds(seed)
     source_params = preset_params(
         spec.preset,
@@ -158,9 +166,11 @@ def build_scenario_datasets(
         # target then share adjacency, labels, and feature noise; the target
         # differs by exactly the attribute translation.
         target_params = replace(target_params, seed=source_params.seed)
-    source = attach_split_masks(generate(source_params), seed=derived["split"])
-    target = generate(target_params)
-    return source, target
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawn_source = pool.submit(generate, source_params)
+        target = generate(target_params)
+        source = drawn_source.result()
+    return attach_split_masks(source, seed=derived["split"]), target
 
 
 def _config_echo(

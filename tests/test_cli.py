@@ -165,15 +165,17 @@ def test_eval_uses_the_configured_prop_mode(tmp_path):
     config = tmp_path / "row.cfg"
     config.write_text("train.prop_mode=row\ntrain.epochs=40\n")
     data, ckpt = tmp_path / "data", tmp_path / "row.ckpt"
-    common = ["--config", str(config), "--seed", "1"]
     assert cli.main([
         "generate", "--preset", "high2low", "--n", "600", "--dim", "40",
         "--seed", "1", "--out", str(data),
     ]) == 0
     assert cli.main([
-        "pretrain", "--data", str(data / "source"), *common, "--out", str(ckpt),
+        "pretrain", "--data", str(data / "source"), "--config", str(config),
+        "--seed", "1", "--out", str(ckpt),
     ]) == 0
-    target = ["--ckpt", str(ckpt), "--data", str(data / "target"), *common]
+    target = [
+        "--ckpt", str(ckpt), "--data", str(data / "target"), "--config", str(config),
+    ]
     assert cli.main([
         "adapt", *target, "--base-tta", "erm", "--out", str(tmp_path / "adapt.json"),
     ]) == 0
@@ -219,6 +221,26 @@ def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, v
     fresh = base_predict(BaseTtaKind(variant=variant), model, cache, dataset)
     expected = prediction_accuracy(fresh, dataset.labels)
     assert json.loads(out.read_text())["accuracy_before"] == expected
+
+
+def test_adapt_out_echoes_every_adapt_and_base_setting(workspace, tmp_path):
+    from adarc import cli
+
+    blocks = {}
+    for name, extra in (("plain", []), ("persist", ["--persist-base-tta"])):
+        out = tmp_path / f"{name}.json"
+        assert cli.main([
+            "adapt", "--ckpt", str(workspace["ckpt"]),
+            "--data", str(workspace["data"] / "target"),
+            "--ablation", "joint", "--epochs", "1", *extra, "--out", str(out),
+        ]) == 0
+        blocks[name] = json.loads(out.read_text())["config"]
+    assert blocks["plain"] != blocks["persist"]
+    assert not blocks["plain"]["adapt.persist_base_tta"]
+    assert blocks["persist"]["adapt.persist_base_tta"]
+    settings = [k for k in cli._known_keys() if k.startswith(("adapt.", "base."))]
+    echoed = {cli._ADAPT_ECHO_NAMES.get(key, key) for key in settings}
+    assert set(blocks["plain"]) == echoed | {"prop_mode"}
 
 
 def test_adapt_report_trace_and_determinism(workspace, tmp_path):
@@ -426,6 +448,27 @@ def test_theory_report_and_determinism(tmp_path):
     assert report["accuracy"] <= report["accuracy_at_optimal"] + 1e-12
     assert report["attribute_shift"]["delta_mu_norm"] == 0.5
     assert report["monte_carlo"]["trials"] == 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "hops_K", "--grid", "2", "--seed", "1"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "data", "--seed", "1"],
+        ["adapt", "--ckpt", "m.ckpt", "--data", "data", "--seed", "1"],
+        ["theory", "--d", "5", "--h", "0.8", "--config", "run.cfg"],
+    ],
+    ids=["sweep-seed", "eval-seed", "adapt-seed", "theory-config"],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    # sweep derives every seed from --seeds (and must not read --seed as an
+    # abbreviation of it); eval and adapt draw nothing; theory reads no config.
+    from adarc import cli
+
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 def test_sweep_writes_json_and_csv(workspace, tmp_path):

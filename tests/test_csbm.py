@@ -18,6 +18,7 @@ from adarc.csbm import (
     PRESETS,
     _sample_cross_pairs,
     _sample_within_pairs,
+    _scatter_rows_in_place,
 )
 from adarc.graph import build_graph, node_homophily
 
@@ -94,6 +95,24 @@ def test_generate_matches_reference_formula(params):
     assert np.array_equal(dataset.labels, labels)
     assert np.array_equal(dataset.graph.row_offsets, graph.row_offsets)
     assert np.array_equal(dataset.graph.neighbor_ids, graph.neighbor_ids)
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        np.arange(6),
+        np.roll(np.arange(7), 1),
+        np.array([1, 0]),
+        *(np.random.default_rng(seed).permutation(40) for seed in range(3)),
+    ],
+    ids=["identity", "one-7-cycle", "n=2", "random-0", "random-1", "random-2"],
+)
+def test_scatter_rows_in_place_matches_a_fancy_scatter(perm):
+    rows = np.random.default_rng(len(perm)).standard_normal((len(perm), 3))
+    expected = np.empty_like(rows)
+    expected[perm] = rows
+    _scatter_rows_in_place(rows, perm)
+    assert np.array_equal(rows, expected)
 
 
 def test_generated_degree_and_homophily_match_parameters():

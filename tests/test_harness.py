@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,17 @@ from adarc import (
     GapDecomposition,
     ScenarioSpec,
     TrainConfig,
+    attach_split_masks,
     build_scenario_datasets,
     decompose_gap,
     fit_linear_head,
+    generate,
+    preset_params,
     run_scenario,
     scenario_seeds,
     sweep,
 )
+from adarc import harness
 from adarc.harness import METHOD_NAMES, SWEEP_AXES
 
 TINY_SPEC = ScenarioSpec("homo2hetero", n=320, dim=48)
@@ -80,6 +86,51 @@ def test_build_datasets_attribute_plus_structure_shift_not_paired():
     spec = ScenarioSpec("homo2hetero", attribute_shift=True, n=320, dim=48)
     source, target = build_scenario_datasets(spec, seed=0)
     assert not np.array_equal(source.labels, target.labels)
+
+
+PAIRED_SPEC = ScenarioSpec(
+    "hetero2homo", attribute_shift=True, source_h=0.8, n=320, dim=48
+)
+
+
+@pytest.mark.parametrize(
+    "spec, target_seed, override_h",
+    [(TINY_SPEC, 5, None), (PAIRED_SPEC, 4, 0.8)],
+    ids=["homo2hetero", "paired-attribute-shift"],
+)
+def test_concurrent_draws_equal_sequential_generate(spec, target_seed, override_h):
+    # Scenario seed 2 draws the source with seed 4; the paired spec draws
+    # that same seed again for its target, at the same time.
+    source, target = build_scenario_datasets(spec, seed=2)
+    shape = dict(attribute_shift=spec.attribute_shift, n=spec.n, dim=spec.dim)
+    expected_source = attach_split_masks(
+        generate(preset_params(spec.preset, "source", 4, override_h=override_h, **shape)),
+        seed=779,
+    )
+    expected_target = generate(preset_params(spec.preset, "target", target_seed, **shape))
+    for got, expected in ((source, expected_source), (target, expected_target)):
+        assert np.array_equal(got.features, expected.features)
+        assert np.array_equal(got.labels, expected.labels)
+        assert np.array_equal(got.graph.row_offsets, expected.graph.row_offsets)
+        assert np.array_equal(got.graph.neighbor_ids, expected.graph.neighbor_ids)
+    for name in ("train", "val"):
+        assert np.array_equal(source.masks[name], expected_source.masks[name])
+
+
+@pytest.mark.parametrize("failing_role", ["source_graph", "target_graph"])
+def test_a_failed_draw_raises_and_leaves_no_thread(monkeypatch, failing_role):
+    failing_seed = scenario_seeds(3)[failing_role]
+
+    def generate_or_fail(params):
+        if params.seed == failing_seed:
+            raise RuntimeError(f"draw {params.seed} failed")
+        return generate(params)
+
+    monkeypatch.setattr(harness, "generate", generate_or_fail)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"draw {failing_seed} failed"):
+        build_scenario_datasets(TINY_SPEC, seed=3)
+    assert threading.active_count() == threads_before
 
 
 def test_run_scenario_report_statistics():
