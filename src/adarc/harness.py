@@ -202,7 +202,10 @@ def run_scenario(
     """Generate, pretrain, and evaluate every method on the target graph.
 
     Target accuracy is measured over all target nodes. One pretrained model
-    per seed is shared by all methods.
+    per seed is shared by all methods. A plain method whose ``+adarc``
+    partner also runs reads its accuracy from epoch 0 of that run's trace,
+    which scores the same unadapted base prediction; only plain methods
+    without a partner featurize the target (once per seed, shared).
     """
     if isinstance(spec, str):
         spec = ScenarioSpec(preset=spec)
@@ -223,20 +226,28 @@ def run_scenario(
         model, _history = pretrain_on(source, seed_train)
 
         op = PropagationOperator(target.graph, model.prop_mode)
+        adapted = {
+            base: adapt(
+                model, target, op, replace(adapt_config, base=BaseTtaKind(base))
+            )
+            for base, use_adarc in map(_parse_method, methods)
+            if use_adarc
+        }
         plain_cache = None
         for name in methods:
             base, use_adarc = _parse_method(name)
-            kind = BaseTtaKind(variant=base)
             if use_adarc:
-                result = adapt(
-                    model, target, op, replace(adapt_config, base=kind)
-                )
-                prediction = result.prediction
+                acc = prediction_accuracy(adapted[base].prediction, target.labels)
+            elif base in adapted:
+                # Epoch 0 of the partner run scored the unadapted base
+                # prediction on this model and target: the plain method's.
+                acc = adapted[base].trace[0].accuracy
             else:
                 if plain_cache is None:
                     plain_cache = featurize_hops(model, target, op)
-                prediction = base_predict(kind, model, plain_cache, target)
-            accs[name].append(prediction_accuracy(prediction, target.labels))
+                prediction = base_predict(BaseTtaKind(base), model, plain_cache, target)
+                acc = prediction_accuracy(prediction, target.labels)
+            accs[name].append(acc)
 
     per_seed = {m: tuple(v) for m, v in accs.items()}
     mean = {m: float(np.mean(v)) for m, v in per_seed.items()}

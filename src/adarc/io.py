@@ -8,6 +8,13 @@ Dataset directory
 ``labels.csv``    one integer per line
 ``masks.csv``     optional; header ``train,val``, rows of 0/1
 
+``features.bin`` is streamed in both directions through one block of whole
+rows, about ``_BLOCK_BYTES`` of f32: the writer casts each row block into it
+and writes it, the reader reads each block into it, checks it is finite and
+widens it into its rows of the N×D f64 matrix, which is allocated once. The
+reader's peak memory is therefore that matrix plus one block; no copy of the
+whole payload is ever held.
+
 Checkpoint (version 2)
 ----------------------
 ``ADRCM`` magic, u32 version=2, u32 dims (D, H, C, K), the 4-byte mode
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,6 +59,10 @@ __all__ = [
 
 FEATURES_MAGIC = b"ADRC"
 CHECKPOINT_MAGIC = b"ADRCM"
+#: ``features.bin`` header: magic, version, N, D.
+_FEATURES_HEADER = struct.Struct("<4sIII")
+#: Size of the one buffer ``features.bin`` is streamed through (1 MiB of f32).
+_BLOCK_BYTES = 1 << 20
 _CHECKPOINT_VERSION = 2
 #: Checkpoint header: magic, version, dims (D, H, C, K) and the mode word.
 _CHECKPOINT_HEADER = struct.Struct("<5sIIIII4s")
@@ -60,30 +72,43 @@ class FormatError(ValueError):
     """A file does not conform to its declared on-disk format."""
 
 
+def _row_blocks(n: int, d: int):
+    """(first row, f32 block) for each run of rows of an N×D ``features.bin``.
+
+    Every block is a view of one buffer of about ``_BLOCK_BYTES``, at least
+    one row; the last may be shorter.
+    """
+    rows = max(1, _BLOCK_BYTES // (4 * max(d, 1)))
+    block = np.empty((min(rows, n), d), dtype="<f4")
+    for start in range(0, n, rows):
+        yield start, block[: min(rows, n - start)]
+
+
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    edges = dataset.graph.edge_list()
-    lines = [f"{u},{v}\n" for u, v in edges]
-    (directory / "edges.csv").write_text("".join(lines))
+    edges = dataset.graph.edge_list().tolist()
+    (directory / "edges.csv").write_text("".join(f"{u},{v}\n" for u, v in edges))
 
-    n, d = dataset.features.shape
-    payload = np.ascontiguousarray(dataset.features, dtype="<f4").tobytes()
-    header = FEATURES_MAGIC + struct.pack("<III", 1, n, d)
-    (directory / "features.bin").write_bytes(header + payload)
+    features = dataset.features
+    n, d = features.shape
+    with open(directory / "features.bin", "wb") as f:
+        f.write(_FEATURES_HEADER.pack(FEATURES_MAGIC, 1, n, d))
+        for start, part in _row_blocks(n, d):
+            part[:] = features[start : start + len(part)]
+            f.write(part)
 
-    (directory / "labels.csv").write_text(
-        "".join(f"{int(y)}\n" for y in dataset.labels)
-    )
+    labels = dataset.labels.tolist()
+    (directory / "labels.csv").write_text("".join(f"{int(y)}\n" for y in labels))
 
     if dataset.masks:
         train = dataset.masks.get("train", np.zeros(n, dtype=bool))
         val = dataset.masks.get("val", np.zeros(n, dtype=bool))
-        rows = [
-            f"{int(t)},{int(v)}\n" for t, v in zip(train.astype(int), val.astype(int))
+        lines = [
+            f"{int(t)},{int(v)}\n" for t, v in zip(train.tolist(), val.tolist())
         ]
-        (directory / "masks.csv").write_text("train,val\n" + "".join(rows))
+        (directory / "masks.csv").write_text("train,val\n" + "".join(lines))
 
 
 def _read_ints(path: Path, **loadtxt_args) -> np.ndarray:
@@ -94,25 +119,38 @@ def _read_ints(path: Path, **loadtxt_args) -> np.ndarray:
         raise FormatError(f"{path.name}: {exc}") from exc
 
 
+def _read_features(path: Path) -> np.ndarray:
+    """The N×D f64 matrix of a ``features.bin``, streamed block by block."""
+    with open(path, "rb") as f:
+        header = f.read(_FEATURES_HEADER.size)
+        if header[:4] != FEATURES_MAGIC:
+            raise FormatError(f"features.bin: bad magic {header[:4]!r}")
+        if len(header) < _FEATURES_HEADER.size:
+            raise FormatError(f"features.bin: truncated header ({len(header)} bytes)")
+        _, version, n, d = _FEATURES_HEADER.unpack(header)
+        if version != 1:
+            raise FormatError(f"features.bin: unsupported version {version}")
+        expected = _FEATURES_HEADER.size + 4 * n * d
+        found = os.fstat(f.fileno()).st_size
+        if found != expected:
+            raise FormatError(f"features.bin: expected {expected} bytes, found {found}")
+
+        features = np.empty((n, d))
+        for start, part in _row_blocks(n, d):
+            if f.readinto(part) != part.nbytes:
+                raise FormatError("features.bin: payload ends early")
+            if not np.isfinite(part).all():
+                raise FormatError("features.bin: non-finite feature value")
+            features[start : start + len(part)] = part
+        if f.read(1):
+            raise FormatError("features.bin: bytes after the last row")
+    return features
+
+
 def read_dataset(directory: str | Path) -> Dataset:
     directory = Path(directory)
-
-    raw = (directory / "features.bin").read_bytes()
-    if raw[:4] != FEATURES_MAGIC:
-        raise FormatError(f"features.bin: bad magic {raw[:4]!r}")
-    if len(raw) < 16:
-        raise FormatError(f"features.bin: truncated header ({len(raw)} bytes)")
-    version, n, d = struct.unpack("<III", raw[4:16])
-    if version != 1:
-        raise FormatError(f"features.bin: unsupported version {version}")
-    expected = 16 + 4 * n * d
-    if len(raw) != expected:
-        raise FormatError(
-            f"features.bin: expected {expected} bytes, found {len(raw)}"
-        )
-    features = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, d).copy()
-    if not np.isfinite(features).all():
-        raise FormatError("features.bin: non-finite feature value")
+    features = _read_features(directory / "features.bin")
+    n = features.shape[0]
 
     labels = _read_ints(directory / "labels.csv", ndmin=1)
     if labels.shape[0] != n:
@@ -143,7 +181,7 @@ def read_dataset(directory: str | Path) -> Dataset:
         masks = {"train": table[:, 0].astype(bool), "val": table[:, 1].astype(bool)}
 
     num_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(graph, features.astype(np.float64), labels, num_classes, masks)
+    return Dataset(graph, features, labels, num_classes, masks)
 
 
 def write_checkpoint_arrays(path: str | Path, model) -> None:
@@ -198,14 +236,15 @@ def _canonical(obj):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
+    # bool before int: ``bool`` is a subclass of ``int``.
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -119,9 +119,12 @@ def pic_loss(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> PicBreak
 
 def _pic_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndarray:
     # ∂σ²_intra/∂z_i = 2 Σ_c Ŷ_ic (z_i − μ_c) = 2(z_i·Σ_cŶ_ic − Σ_c Ŷ_ic μ_c)
-    intra_part = Z * probs.sum(axis=1)[:, None] - probs @ terms.centroids
-    total_part = Z - terms.global_centroid[None, :]
-    return (2.0 / terms.sigma_sq) * (intra_part - terms.loss * total_part)
+    # minus L·(z_i − μ_*), all times 2/σ²; built in one N×H buffer.
+    out = Z * probs.sum(axis=1)[:, None]
+    out -= probs @ terms.centroids
+    out -= terms.loss * (Z - terms.global_centroid[None, :])
+    out *= 2.0 / terms.sigma_sq
+    return out
 
 
 def pic_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:

@@ -236,8 +236,9 @@ def test_adapt_out_echoes_every_adapt_and_base_setting(workspace, tmp_path):
         ]) == 0
         blocks[name] = json.loads(out.read_text())["config"]
     assert blocks["plain"] != blocks["persist"]
-    assert not blocks["plain"]["adapt.persist_base_tta"]
-    assert blocks["persist"]["adapt.persist_base_tta"]
+    # JSON booleans, not the 0/1 a bool-as-int report would carry.
+    assert blocks["plain"]["adapt.persist_base_tta"] is False
+    assert blocks["persist"]["adapt.persist_base_tta"] is True
     settings = [k for k in cli._known_keys() if k.startswith(("adapt.", "base."))]
     echoed = {cli._ADAPT_ECHO_NAMES.get(key, key) for key in settings}
     assert set(blocks["plain"]) == echoed | {"prop_mode"}
@@ -506,6 +507,7 @@ def test_decompose_cli_identity_and_config_override(tmp_path):
         report["acc_source"] - report["acc_target"], abs=1e-9
     )
     assert set(report["fit"]) >= {"iterations", "grad_norm", "converged", "stop"}
+    assert isinstance(report["fit"]["converged"], bool)
 
 
 # --- one source per setting: flags are config keys, merged over the file ---

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adarc import (
     AdaptConfig,
+    BaseTtaKind,
     GapDecomposition,
+    PropagationOperator,
+    adapt,
+    base_predict,
+    featurize_hops,
+    prediction_accuracy,
     ScenarioSpec,
     TrainConfig,
     attach_split_masks,
@@ -185,6 +192,52 @@ def test_run_scenario_all_method_names():
         adapt_config=TINY_ADAPT,
     )
     assert set(report.per_seed) == set(METHOD_NAMES)
+
+
+@pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
+def test_adarc_epoch_zero_scores_the_plain_base_prediction(
+    tiny_model, tiny_target, variant
+):
+    # run_scenario reads a plain method's accuracy from here when the
+    # method's +adarc partner runs too.
+    kind = BaseTtaKind(variant)
+    op = PropagationOperator(tiny_target.graph, tiny_model.prop_mode)
+    config = AdaptConfig(learning_rate=0.1, epochs=2, base=kind, ablation="joint")
+    result = adapt(tiny_model, tiny_target, op, config)
+    plain = base_predict(
+        kind, tiny_model, featurize_hops(tiny_model, tiny_target, op), tiny_target
+    )
+    assert result.trace[0].accuracy == prediction_accuracy(plain, tiny_target.labels)
+
+
+@pytest.mark.parametrize(
+    "methods, plain_featurizations",
+    [
+        (("erm", "erm+adarc"), 0),
+        (("erm", "tent", "erm+adarc", "tent+adarc"), 0),
+        (("erm", "tent+adarc"), 1),
+        (("erm", "t3a"), 1),
+    ],
+)
+def test_run_scenario_featurizes_for_plain_methods_only_without_partner(
+    monkeypatch, methods, plain_featurizations
+):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return featurize_hops(*args)
+
+    monkeypatch.setattr(harness, "featurize_hops", counting)
+    report = run_scenario(
+        TINY_SPEC,
+        methods=methods,
+        seeds=(0,),
+        train_config=replace(TINY_TRAIN, epochs=5),
+        adapt_config=TINY_ADAPT,
+    )
+    assert len(calls) == plain_featurizations
+    assert set(report.per_seed) == set(methods)
 
 
 def test_run_scenario_accepts_preset_string():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from adarc import (
     write_dataset,
     write_json_report,
 )
+from adarc.graph import build_graph
 from adarc.io import report_text
 
 from conftest import TINY_N, tiny_params
@@ -70,6 +73,93 @@ def test_dataset_write_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+# --- features.bin is streamed through one block of about 1 MiB ---
+
+
+def _dense_dataset(n: int, d: int, seed: int = 2024) -> Dataset:
+    """Gaussian features on a path graph, three cycling labels, both masks."""
+    rng = np.random.default_rng(seed)
+    nodes = np.arange(n)
+    edges = np.column_stack([nodes[:-1], nodes[1:]]) if n > 1 else np.zeros((0, 2))
+    return Dataset(
+        build_graph(edges.astype(np.int64), n),
+        rng.standard_normal((n, d)),
+        nodes % 3,
+        3,
+        {"train": nodes % 5 == 0, "val": nodes % 5 == 1},
+    )
+
+
+# 300×1000 f32 values are 1.2 MB: more than one block, not a multiple of it.
+MULTI_BLOCK = (300, 1000)
+
+
+@pytest.mark.parametrize("n, d", [MULTI_BLOCK, (7, 0)], ids=["multi-block", "empty"])
+def test_streamed_features_round_trip(tmp_path, n, d):
+    dataset = _dense_dataset(n, d)
+    write_dataset(dataset, tmp_path / "ds")
+    assert (tmp_path / "ds" / "features.bin").stat().st_size == 16 + 4 * n * d
+    back = read_dataset(tmp_path / "ds")
+    assert back.features.shape == (n, d)
+    assert back.features.dtype == np.float64
+    np.testing.assert_array_equal(
+        back.features, dataset.features.astype(np.float32).astype(np.float64)
+    )
+    np.testing.assert_array_equal(back.labels, dataset.labels)
+
+
+def test_streamed_write_matches_golden_bytes(tmp_path):
+    # Recorded from the single-buffer writer that streaming replaced.
+    golden = {
+        "edges.csv": "455f6eba7b99ad3cbed340768ce06c00f9b81d832ae7ea15f7e4f1e6876b85c5",
+        "features.bin": "08b8d8ced55bf0d9996a8f39962479931648e208ae681740780ee259fcacfd9f",
+        "labels.csv": "5f44fd7e34ec0bfaaedf9887da89e7352d1728515f96980df9017b99b8c0f15d",
+        "masks.csv": "e0257803865fc159430793876366537d9f8198ff63ae6f76fc6eb070a9b2731d",
+    }
+    write_dataset(_dense_dataset(*MULTI_BLOCK), tmp_path)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert written == golden
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_value_in_last_block_is_a_format_error(tmp_path, value):
+    write_dataset(_dense_dataset(*MULTI_BLOCK), tmp_path)
+    features = tmp_path / "features.bin"
+    raw = bytearray(features.read_bytes())
+    raw[-4:] = np.array([value], dtype="<f4").tobytes()
+    features.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="features.bin: non-finite"):
+        read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+def test_features_off_by_one_byte_is_a_format_error(tmp_path, delta):
+    write_dataset(_dense_dataset(*MULTI_BLOCK), tmp_path)
+    features = tmp_path / "features.bin"
+    raw = features.read_bytes()
+    features.write_bytes(raw[:-1] if delta < 0 else raw + b"\0")
+    with pytest.raises(
+        FormatError,
+        match=f"features.bin: expected {len(raw)} bytes, found {len(raw) + delta}",
+    ):
+        read_dataset(tmp_path)
+
+
+def test_read_dataset_peak_memory_is_the_matrix_plus_one_block(tmp_path):
+    n, d = 1000, 1000
+    write_dataset(_dense_dataset(n, d), tmp_path)
+    tracemalloc.start()
+    try:
+        read_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * d + 2 * 2**20
 
 
 def test_read_dataset_missing_directory(tmp_path):
@@ -288,6 +378,13 @@ def test_fuzz_read_dataset_features(blob):
 @given(damaged(VALID["m.ckpt"]))
 def test_fuzz_load_checkpoint(blob):
     _read_damaged("m.ckpt", blob, lambda directory: load_checkpoint(directory / "m.ckpt"))
+
+
+def test_report_text_writes_booleans_as_json_booleans():
+    # ``bool`` is a subclass of ``int``; neither kind may turn into the other.
+    text = report_text({"t": True, "f": np.bool_(False), "one": 1, "n": np.int64(0)})
+    assert '"t": true' in text and '"f": false' in text
+    assert '"one": 1' in text and '"n": 0' in text
 
 
 def test_report_text_is_canonical():

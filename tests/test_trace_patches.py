@@ -20,7 +20,17 @@ from perfbench.tracing import OP, Tracer, instrument, layer_metrics  # noqa: E40
 # module, so an importer first imported inside it would bind the wrapper and
 # fail the check; import them all up front.
 import adarc.cli  # noqa: E402,F401
-from adarc import ScenarioSpec, TrainConfig, run_scenario  # noqa: E402
+from adarc import (  # noqa: E402
+    ScenarioSpec,
+    TrainConfig,
+    attach_split_masks,
+    generate,
+    preset_params,
+    pretrain_on,
+    run_scenario,
+    save_checkpoint,
+    write_dataset,
+)
 
 
 def test_instrument_finds_every_layer_function():
@@ -39,3 +49,26 @@ def test_traced_scenario_counts_both_overlapped_draws():
     assert metrics["csbm.generate.calls"] == 2
     assert metrics["csbm.generate.self_ms"] > 0
     assert 0 <= metrics["untraced.share"] <= 1
+
+
+def test_traced_adapt_cli_reads_the_target_once(tmp_path):
+    # ``adarc adapt`` reads its target through the ``read_dataset`` that the
+    # tracer wraps in ``cli``; the streamed reader must still show up there.
+    params = {"n": 200, "dim": 16}
+    source = attach_split_masks(
+        generate(preset_params("high2low", "source", seed=0, **params)), seed=1
+    )
+    model, _ = pretrain_on(source, TrainConfig(epochs=2, patience=2))
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    target = generate(preset_params("high2low", "target", seed=1, **params))
+    write_dataset(target, tmp_path / "t")
+    tracer = Tracer()
+    argv = [
+        "adapt", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "t"),
+        "--epochs", "2", "--out", str(tmp_path / "adapt.json"),
+    ]
+    with instrument(tracer), tracer.span(OP):
+        assert adarc.cli.main(argv) == 0
+    metrics = layer_metrics(tracer)
+    assert metrics["io.read_dataset.calls"] == 1
+    assert metrics["io.read_dataset.self_ms"] > 0
