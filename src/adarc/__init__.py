@@ -9,7 +9,6 @@ experiment harness used to study it.
 from .adapt import (
     AdaptationDivergedError,
     AdaptConfig,
-    AdaptEpochRecord,
     AdaptResult,
     adapt,
     convergence_report,
@@ -59,6 +58,7 @@ from .losses import (
     surrogate_loss_and_grad_gamma,
 )
 from .model import (
+    EpochRecord,
     GprModel,
     HopCache,
     SoftPrediction,
@@ -113,6 +113,7 @@ __all__ = [
     "monte_carlo_accuracy",
     "gap_decomposition",
     # model
+    "EpochRecord",
     "GprModel",
     "HopCache",
     "SoftPrediction",
@@ -145,7 +146,6 @@ __all__ = [
     "base_predict",
     # adapt
     "AdaptConfig",
-    "AdaptEpochRecord",
     "AdaptResult",
     "AdaptationDivergedError",
     "adapt",

@@ -15,12 +15,17 @@ import numpy as np
 
 from .graph import Dataset, PropagationOperator
 from .losses import LOSS_KINDS, surrogate_loss_and_grad_gamma
-from .model import GprModel, SoftPrediction, featurize_hops, prediction_accuracy
+from .model import (
+    EpochRecord,
+    GprModel,
+    SoftPrediction,
+    featurize_hops,
+    prediction_accuracy,
+)
 from .tta import BaseTtaKind, base_predict, tent_lite_affine
 
 __all__ = [
     "AdaptConfig",
-    "AdaptEpochRecord",
     "AdaptResult",
     "AdaptationDivergedError",
     "ABLATION_NAMES",
@@ -59,30 +64,19 @@ class AdaptConfig:
 
 
 @dataclass(frozen=True)
-class AdaptEpochRecord:
-    """One epoch of the adaptation trace."""
-
-    epoch: int
-    loss: float
-    grad_norm: float
-    accuracy: float
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
 class AdaptResult:
     """Adapted model plus the full per-epoch trace."""
 
     model: GprModel
     prediction: SoftPrediction
-    trace: tuple[AdaptEpochRecord, ...]
+    trace: tuple[EpochRecord, ...]
     stage_seconds: dict[str, float]
 
 
 class AdaptationDivergedError(RuntimeError):
     """Raised when the surrogate loss or gradient becomes non-finite."""
 
-    def __init__(self, message: str, trace: tuple[AdaptEpochRecord, ...]):
+    def __init__(self, message: str, trace: tuple[EpochRecord, ...]):
         super().__init__(message)
         self.trace = trace
 
@@ -95,9 +89,10 @@ def adapt(
 ) -> AdaptResult:
     """Adapt ``model`` to ``dataset`` and return a copy with the result.
 
-    The input model is never mutated. The per-epoch accuracy in the trace is
-    measured on all nodes from that epoch's base prediction; the returned
-    prediction comes from one final base-predictor call after the last step.
+    The input model is never mutated. Each trace record holds the surrogate
+    loss, the all-node accuracy of that epoch's base prediction and ‖∇γL‖,
+    all before the epoch's step, and the γ after it; the returned prediction
+    comes from one final base-predictor call after the last step.
     """
     model = model.copy()
     stage = {"featurize": 0.0, "base_predict": 0.0, "surrogate": 0.0, "update": 0.0}
@@ -106,7 +101,7 @@ def adapt(
     cache = featurize_hops(model, dataset, op)
     stage["featurize"] += time.perf_counter() - t0
 
-    trace: list[AdaptEpochRecord] = []
+    trace: list[EpochRecord] = []
     update_gamma = config.ablation in ("gamma", "joint")
     update_affine = config.ablation in ("theta", "joint")
     persist_tent = config.persist_base_tta and config.base.variant == "tent"
@@ -143,11 +138,11 @@ def adapt(
         stage["update"] += time.perf_counter() - t0
 
         trace.append(
-            AdaptEpochRecord(
+            EpochRecord(
                 epoch=epoch,
                 loss=float(loss),
-                grad_norm=float(np.linalg.norm(grad)),
                 accuracy=prediction_accuracy(prediction, dataset.labels),
+                grad_norm=float(np.linalg.norm(grad)),
                 gamma=model.gamma.copy(),
             )
         )
@@ -164,7 +159,7 @@ def adapt(
     )
 
 
-def convergence_report(trace: tuple[AdaptEpochRecord, ...]) -> dict:
+def convergence_report(trace: tuple[EpochRecord, ...]) -> dict:
     """Summary statistics of an adaptation trace.
 
     ``mean_sq_grad_norm`` is (1/T)Σ‖∇γ L‖²; ``grad_running_mean_decreasing``

@@ -38,6 +38,8 @@ from .adapt import (
 from .csbm import PRESET_D, PRESET_N, PRESETS
 from .graph import PropagationOperator
 from .harness import (
+    HEAD_FIT_MAX_ITERATIONS,
+    HEAD_FIT_TOLERANCE,
     METHOD_NAMES,
     SWEEP_AXES,
     ScenarioSpec,
@@ -214,10 +216,10 @@ def _cmd_pretrain(args) -> int:
     model, history = pretrain_on(dataset, config)
     out = _require_out(args, "pretrain")
     save_checkpoint(model, out)
-    best_val = max(val for _, _, val in history)
+    best_val = max(record.accuracy for record in history)
     print(
-        f"wrote {out} after {len(history)} epochs "
-        f"(final objective {history[-1][1]:.6f}, best-restored val acc {best_val:.4f})"
+        f"wrote {out} after {len(history)} epochs (final objective "
+        f"{history[-1].loss:.6f}, best-restored val acc {best_val:.4f})"
     )
     return 0
 
@@ -379,12 +381,14 @@ def _cmd_decompose(args) -> int:
     train_cfg = replace(train_cfg, seed=scenario_seeds(seed)["model"])
     model, _ = pretrain_on(source, train_cfg)
     decomposition = decompose_gap(model, source, target)
+    tolerance = np.format_float_scientific(HEAD_FIT_TOLERANCE, trim="-", exp_digits=1)
+    stop = f"gradient norm < {tolerance} or {HEAD_FIT_MAX_ITERATIONS} iterations"
     report = {
         "scenario": spec.scenario_id,
         "seed": seed,
         "fit": {
             "method": "multinomial logistic regression, gradient descent",
-            "stop": "gradient norm < 1e-6 or 5000 iterations",
+            "stop": stop,
             "iterations": decomposition.fit_iterations,
             "grad_norm": decomposition.fit_grad_norm,
             "converged": decomposition.fit_converged,

@@ -11,7 +11,7 @@ so the source and target graphs are drawn concurrently.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .tta import BaseTtaKind, base_predict
 __all__ = [
     "METHOD_NAMES",
     "SWEEP_AXES",
+    "HEAD_FIT_TOLERANCE",
+    "HEAD_FIT_MAX_ITERATIONS",
     "ScenarioSpec",
     "ExperimentReport",
     "GapDecomposition",
@@ -54,6 +56,9 @@ __all__ = [
 METHOD_NAMES = ("erm", "tent", "t3a", "erm+adarc", "tent+adarc", "t3a+adarc")
 SWEEP_AXES = ("shift_level", "lr_epochs", "hops_K", "loss_kind")
 _DEGREE_PRESETS = ("high2low", "low2high")
+#: ``fit_linear_head`` stops below this gradient norm (converged) or at this cap.
+HEAD_FIT_TOLERANCE = 1e-6
+HEAD_FIT_MAX_ITERATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,6 @@ def _config_echo(
     train_config: TrainConfig,
     adapt_config: AdaptConfig,
 ) -> dict:
-    from dataclasses import asdict
-
     return {
         "scenario": asdict(spec),
         "methods": list(methods),
@@ -348,8 +351,6 @@ class GapDecomposition:
     fit_converged: bool
 
     def as_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -358,8 +359,8 @@ def fit_linear_head(
     labels: np.ndarray,
     num_classes: int,
     learning_rate: float = 1.0,
-    max_iterations: int = 5000,
-    tolerance: float = 1e-6,
+    max_iterations: int = HEAD_FIT_MAX_ITERATIONS,
+    tolerance: float = HEAD_FIT_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Multinomial logistic regression on frozen representations.
 
@@ -435,5 +436,5 @@ def decompose_gap(
         acc_target=acc_target,
         fit_iterations=iterations,
         fit_grad_norm=grad_norm,
-        fit_converged=bool(grad_norm < 1e-6),
+        fit_converged=bool(grad_norm < HEAD_FIT_TOLERANCE),
     )

@@ -1,4 +1,4 @@
-"""On-disk formats: dataset directories, model checkpoints, reports.
+"""On-disk formats: dataset directories and reports.
 
 Dataset directory
 -----------------
@@ -15,57 +15,37 @@ widens it into its rows of the N×D f64 matrix, which is allocated once. The
 reader's peak memory is therefore that matrix plus one block; no copy of the
 whole payload is ever held.
 
-Checkpoint (version 2)
-----------------------
-``ADRCM`` magic, u32 version=2, u32 dims (D, H, C, K), the 4-byte mode
-word (the model's ``prop_mode`` in ASCII, ``row`` or ``sym``, then one NUL
-byte), then the parameter arrays as little-endian f32 in declared field
-order (see ``model``). ``running_mean``/``running_var`` are the source
-feature statistics at the restored (best-validation) parameters. Version 1
-files, which had no mode word, are rejected: the Ã normalization their γ
-was trained under is not recorded.
-
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
-padded or non-finite data. Checkpoints hold f32, so ``adapt`` from a loaded
-checkpoint matches in-memory ``adapt`` in accuracy and within 1e-5 in
-probabilities (tested; at most 1e-6 seen at the preset scale).
+padded or non-finite data. The checkpoint format is ``model``'s.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .graph import PROP_MODES, Dataset, build_graph
+from .graph import Dataset, build_graph
 
 __all__ = [
     "FEATURES_MAGIC",
-    "CHECKPOINT_MAGIC",
     "FormatError",
     "read_dataset",
     "write_dataset",
-    "read_checkpoint_arrays",
-    "write_checkpoint_arrays",
     "report_text",
     "write_json_report",
     "write_csv",
 ]
 
 FEATURES_MAGIC = b"ADRC"
-CHECKPOINT_MAGIC = b"ADRCM"
 #: ``features.bin`` header: magic, version, N, D.
 _FEATURES_HEADER = struct.Struct("<4sIII")
 #: Size of the one buffer ``features.bin`` is streamed through (1 MiB of f32).
 _BLOCK_BYTES = 1 << 20
-_CHECKPOINT_VERSION = 2
-#: Checkpoint header: magic, version, dims (D, H, C, K) and the mode word.
-_CHECKPOINT_HEADER = struct.Struct("<5sIIIII4s")
 
 
 class FormatError(ValueError):
@@ -111,12 +91,21 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
         (directory / "masks.csv").write_text("train,val\n" + "".join(lines))
 
 
-def _read_ints(path: Path, **loadtxt_args) -> np.ndarray:
-    """An integer CSV as int64; a value numpy cannot parse is a ``FormatError``."""
+def _read_ints(path: Path, columns: int, **loadtxt_args) -> np.ndarray:
+    """The int64 table of an integer CSV with ``columns`` columns.
+
+    A value numpy cannot parse, or a line with another column count, is a
+    ``FormatError``.
+    """
     try:
-        return np.loadtxt(path, dtype=np.int64, **loadtxt_args)
+        table = np.loadtxt(path, dtype=np.int64, ndmin=2, **loadtxt_args)
     except ValueError as exc:
         raise FormatError(f"{path.name}: {exc}") from exc
+    if table.shape[1] != columns:
+        raise FormatError(
+            f"{path.name}: {table.shape[1]} columns per line, the format has {columns}"
+        )
+    return table
 
 
 def _read_features(path: Path) -> np.ndarray:
@@ -152,7 +141,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     features = _read_features(directory / "features.bin")
     n = features.shape[0]
 
-    labels = _read_ints(directory / "labels.csv", ndmin=1)
+    labels = _read_ints(directory / "labels.csv", 1)[:, 0]
     if labels.shape[0] != n:
         raise FormatError("labels.csv row count does not match features.bin")
     if labels.size and labels.min() < 0:
@@ -161,11 +150,7 @@ def read_dataset(directory: str | Path) -> Dataset:
     edges_path = directory / "edges.csv"
     text = edges_path.read_text().strip()
     if text:
-        edges = _read_ints(edges_path, delimiter=",", ndmin=2)
-        if edges.shape[1] != 2:
-            raise FormatError(
-                f"edges.csv: expected 2 columns per line, found {edges.shape[1]}"
-            )
+        edges = _read_ints(edges_path, 2, delimiter=",")
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
     graph = build_graph(edges, n)
@@ -173,7 +158,13 @@ def read_dataset(directory: str | Path) -> Dataset:
     masks: dict[str, np.ndarray] = {}
     masks_path = directory / "masks.csv"
     if masks_path.exists():
-        table = _read_ints(masks_path, delimiter=",", skiprows=1, ndmin=2)
+        with masks_path.open() as f:
+            header = f.readline().rstrip("\r\n")
+        if header != "train,val":
+            raise FormatError(
+                f"masks.csv: expected header 'train,val', found {header!r}"
+            )
+        table = _read_ints(masks_path, 2, delimiter=",", skiprows=1)
         if table.shape != (n, 2):
             raise FormatError("masks.csv shape does not match node count")
         if not np.isin(table, (0, 1)).all():
@@ -182,52 +173,6 @@ def read_dataset(directory: str | Path) -> Dataset:
 
     num_classes = int(labels.max()) + 1 if labels.size else 0
     return Dataset(graph, features, labels, num_classes, masks)
-
-
-def write_checkpoint_arrays(path: str | Path, model) -> None:
-    """Write a ``GprModel`` as an ``ADRCM`` checkpoint: header, then f32 arrays."""
-    mode = model.prop_mode.encode("ascii")
-    blob = _CHECKPOINT_HEADER.pack(
-        CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, *model.dims, mode
-    )
-    for arr in model.arrays():
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(blob)
-
-
-def read_checkpoint_arrays(
-    path: str | Path, shapes: callable
-) -> tuple[str, list[np.ndarray]]:
-    """Read an ``ADRCM`` checkpoint as (prop_mode, arrays).
-
-    ``shapes`` maps dims (D,H,C,K) to the list of expected array shapes in
-    declared field order.
-    """
-    raw = Path(path).read_bytes()
-    if raw[:5] != CHECKPOINT_MAGIC:
-        raise FormatError(f"checkpoint: bad magic {raw[:5]!r} in {path}")
-    if len(raw) < _CHECKPOINT_HEADER.size:
-        raise FormatError(f"checkpoint: truncated header in {path}")
-    _, version, *dims, mode = _CHECKPOINT_HEADER.unpack_from(raw)
-    if version != _CHECKPOINT_VERSION:
-        raise FormatError(f"checkpoint: unsupported version {version} in {path}")
-    prop_mode = mode.rstrip(b"\0").decode("ascii", "replace")
-    if prop_mode not in PROP_MODES:
-        raise FormatError(f"checkpoint: unknown prop_mode {prop_mode!r} in {path}")
-    expected = _CHECKPOINT_HEADER.size + 4 * sum(math.prod(s) for s in shapes(dims))
-    if len(raw) != expected:
-        raise FormatError(
-            f"checkpoint: expected {expected} bytes, found {len(raw)} in {path}"
-        )
-    values = np.frombuffer(raw, dtype="<f4", offset=_CHECKPOINT_HEADER.size)
-    if not np.isfinite(values).all():
-        raise FormatError(f"checkpoint: non-finite parameter in {path}")
-    arrays, offset = [], 0
-    for shape in shapes(dims):
-        count = math.prod(shape)
-        arrays.append(values[offset : offset + count].reshape(shape).copy())
-        offset += count
-    return prop_mode, arrays
 
 
 def _canonical(obj):

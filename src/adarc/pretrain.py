@@ -6,6 +6,11 @@ that raises the training objective and retries at half the learning rate,
 so the recorded loss history is non-increasing. Early stopping restores
 the best-validation-accuracy checkpoint.
 
+Each epoch is one ``EpochRecord``: the objective, the val accuracy and
+‖∂CE/∂γ‖ (γ is not decayed, so also ‖∂objective/∂γ‖), all from the epoch's
+one forward and backward pass. A rejected row repeats the restored point's
+record with the restored γ.
+
 A rejected step restores exactly the last accepted parameters, so the
 epoch after it would recompute that epoch's featurization, objective,
 gradients and val accuracy bit for bit. It reuses them instead: the retry
@@ -23,19 +28,20 @@ pretraining happened to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import PROP_MODES, Dataset, PropagationOperator
 from .model import (
+    EpochRecord,
     GprModel,
-    aggregate,
+    SoftPrediction,
     backward_ce,
-    classify,
     featurize_hops,
     init_model,
     prediction_accuracy,
+    softmax,
 )
 
 __all__ = ["TrainConfig", "TrainDivergedError", "train_source", "pretrain_on"]
@@ -105,8 +111,8 @@ def train_source(
     dataset: Dataset,
     config: TrainConfig,
     op: PropagationOperator | None = None,
-) -> tuple[GprModel, list[tuple[int, float, float]]]:
-    """Train in place; returns (model, history of (epoch, train_loss, val_acc)).
+) -> tuple[GprModel, list[EpochRecord]]:
+    """Train in place; returns (model, one ``EpochRecord`` per epoch run).
 
     Requires ``train`` and ``val`` masks on the dataset. Deterministic for
     a fixed config and dataset. The returned model holds the best-validation
@@ -120,16 +126,14 @@ def train_source(
         op = PropagationOperator(dataset.graph, config.prop_mode)
     train_mask = dataset.masks["train"]
     val_mask = dataset.masks["val"]
-    labels = dataset.labels
 
     gamma_init_norm = float(np.linalg.norm(model.gamma))
     lr = config.learning_rate
-    history: list[tuple[int, float, float]] = []
+    history: list[EpochRecord] = []
     best_val = -1.0
     # Epoch 0 is always accepted, so this is filled before the loop ends.
     best_state: dict[str, np.ndarray] = {}
     epochs_since_best = 0
-    prev_objective = np.inf
     prev_state: list[np.ndarray] = []
     prev_grads: dict[str, np.ndarray] = {}
     retry = False
@@ -139,34 +143,35 @@ def train_source(
             # The parameters are the last accepted ones again: reuse that
             # epoch's objective, gradients and val accuracy.
             retry = False
-            objective, grads, val_acc = prev_objective, prev_grads, history[-1][2]
+            objective, val_acc = history[-1].loss, history[-1].accuracy
+            grads = prev_grads
         else:
             cache = featurize_hops(model, dataset, op)
-            ce, grads = backward_ce(model, dataset, cache, train_mask, op)
+            ce, grads, logits = backward_ce(model, dataset, cache, train_mask, op)
             objective = _objective(ce, model, config.weight_decay)
             if not np.isfinite(objective):
                 raise TrainDivergedError(
                     f"training objective became non-finite at epoch {epoch}"
                 )
 
-            if objective > prev_objective:
+            if history and objective > history[-1].loss:
                 # Reject the step that produced this higher objective; halve
                 # the rate and continue from the previous parameters.
                 for name, value in zip(_PARAM_NAMES, prev_state):
                     setattr(model, name, value.copy())
                 lr *= 0.5
-                history.append((epoch, prev_objective, history[-1][2]))
+                restored = replace(history[-1], epoch=epoch, gamma=model.gamma.copy())
+                history.append(restored)
                 retry = True
                 epochs_since_best += 1
                 if epochs_since_best > config.patience:
                     break
                 continue
 
-            Z = aggregate(cache, model.gamma, model.scale, model.shift)
-            val_acc = prediction_accuracy(classify(Z, model)[1], labels, val_mask)
+            prediction = SoftPrediction(softmax(logits))
+            val_acc = prediction_accuracy(prediction, dataset.labels, val_mask)
 
-        # Accepted: record metrics at the current parameters, then step.
-        history.append((epoch, objective, val_acc))
+        # Accepted: track the best epoch, step, and record the γ the step leaves.
         if val_acc > best_val:
             best_val = val_acc
             # The cache was built from these W1 and b1, so its statistics
@@ -178,13 +183,17 @@ def train_source(
             epochs_since_best += 1
 
         prev_state = [getattr(model, n).copy() for n in _PARAM_NAMES]
-        prev_objective, prev_grads = objective, grads
+        prev_grads = grads
 
         for name in _PARAM_NAMES:
             grad = grads[name]
             if name in _DECAYED:
                 grad = grad + config.weight_decay * getattr(model, name)
             setattr(model, name, getattr(model, name) - lr * grad)
+        grad_norm = float(np.linalg.norm(grads["gamma"]))
+        history.append(
+            EpochRecord(epoch, objective, val_acc, grad_norm, model.gamma.copy())
+        )
 
         if epochs_since_best > config.patience:
             break
@@ -199,7 +208,7 @@ def train_source(
 
 def pretrain_on(
     dataset: Dataset, config: TrainConfig
-) -> tuple[GprModel, list[tuple[int, float, float]]]:
+) -> tuple[GprModel, list[EpochRecord]]:
     """Initialize a model for ``dataset`` and train it."""
     model = init_model(
         dim=dataset.num_features,

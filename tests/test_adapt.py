@@ -10,8 +10,8 @@ import pytest
 from adarc import (
     AdaptConfig,
     AdaptationDivergedError,
-    AdaptEpochRecord,
     BaseTtaKind,
+    EpochRecord,
     PropagationOperator,
     adapt,
     base_predict,
@@ -80,7 +80,7 @@ def test_trace_contents(tiny_model, tiny_target):
     assert len(result.trace) == 5
     assert [r.epoch for r in result.trace] == list(range(5))
     for record in result.trace:
-        assert isinstance(record, AdaptEpochRecord)
+        assert isinstance(record, EpochRecord)
         assert np.isfinite(record.loss) and np.isfinite(record.grad_norm)
         assert 0.0 <= record.accuracy <= 1.0
         assert record.gamma.shape == tiny_model.gamma.shape
@@ -155,7 +155,7 @@ def test_adapt_config_validation():
 def synthetic_trace(grad_norms, losses=None):
     losses = losses if losses is not None else [0.5] * len(grad_norms)
     return tuple(
-        AdaptEpochRecord(
+        EpochRecord(
             epoch=i,
             loss=float(losses[i]),
             grad_norm=float(g),

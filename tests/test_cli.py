@@ -12,6 +12,7 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +120,8 @@ def test_pretrain_prints_best_val_acc_not_last(workspace, tmp_path, monkeypatch,
 
     def worse_last_epoch(dataset, config):
         model, history = real(dataset, config)
-        seen["history"] = history + [(len(history), history[-1][1], 0.0)]
+        last = replace(history[-1], epoch=len(history), accuracy=0.0)
+        seen["history"] = history + [last]
         return model, seen["history"]
 
     monkeypatch.setattr(cli, "pretrain_on", worse_last_epoch)
@@ -129,7 +131,7 @@ def test_pretrain_prints_best_val_acc_not_last(workspace, tmp_path, monkeypatch,
         "--out", str(tmp_path / "m.ckpt"),
     ])
     assert code == 0
-    best = max(val for _, _, val in seen["history"])
+    best = max(record.accuracy for record in seen["history"])
     assert best > 0.0
     assert f"best-restored val acc {best:.4f})" in capsys.readouterr().out
 
@@ -368,6 +370,16 @@ def _mask_value_2(path: Path) -> None:
     path.write_text("train,val\n2,0\n" + "0,0\n" * (n - 1))
 
 
+def _masks_under_another_header(path: Path) -> None:
+    n = len((path.parent / "labels.csv").read_text().splitlines())
+    path.write_text("val,train\n" + "0,1\n" * n)
+
+
+def _two_column_labels(path: Path) -> None:
+    # Without the check this loads as N×2 and fails later in a broadcast.
+    path.write_text("".join(f"{y} {y}\n" for y in path.read_text().split()))
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -378,6 +390,8 @@ def _mask_value_2(path: Path) -> None:
         ("masks.csv", _mask_value_2),
         ("labels.csv", _fractional_first_label),
         ("edges.csv", _non_integer_edge),
+        ("masks.csv", _masks_under_another_header),
+        ("labels.csv", _two_column_labels),
     ],
     ids=[
         "labels.csv",
@@ -387,6 +401,8 @@ def _mask_value_2(path: Path) -> None:
         "masks.csv-value-2",
         "labels.csv-not-an-integer",
         "edges.csv-not-an-integer",
+        "masks.csv-another-header",
+        "labels.csv-two-columns",
     ],
 )
 def test_adapt_rejects_bad_input_file_with_exit_2(workspace, tmp_path, name, corrupt):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adarc import (
+    BACKEND,
     Graph,
     PropagationOperator,
     build_graph,
@@ -27,6 +28,17 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     upper = rng.random((n, n)) < p
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if upper[u, v]]
     return build_graph(edges, num_nodes=n)
+
+
+def random_pairs_graph(rng: np.random.Generator, n: int, num_pairs: int) -> Graph:
+    # Raw pairs include self-loops and duplicates; build_graph drops them,
+    # and a sparse draw leaves some nodes isolated.
+    return build_graph(rng.integers(0, n, size=(num_pairs, 2)), num_nodes=n)
+
+
+def test_backend_is_scipy():
+    # The benchmark's environment block reports this constant as the backend.
+    assert BACKEND == "scipy"
 
 
 def test_build_graph_csr_matches_dense():
@@ -77,6 +89,34 @@ def test_propagate_transpose_matches_dense_operator(mode):
     np.testing.assert_allclose(
         op.apply(X, transpose=True), P.T @ X, rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propagate_raw_pairs_match_dense_operator(seed):
+    rng = np.random.default_rng(seed)
+    n = 23
+    g = random_pairs_graph(rng, n, num_pairs=30)
+    X = rng.normal(size=(n, 4))
+    for mode in ("row", "sym"):
+        P = dense_propagation(g, mode)
+        op = PropagationOperator(g, mode)
+        np.testing.assert_allclose(op.apply(X), P @ X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            op.apply(X, transpose=True), P.T @ X, rtol=0, atol=1e-12
+        )
+
+
+def test_propagate_isolated_rows_are_exact_zero_and_row_mode_rows_one():
+    # Nodes 0 and 2 are isolated; node 1 has two neighbors.
+    g = build_graph([(1, 3), (1, 4)], num_nodes=5)
+    ones = np.ones((5, 2))
+    for mode in ("row", "sym"):
+        op = PropagationOperator(g, mode)
+        for transpose in (False, True):
+            out = op.apply(ones, transpose=transpose)
+            np.testing.assert_array_equal(out[[0, 2]], 0.0)
+    out = PropagationOperator(g, "row").apply(ones)
+    np.testing.assert_array_equal(out[[1, 3, 4]], 1.0)
 
 
 @pytest.mark.parametrize("mode", ["row", "sym"])
@@ -168,3 +208,16 @@ def test_homophily_against_brute_force():
             assert per_node[u] == pytest.approx(
                 np.mean(labels[nbrs] == labels[u])
             )
+
+
+def test_homophily_equals_neighbor_loop_exactly():
+    rng = np.random.default_rng(7)
+    n = 40
+    g = random_pairs_graph(rng, n, num_pairs=60)
+    labels = rng.integers(0, 3, size=n).astype(np.int64)
+    deg = g.degrees
+    assert (deg == 0).any() and (deg > 0).any()
+    agree = [sum(1.0 for v in g.neighbors(u) if labels[v] == labels[u]) for u in range(n)]
+    expected = [agree[u] / deg[u] if deg[u] > 0 else np.nan for u in range(n)]
+    per_node, _ = node_homophily(g, labels)
+    np.testing.assert_array_equal(per_node, expected)

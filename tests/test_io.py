@@ -194,6 +194,7 @@ def test_read_dataset_rejects_non_finite_features(tmp_path, value):
         ("edges.csv", "0\n1\n2\n3\n"),
         ("masks.csv", "train,val\n2,0\n" + "0,1\n" * (TINY_N - 1)),
         ("labels.csv", "1.5\n" + "0\n" * (TINY_N - 1)),
+        ("labels.csv", "0 0\n" * TINY_N),
         ("edges.csv", "0,1\n0,x\n"),
     ],
     ids=[
@@ -201,6 +202,7 @@ def test_read_dataset_rejects_non_finite_features(tmp_path, value):
         "edges-one-column",
         "masks-value-2",
         "labels-not-an-integer",
+        "labels-two-columns",
         "edges-not-an-integer",
     ],
 )
@@ -211,6 +213,17 @@ def test_read_dataset_rejects_malformed_csv(tmp_path, name, text):
     (tmp_path / "ds" / name).write_text(text)
     with pytest.raises(FormatError, match=name):
         read_dataset(tmp_path / "ds")
+
+
+def test_read_dataset_rejects_masks_under_another_header(tmp_path):
+    # Swapping both columns and the header would otherwise load the column
+    # headed ``val`` as the train mask.
+    write_dataset(attach_split_masks(generate(tiny_params(0.7, seed=31)), seed=5), tmp_path)
+    masks = tmp_path / "masks.csv"
+    rows = [line.split(",") for line in masks.read_text().splitlines()]
+    masks.write_text("".join(f"{b},{a}\n" for a, b in rows))
+    with pytest.raises(FormatError, match="masks.csv: expected header 'train,val'"):
+        read_dataset(tmp_path)
 
 
 def test_dataset_rejects_negative_label():

@@ -232,8 +232,11 @@ def test_backward_ce_matches_finite_differences(tiny_source):
         return -float(np.mean(logp[rows, tiny_source.labels[mask]]))
 
     cache = featurize_hops(model, tiny_source, op)
-    loss, grads = backward_ce(model, tiny_source, cache, mask, op)
+    loss, grads, logits = backward_ce(model, tiny_source, cache, mask, op)
     assert loss == pytest.approx(loss_at(model), rel=1e-10)
+    # The returned logits are classify's, on every node.
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    np.testing.assert_array_equal(logits, classify(Z, model)[0])
 
     for name in ("gamma", "W_cls", "b_cls", "b1"):
         def value(arr, _name=name):

@@ -9,6 +9,7 @@ import pytest
 
 from adarc import (
     BaseTtaKind,
+    EpochRecord,
     PropagationOperator,
     TrainConfig,
     TrainDivergedError,
@@ -19,6 +20,9 @@ from adarc import (
     pretrain_on,
     train_source,
 )
+from adarc import model as model_module
+from adarc import pretrain
+from adarc.model import aggregate, backward_ce, classify
 from adarc.pretrain import gauge_normalize
 
 from conftest import TINY_TRAIN
@@ -56,11 +60,11 @@ def test_history_shape_and_objective_monotone(tiny_source):
     config = replace(TINY_TRAIN, epochs=40, patience=40)
     _, history = pretrain_on(tiny_source, config)
     assert history, "history must be nonempty"
-    epochs, objectives, val_accs = zip(*history)
-    assert list(epochs) == list(range(len(history)))
-    diffs = np.diff(objectives)
+    assert all(isinstance(r, EpochRecord) for r in history)
+    assert [r.epoch for r in history] == list(range(len(history)))
+    diffs = np.diff([r.loss for r in history])
     assert np.all(diffs <= 1e-12), "halve-on-increase keeps the objective non-increasing"
-    assert all(0.0 <= v <= 1.0 for v in val_accs)
+    assert all(0.0 <= r.accuracy <= 1.0 for r in history)
 
 
 def test_early_stopping_restores_best_val(tiny_source):
@@ -68,7 +72,7 @@ def test_early_stopping_restores_best_val(tiny_source):
     model, history = pretrain_on(tiny_source, config)
     assert len(history) < 400, "patience should truncate the run"
     val = accuracy(model, tiny_source, tiny_source.masks["val"])
-    best_in_history = max(v for _, _, v in history)
+    best_in_history = max(r.accuracy for r in history)
     assert val == pytest.approx(best_in_history, abs=1e-12)
 
 
@@ -96,7 +100,12 @@ def test_pretraining_is_deterministic(tiny_source):
     config = replace(TINY_TRAIN, epochs=30, patience=30)
     a, hist_a = pretrain_on(tiny_source, config)
     b, hist_b = pretrain_on(tiny_source, config)
-    assert hist_a == hist_b
+    assert len(hist_a) == len(hist_b)
+    for x, y in zip(hist_a, hist_b):
+        assert (x.epoch, x.loss, x.accuracy, x.grad_norm) == (
+            y.epoch, y.loss, y.accuracy, y.grad_norm
+        )
+        np.testing.assert_array_equal(x.gamma, y.gamma)
     for x, y in zip(a.arrays(), b.arrays()):
         np.testing.assert_array_equal(x, y)
 
@@ -126,7 +135,7 @@ def test_moderately_large_rate_is_rescued_by_halving(tiny_source):
     # a merely-too-big rate must not diverge: rejected steps halve the rate
     config = replace(TINY_TRAIN, learning_rate=20.0, epochs=60, patience=10)
     model, history = pretrain_on(tiny_source, config)
-    objectives = [obj for _, obj, _ in history]
+    objectives = [r.loss for r in history]
     assert np.all(np.diff(objectives) <= 1e-12)
     assert np.all(np.isfinite(objectives))
 
@@ -174,7 +183,7 @@ def retry_rows(history) -> int:
     In a run of equal objectives the first row is evaluated and the rest
     alternate rejection, retry, rejection, ...
     """
-    objectives = [objective for _, objective, _ in history]
+    objectives = [r.loss for r in history]
     retries = run = 0
     for a, b in zip(objectives, objectives[1:]):
         run = run + 1 if a == b else 0
@@ -217,3 +226,85 @@ def test_train_source_stamps_the_configured_prop_mode(tiny_source):
     for mode in ("row", "sym"):
         config = replace(TINY_TRAIN, epochs=2, prop_mode=mode)
         assert pretrain_on(tiny_source, config)[0].prop_mode == mode
+
+
+#: At this rate the tiny source rejects some steps, so a run has rejected
+#: rows and the retries that follow them.
+REJECTING = replace(TINY_TRAIN, learning_rate=20.0, epochs=40, patience=40)
+
+
+def measured_at(start, dataset, config):
+    """(objective, val accuracy, ‖∂CE/∂γ‖) at the parameters of ``start``."""
+    op = PropagationOperator(dataset.graph, config.prop_mode)
+    cache = featurize_hops(start, dataset, op)
+    ce, grads, _ = backward_ce(start, dataset, cache, dataset.masks["train"], op)
+    decay = float((start.W1**2).sum()) + float((start.W_cls**2).sum())
+    objective = ce + 0.5 * config.weight_decay * decay
+    Z = aggregate(cache, start.gamma, start.scale, start.shift)
+    val = prediction_accuracy(classify(Z, start)[1], dataset.labels, dataset.masks["val"])
+    return objective, val, float(np.linalg.norm(grads["gamma"]))
+
+
+def test_history_rows_are_measured_where_each_epoch_started(tiny_source, monkeypatch):
+    starts = []  # the model at each evaluated epoch
+
+    def recording(model, *args):
+        starts.append(model.copy())
+        return backward_ce(model, *args)
+
+    monkeypatch.setattr(pretrain, "backward_ce", recording)
+    _, history = pretrain_on(tiny_source, REJECTING)
+
+    evaluated = iter(starts)
+    accepted = None  # (loss, accuracy, grad_norm, γ) of the last accepted point
+    rejected = 0
+    retry = False
+    for i, row in enumerate(history):
+        assert isinstance(row, EpochRecord) and row.epoch == i
+        if retry:
+            # The retry reuses the restored point and evaluates nothing.
+            retry = False
+            assert (row.loss, row.accuracy, row.grad_norm) == accepted[:3]
+            continue
+        start = next(evaluated)
+        if i:
+            # Each epoch starts from the γ the one before it left.
+            np.testing.assert_array_equal(start.gamma, history[i - 1].gamma)
+        measured = measured_at(start, tiny_source, REJECTING)
+        if accepted is not None and measured[0] > accepted[0]:
+            # Rejected: the row repeats the restored point and carries its γ.
+            rejected += 1
+            retry = True
+            assert (row.loss, row.accuracy, row.grad_norm) == accepted[:3]
+            np.testing.assert_array_equal(row.gamma, accepted[3])
+        else:
+            assert (row.loss, row.accuracy, row.grad_norm) == measured
+            accepted = (*measured, start.gamma)
+    assert next(evaluated, None) is None
+    assert rejected > 0, "no rejected step; the test would be vacuous"
+
+
+def test_train_source_runs_one_forward_pass_per_evaluated_epoch(
+    tiny_source, monkeypatch
+):
+    # Every aggregate is one mix_hops contraction, wherever aggregate was
+    # imported. The val accuracy comes from the backward pass's logits, so an
+    # evaluated epoch aggregates once.
+    counts = {"mix_hops": 0, "backward_ce": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        model_module, "mix_hops", counting("mix_hops", model_module.mix_hops)
+    )
+    monkeypatch.setattr(pretrain, "backward_ce", counting("backward_ce", backward_ce))
+    _, history = pretrain_on(tiny_source, REJECTING)
+    retries = retry_rows(history)
+    assert retries > 0, "no retry after a rejected epoch"
+    assert counts["backward_ce"] == len(history) - retries
+    assert counts["mix_hops"] == counts["backward_ce"]
