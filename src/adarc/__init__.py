@@ -50,11 +50,8 @@ from .losses import (
     LOSS_KINDS,
     DegenerateRepresentationError,
     PicBreakdown,
-    diff_loss,
     entropy_from_logits,
-    pic_grad_z,
     pic_loss,
-    pseudo_from_logits,
     surrogate_loss_and_grad_gamma,
 )
 from .model import (
@@ -131,10 +128,7 @@ __all__ = [
     "DegenerateRepresentationError",
     "PicBreakdown",
     "pic_loss",
-    "pic_grad_z",
-    "diff_loss",
     "entropy_from_logits",
-    "pseudo_from_logits",
     "surrogate_loss_and_grad_gamma",
     # pretrain
     "TrainConfig",

@@ -4,6 +4,13 @@ Each epoch obtains a soft prediction from the base predictor, then takes one
 descent step on γ through the chosen unsupervised surrogate while holding
 that prediction constant. Hop representations are cached up front, so the
 whole run touches the propagation operator exactly once per hop.
+
+For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch
+computes the cache's per-column hop moments once (``HopCache.moments``),
+which give σ² = γᵀS_tγ under whatever scale and shift the epoch holds, so
+the ``theta`` and ``joint`` ablations and ``persist_base_tta`` take the same
+path as ``gamma``. Each epoch then makes one Ŷᵀ·hops contraction for σ²_inter
+and solves the rest in (K+1)-space (see ``losses``).
 """
 
 from __future__ import annotations

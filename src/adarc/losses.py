@@ -10,6 +10,22 @@ All gradients treat the soft prediction Ŷ as a constant (no gradient flows
 through the prediction branch). For the PIC loss this constant-centroid
 gradient equals the full gradient: the centroid paths vanish identically,
 which is exactly what the finite-difference oracle tests certify.
+
+``loss_and_grad_z`` is the Z-space reference. For ``pic`` and ``diff``,
+``surrogate_loss_and_grad_gamma`` never builds Z: with B_k = Ã^k [X̂ | 1] A,
+b̄_k the mean row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic
+form in γ (Fisher's LDA criterion over K+1 hop directions):
+
+- σ² = γᵀ S_t γ, with S_t the Gram matrix of the centered B_k. It does not
+  depend on Ŷ and comes from the hop cache's per-run moments
+  (``HopCache.moments``) under any scale and shift.
+- σ²_inter = Σ_c ‖Σ_k γ_k (Ŷ_cᵀ B_k − W_c b̄_k)‖² / W_c, with W_c = Σ_i Ŷ_ic.
+  Ŷᵀ·hops is the one C×(K+1)×(H+1) contraction over N per call; classes with
+  W_c = 0 are skipped.
+- σ²_intra = σ² − σ²_inter, because the rows of Ŷ sum to 1 (checked at entry).
+
+The γ-gradients are closed-form in (K+1)-space and agree with the Z-space
+reference chained through ``gamma_grad_from_dz`` to round-off.
 """
 
 from __future__ import annotations
@@ -33,12 +49,8 @@ __all__ = [
     "PicBreakdown",
     "DegenerateRepresentationError",
     "pic_loss",
-    "pic_grad_z",
-    "diff_loss",
-    "diff_grad_z",
     "entropy_from_logits",
     "entropy_grad_logits",
-    "pseudo_from_logits",
     "loss_and_grad_z",
     "surrogate_loss_and_grad_gamma",
 ]
@@ -127,19 +139,6 @@ def _pic_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndarr
     return out
 
 
-def pic_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
-    """Analytic ∂L_PIC/∂Z (Ŷ constant; centroid paths vanish identically)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    probs = _as_probs(prediction)
-    return _pic_grad(Z, probs, _variance_terms(Z, probs))
-
-
-def diff_loss(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> float:
-    """Difference-form objective σ²_intra − σ²_inter (unbounded ablation)."""
-    terms = _variance_terms(np.asarray(Z, dtype=np.float64), _as_probs(prediction))
-    return terms.sigma_intra_sq - terms.sigma_inter_sq
-
-
 def _diff_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndarray:
     row_mass = probs.sum(axis=1)[:, None]
     weighted_cent = probs @ terms.centroids
@@ -148,13 +147,6 @@ def _diff_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndar
     d_intra = 2.0 * (Z * row_mass - weighted_cent)
     d_inter = 2.0 * (weighted_cent - row_mass * terms.global_centroid[None, :])
     return d_intra - d_inter
-
-
-def diff_grad_z(Z: np.ndarray, prediction: SoftPrediction | np.ndarray) -> np.ndarray:
-    """Analytic ∂(σ²_intra − σ²_inter)/∂Z with Ŷ constant."""
-    Z = np.asarray(Z, dtype=np.float64)
-    probs = _as_probs(prediction)
-    return _diff_grad(Z, probs, _variance_terms(Z, probs))
 
 
 def entropy_from_logits(logits: np.ndarray) -> float:
@@ -171,13 +163,6 @@ def entropy_grad_logits(logits: np.ndarray) -> np.ndarray:
     probs = np.exp(log_probs)
     row_entropy = -(probs * log_probs).sum(axis=1, keepdims=True)
     return -probs * (log_probs + row_entropy) / n
-
-
-def pseudo_from_logits(
-    logits: np.ndarray, prediction: SoftPrediction | np.ndarray
-) -> float:
-    """Mean cross-entropy against argmax(Ŷ) pseudo-labels (no threshold)."""
-    return cross_entropy(logits, _as_probs(prediction).argmax(axis=1))[0]
 
 
 def loss_and_grad_z(
@@ -209,13 +194,60 @@ def loss_and_grad_z(
     raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
 
 
+def _hop_space_loss_and_grad(
+    kind: str, model: GprModel, cache: HopCache, probs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """``pic`` or ``diff`` at Z = aggregate(cache, γ, scale, shift), from hop moments."""
+    gamma, scale, shift = model.gamma, model.scale, model.shift
+    moments = cache.moments
+    total_grad = moments.total_gram(scale, shift) @ gamma  # S_t γ
+    sigma_sq = float(gamma @ total_grad)
+    n, h = cache.hops.shape[1], scale.shape[0]
+    eps = 1e-12 * n * h
+    if sigma_sq < eps:
+        raise DegenerateRepresentationError(
+            f"total variance {sigma_sq:.3e} below degeneracy threshold {eps:.3e}"
+        )
+
+    weights = probs.sum(axis=0)
+    occupied = np.flatnonzero(weights > 0.0)
+    # Ŷ_cᵀ Ã^k [X̂|1] − W_c·mean_k per occupied class c and hop k, then A applied:
+    # moved[c, k] @ A = Ŷ_cᵀ B_k − W_c b̄_k.
+    moved = np.matmul(probs.T[occupied], cache.hops).transpose(1, 0, 2)
+    moved -= weights[occupied, None, None] * moments.mean[None, :, :]
+    between = moved[:, :, :-1] * scale + moved[:, :, -1:] * shift  # C'×(K+1)×H
+    offsets = np.tensordot(gamma, between, axes=([0], [1]))  # C'×H, W_c(μ_c − z̄)
+    per_mass = offsets / weights[occupied, None]
+    sigma_inter_sq = float((offsets * per_mass).sum())
+    inter_grad = np.tensordot(between, per_mass, axes=([0, 2], [0, 1]))  # S_b γ
+
+    if kind == "pic":
+        # L = 1 − r with r = γᵀS_bγ / γᵀS_tγ, clamped like ``pic_loss``;
+        # ∇L = 2(r·S_tγ − S_bγ)/σ², with r taken directly rather than as 1 − L.
+        ratio = sigma_inter_sq / sigma_sq
+        loss = min(max(1.0 - ratio, 0.0), 1.0)
+        return loss, (2.0 / sigma_sq) * (ratio * total_grad - inter_grad)
+    # σ²_intra − σ²_inter = γᵀ(S_t − 2S_b)γ.
+    return sigma_sq - 2.0 * sigma_inter_sq, 2.0 * total_grad - 4.0 * inter_grad
+
+
 def surrogate_loss_and_grad_gamma(
     kind: str,
     model: GprModel,
     cache: HopCache,
     prediction: SoftPrediction | np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Loss at Z = aggregate(cache, γ, scale, shift) and its analytic γ-gradient."""
+    """Loss at Z = aggregate(cache, γ, scale, shift) and its analytic γ-gradient.
+
+    ``pic`` and ``diff`` are computed in hop space (see the module docstring);
+    ``entropy`` and ``pseudo`` build Z and chain ``loss_and_grad_z`` back
+    through ``gamma_grad_from_dz``. An array ``prediction`` must pass
+    ``SoftPrediction``'s checks: rows that do not sum to 1 are a ValueError.
+    """
+    if not isinstance(prediction, SoftPrediction):
+        prediction = SoftPrediction(np.asarray(prediction, dtype=np.float64))
+    if kind in ("pic", "diff"):
+        return _hop_space_loss_and_grad(kind, model, cache, prediction.probs)
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
     loss, dZ = loss_and_grad_z(kind, Z, prediction, model)
     return loss, gamma_grad_from_dz(cache, dZ, model.scale, model.shift)

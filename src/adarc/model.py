@@ -17,6 +17,12 @@ Every Z is one γ-contraction of the stack followed by one small GEMM, and
 shift reuse the cache, so norm-affine test-time adaptation costs no new
 propagate calls and an entire adaptation run costs exactly K of them.
 
+``HopCache.moments`` (built on first use, two passes over the stack) holds the
+centered per-column cross-moments of the hops. Because A only scales each
+column and adds the ones column, they give the total variance of Z as a
+(K+1)×(K+1) quadratic form in γ under any (scale, shift):
+σ² = γᵀ S_t γ with S_t = ``HopMoments.total_gram(scale, shift)``.
+
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
 are the source statistics that pretraining stores for the checkpoint.
@@ -38,6 +44,7 @@ matches in-memory ``adapt`` in accuracy and within 1e-5 in probabilities
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -52,6 +59,7 @@ __all__ = [
     "EpochRecord",
     "GprModel",
     "HopCache",
+    "HopMoments",
     "SoftPrediction",
     "init_model",
     "featurize_hops",
@@ -70,6 +78,8 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
+#: Rows per block when ``hop_moments`` centers and transposes the stack.
+_MOMENT_BLOCK_ROWS = 256
 
 _CHECKPOINT_MAGIC = b"ADRCM"
 _CHECKPOINT_VERSION = 2
@@ -171,6 +181,52 @@ class SoftPrediction:
         return self.probs.argmax(axis=1)
 
 
+@dataclass(frozen=True)
+class HopMoments:
+    """Centered per-column cross-moments of a hop stack, over its N rows.
+
+    With c_k = Ã^k [X̂ | 1] − 1·``mean[k]`` and H the index of the ones column:
+    ``diag[a, k, l] = Σ_i c_k[i, a] c_l[i, a]`` for every column a ≤ H, and
+    ``cross[a, k, l] = Σ_i c_k[i, a] c_l[i, H] + c_l[i, a] c_k[i, H]`` for a < H.
+    """
+
+    mean: np.ndarray  # (K+1)×(H+1), the mean row of each hop
+    diag: np.ndarray  # (H+1)×(K+1)×(K+1)
+    cross: np.ndarray  # H×(K+1)×(K+1), symmetric in (k, l)
+
+    def total_gram(self, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """S_t with σ² = γᵀ S_t γ for Z = Σ_k γ_k Ã^k [X̂ | 1] A(scale, shift).
+
+        Column a of hop k under A is scale_a·c_k[:, a] + shift_a·c_k[:, H], so
+        S_t = Σ_a scale_a² diag_a + scale_a shift_a cross_a + shift_a² diag_H.
+        """
+        return (
+            np.tensordot(scale * scale, self.diag[:-1], axes=1)
+            + np.tensordot(scale * shift, self.cross, axes=1)
+            + (shift @ shift) * self.diag[-1]
+        )
+
+
+def hop_moments(hops: np.ndarray) -> HopMoments:
+    """``HopMoments`` of a (K+1)×N×(H+1) stack: one pass for the means, one for the rest.
+
+    Each block of rows is centered into a small (H+1)×(K+1)×rows buffer, so
+    the per-column Grams are batched GEMMs and no second N-sized array is held.
+    """
+    k1, n, h1 = hops.shape
+    mean = hops.mean(axis=1)
+    diag = np.zeros((h1, k1, k1))
+    cross = np.zeros((h1 - 1, k1, k1))
+    block = np.empty((h1, k1, min(n, _MOMENT_BLOCK_ROWS)))
+    for start in range(0, n, block.shape[2]):
+        rows = hops[:, start : start + block.shape[2], :]
+        centered = block[:, :, : rows.shape[1]]
+        np.subtract(rows.transpose(2, 0, 1), mean.T[:, :, None], out=centered)
+        diag += centered @ centered.transpose(0, 2, 1)
+        cross += centered[:-1] @ centered[-1].T
+    return HopMoments(mean=mean, diag=diag, cross=cross + cross.transpose(0, 2, 1))
+
+
 @dataclass
 class HopCache:
     """Hops of the pre-affine normalized features and the all-ones column."""
@@ -189,6 +245,11 @@ class HopCache:
     def xhat(self) -> np.ndarray:
         """N×H normalized pre-affine features (a view of hop 0)."""
         return self.hops[0, :, :-1]
+
+    @functools.cached_property
+    def moments(self) -> HopMoments:
+        """Per-column cross-moments of ``hops``, computed once on first use."""
+        return hop_moments(self.hops)
 
     def is_fresh(self, model: GprModel, graph) -> bool:
         """Whether W1, b1 and the graph still equal those the cache was built from."""

@@ -64,14 +64,10 @@ def _erm_predict(model: GprModel, cache: HopCache) -> SoftPrediction:
     return prediction
 
 
-def tent_lite_affine(
+def _tent_lite(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy-minimized (scale, shift) after ``kind.steps`` descent steps.
-
-    Cloned from the model; a step that fails to strictly decrease the mean
-    entropy is reverted and iteration stops early.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tent_lite_affine``'s (scale, shift) and the logits they give."""
     scale = model.scale.copy()
     shift = model.shift.copy()
     mix = mix_hops(cache, model.gamma)
@@ -84,20 +80,32 @@ def tent_lite_affine(
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
         Z = mix @ affine_matrix(new_scale, new_shift)
-        logits = Z @ model.W_cls + model.b_cls[None, :]
-        new_entropy = entropy_from_logits(logits)
+        new_logits = Z @ model.W_cls + model.b_cls[None, :]
+        new_entropy = entropy_from_logits(new_logits)
         if not new_entropy < entropy:
             break
-        scale, shift, entropy = new_scale, new_shift, new_entropy
+        scale, shift, logits, entropy = new_scale, new_shift, new_logits, new_entropy
+    return scale, shift, logits
+
+
+def tent_lite_affine(
+    kind: BaseTtaKind, model: GprModel, cache: HopCache
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy-minimized (scale, shift) after ``kind.steps`` descent steps.
+
+    Cloned from the model; a step that fails to strictly decrease the mean
+    entropy is reverted and iteration stops early.
+    """
+    scale, shift, _ = _tent_lite(kind, model, cache)
     return scale, shift
 
 
 def _tent_predict(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
 ) -> SoftPrediction:
-    scale, shift = tent_lite_affine(kind, model, cache)
-    _, prediction = classify(aggregate(cache, model.gamma, scale, shift), model)
-    return prediction
+    # The logits of the accepted affine are those classify would rebuild.
+    _, _, logits = _tent_lite(kind, model, cache)
+    return SoftPrediction(softmax(logits))
 
 
 def _t3a_predict(

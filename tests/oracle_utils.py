@@ -74,6 +74,41 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
+def extended_variance_ratio(
+    hops: np.ndarray,
+    gamma: np.ndarray,
+    scale: np.ndarray,
+    shift: np.ndarray,
+    probs: np.ndarray,
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(σ², σ²_inter, ∇γσ², ∇γσ²_inter) in extended precision, Ŷ held fixed.
+
+    Builds every hop representation B_k = hops[k]·[diag(scale); shiftᵀ] and
+    Z = Σ_k γ_k B_k in ``np.longdouble``, then differentiates the variances
+    by the product rule: ∂σ²/∂γ_k = 2⟨Z − z̄, B_k − b̄_k⟩ and
+    ∂σ²_inter/∂γ_k = 2 Σ_c W_c (μ_c − z̄)·(Ŷ_cᵀB_k/W_c − b̄_k).
+    """
+    ext = np.longdouble
+    affine = np.vstack([np.diag(scale), shift[None, :]]).astype(ext)
+    B = np.stack([hop.astype(ext) @ affine for hop in hops])
+    Z = np.tensordot(gamma.astype(ext), B, axes=1)
+    P = probs.astype(ext)
+    occupied = P.sum(axis=0) > 0
+    P = P[:, occupied]
+    W = P.sum(axis=0)
+    z_bar = Z.mean(axis=0)
+    b_bar = B.mean(axis=1)
+    offsets = P.T @ Z / W[:, None] - z_bar  # μ_c − z̄
+    total = ((Z - z_bar) ** 2).sum()
+    inter = (W[:, None] * offsets**2).sum()
+    d_total = np.array([2 * ((Z - z_bar) * (Bk - bk)).sum() for Bk, bk in zip(B, b_bar)])
+    d_inter = np.array(
+        [2 * (W[:, None] * offsets * (P.T @ Bk / W[:, None] - bk)).sum()
+         for Bk, bk in zip(B, b_bar)]
+    )
+    return total, inter, d_total, d_inter
+
+
 def dense_adjacency(graph) -> np.ndarray:
     """Dense 0/1 adjacency reconstructed from the CSR arrays."""
     n = graph.num_nodes

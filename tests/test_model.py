@@ -142,6 +142,27 @@ def test_hop_cache_holds_one_stack(tiny_model, tiny_target):
     np.testing.assert_array_equal(cache.hops[0, :, -1], 1.0)
 
 
+def test_hop_moments_give_the_centered_gram(tiny_model, tiny_target):
+    # 320 nodes span a full and a partial block of hop_moments' row blocks.
+    op = PropagationOperator(tiny_target.graph, "sym")
+    cache = featurize_hops(tiny_model, tiny_target, op)
+    rng = np.random.default_rng(7)
+    scale = rng.uniform(0.5, 1.5, size=tiny_model.scale.shape)
+    shift = rng.normal(size=tiny_model.shift.shape)
+    affine = np.vstack([np.diag(scale), shift[None, :]])
+    centered = [hop @ affine - (hop @ affine).mean(axis=0) for hop in cache.hops]
+    expected = np.array([[(a * b).sum() for b in centered] for a in centered])
+    gram = cache.moments.total_gram(scale, shift)
+    np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * abs(expected).max())
+    np.testing.assert_array_equal(cache.moments.mean, cache.hops.mean(axis=1))
+    # The moments are built once and hold nothing N-sized beside the stack.
+    assert cache.moments is cache.moments
+    k1, _, h1 = cache.hops.shape
+    assert cache.moments.mean.shape == (k1, h1)
+    assert cache.moments.diag.shape == (h1, k1, k1)
+    assert cache.moments.cross.shape == (h1 - 1, k1, k1)
+
+
 def test_cache_freshness_fingerprint(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)

@@ -11,6 +11,7 @@ from adarc import (
     StaleCacheError,
     aggregate,
     base_predict,
+    classify,
     featurize_hops,
 )
 from adarc.losses import entropy_from_logits
@@ -103,6 +104,20 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
     before = affine_entropy(tiny_model.scale, tiny_model.shift)
     after = affine_entropy(scale, shift)
     assert after <= before + 1e-12
+
+
+@pytest.mark.parametrize("steps, lr", [(0, 0.05), (3, 0.05), (3, 1e3)])
+def test_tent_prediction_is_classify_of_the_accepted_affine(
+    tiny_model, tiny_target, cache_and_op, steps, lr
+):
+    # The prediction reuses the logits of the affine tent accepted; they must
+    # be the very bits a second aggregate + classify would rebuild.
+    cache, _ = cache_and_op
+    kind = BaseTtaKind("tent", steps=steps, lr=lr)
+    scale, shift = tent_lite_affine(kind, tiny_model, cache)
+    _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
+    tent = base_predict(kind, tiny_model, cache, tiny_target)
+    np.testing.assert_array_equal(tent.probs, expected.probs)
 
 
 def test_tent_does_not_mutate_the_model(tiny_model, tiny_target, cache_and_op):
