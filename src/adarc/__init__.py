@@ -50,7 +50,6 @@ from .losses import (
     LOSS_KINDS,
     DegenerateRepresentationError,
     PicBreakdown,
-    entropy_from_logits,
     pic_loss,
     surrogate_loss_and_grad_gamma,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "DegenerateRepresentationError",
     "PicBreakdown",
     "pic_loss",
-    "entropy_from_logits",
     "surrogate_loss_and_grad_gamma",
     # pretrain
     "TrainConfig",

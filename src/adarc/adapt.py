@@ -5,6 +5,12 @@ descent step on γ through the chosen unsupervised surrogate while holding
 that prediction constant. Hop representations are cached up front, so the
 whole run touches the propagation operator exactly once per hop.
 
+The ``theta`` and ``joint`` ablations and ``persist_base_tta`` (with a
+``tent`` base) also write a norm affine back each epoch, after the γ step.
+Each write-back is ``tta.tent_lite`` under one ``BaseTtaKind``, run in a
+fixed order: first the one-step θ update at ``affine_lr``, then the base
+Tent itself.
+
 For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch
 computes the cache's per-column hop moments once (``HopCache.moments``),
 which give σ² = γᵀS_tγ under whatever scale and shift the epoch holds, so
@@ -29,7 +35,7 @@ from .model import (
     featurize_hops,
     prediction_accuracy,
 )
-from .tta import BaseTtaKind, base_predict, tent_lite_affine
+from .tta import BaseTtaKind, base_predict, tent_lite
 
 __all__ = [
     "AdaptConfig",
@@ -110,9 +116,12 @@ def adapt(
 
     trace: list[EpochRecord] = []
     update_gamma = config.ablation in ("gamma", "joint")
-    update_affine = config.ablation in ("theta", "joint")
-    persist_tent = config.persist_base_tta and config.base.variant == "tent"
-    affine_kind = BaseTtaKind(variant="tent", steps=1, lr=config.affine_lr)
+    # Norm-affine write-backs, in order: the θ step, then the persisted Tent.
+    affine_kinds = []
+    if config.ablation in ("theta", "joint"):
+        affine_kinds.append(BaseTtaKind(variant="tent", steps=1, lr=config.affine_lr))
+    if config.persist_base_tta and config.base.variant == "tent":
+        affine_kinds.append(config.base)
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -134,14 +143,8 @@ def adapt(
         t0 = time.perf_counter()
         if update_gamma:
             model.gamma[:] = model.gamma - config.learning_rate * grad
-        if update_affine:
-            scale, shift = tent_lite_affine(affine_kind, model, cache)
-            model.scale[:] = scale
-            model.shift[:] = shift
-        if persist_tent:
-            scale, shift = tent_lite_affine(config.base, model, cache)
-            model.scale[:] = scale
-            model.shift[:] = shift
+        for kind in affine_kinds:
+            model.scale[:], model.shift[:] = tent_lite(kind, model, cache)[:2]
         stage["update"] += time.perf_counter() - t0
 
         trace.append(

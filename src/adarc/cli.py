@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +355,7 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.axis, args.grid)
     reports = sweep(args.axis, grid, spec, methods, seeds, train_cfg, adapt_cfg)
     out = _require_out(args, "sweep")
-    write_json_report(out, {"axis": args.axis, "reports": [r.as_dict() for r in reports]})
+    write_json_report(out, {"axis": args.axis, "reports": [asdict(r) for r in reports]})
     rows = []
     for report in reports:
         for method in report.methods:

@@ -85,21 +85,11 @@ def _sample_within_pairs(rng: np.random.Generator, m: int, p: float) -> np.ndarr
         return np.zeros((0, 2), dtype=np.int64)
     flat = rng.choice(total, size=count, replace=False)
     # Decode flat index t into (i, j), i < j, under the ordering
-    # t = i*m - i(i+1)/2 + (j - i - 1).
-    i = (
-        m
-        - 2
-        - np.floor(np.sqrt(4.0 * m * (m - 1) - 8.0 * flat - 7.0) / 2.0 - 0.5)
-    ).astype(np.int64)
-    # Float sqrt can land one row off; fix up exactly in integer arithmetic.
-    base = i * m - i * (i + 1) // 2
-    too_high = base > flat
-    i[too_high] -= 1
-    base = i * m - i * (i + 1) // 2
-    too_low = flat - base >= (m - 1 - i)
-    i[too_low] += 1
-    base = i * m - i * (i + 1) // 2
-    j = flat - base + i + 1
+    # t = i*m - i(i+1)/2 + (j - i - 1): row i is the last row start ≤ t.
+    rows = np.arange(m - 1, dtype=np.int64)
+    starts = rows * m - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, flat, side="right") - 1
+    j = flat - starts[i] + i + 1
     return np.column_stack([i, j])
 
 

@@ -102,17 +102,6 @@ class ExperimentReport:
     sd: dict[str, float]
     config: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seeds": list(self.seeds),
-            "methods": list(self.methods),
-            "per_seed": {m: list(v) for m, v in self.per_seed.items()},
-            "mean": dict(self.mean),
-            "sd": dict(self.sd),
-            "config": self.config,
-        }
-
 
 def scenario_seeds(seed: int) -> dict[str, int]:
     """Derived seeds for one scenario run."""
@@ -195,12 +184,11 @@ def _config_echo(
 
 
 def run_scenario(
-    spec: ScenarioSpec | str,
+    spec: ScenarioSpec,
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     train_config: TrainConfig | None = None,
     adapt_config: AdaptConfig | None = None,
-    scenario_id: str | None = None,
 ) -> ExperimentReport:
     """Generate, pretrain, and evaluate every method on the target graph.
 
@@ -210,8 +198,6 @@ def run_scenario(
     which scores the same unadapted base prediction; only plain methods
     without a partner featurize the target (once per seed, shared).
     """
-    if isinstance(spec, str):
-        spec = ScenarioSpec(preset=spec)
     if not methods:
         raise ValueError("methods must be nonempty")
     if not seeds:
@@ -259,7 +245,7 @@ def run_scenario(
         for m, v in per_seed.items()
     }
     return ExperimentReport(
-        scenario=scenario_id or spec.scenario_id,
+        scenario=spec.scenario_id,
         seeds=tuple(seeds),
         methods=tuple(methods),
         per_seed=per_seed,
@@ -299,7 +285,7 @@ def _apply_axis(
 def sweep(
     axis: str,
     grid,
-    spec: ScenarioSpec | str,
+    spec: ScenarioSpec,
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     train_config: TrainConfig | None = None,
@@ -312,8 +298,6 @@ def sweep(
     takes (learning-rate, epochs) pairs; ``hops_K`` re-pretrains with a
     different hop count; ``loss_kind`` switches the surrogate.
     """
-    if isinstance(spec, str):
-        spec = ScenarioSpec(preset=spec)
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -324,16 +308,8 @@ def sweep(
         spec_v, train_v, adapt_v, tag = _apply_axis(
             axis, value, spec, train_config, adapt_config
         )
-        reports.append(
-            run_scenario(
-                spec_v,
-                methods,
-                seeds,
-                train_v,
-                adapt_v,
-                scenario_id=f"{spec.scenario_id}[{tag}]",
-            )
-        )
+        report = run_scenario(spec_v, methods, seeds, train_v, adapt_v)
+        reports.append(replace(report, scenario=f"{spec.scenario_id}[{tag}]"))
     return reports
 
 

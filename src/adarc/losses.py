@@ -11,8 +11,10 @@ through the prediction branch). For the PIC loss this constant-centroid
 gradient equals the full gradient: the centroid paths vanish identically,
 which is exactly what the finite-difference oracle tests certify.
 
-``loss_and_grad_z`` is the Z-space reference. For ``pic`` and ``diff``,
-``surrogate_loss_and_grad_gamma`` never builds Z: with B_k = Ã^k [X̂ | 1] A,
+``loss_and_grad_z`` is the Z-space reference for every kind; its ``entropy``
+branch is also Tent's objective (``tta.tent_lite`` descends it over the norm
+affine). For ``pic`` and ``diff``, ``surrogate_loss_and_grad_gamma`` never
+builds Z: with B_k = Ã^k [X̂ | 1] A,
 b̄_k the mean row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic
 form in γ (Fisher's LDA criterion over K+1 hop directions):
 
@@ -49,8 +51,6 @@ __all__ = [
     "PicBreakdown",
     "DegenerateRepresentationError",
     "pic_loss",
-    "entropy_from_logits",
-    "entropy_grad_logits",
     "loss_and_grad_z",
     "surrogate_loss_and_grad_gamma",
 ]
@@ -72,7 +72,6 @@ class PicBreakdown:
     sigma_sq: float
     centroids: np.ndarray  # C×H; rows of skipped (empty) classes are zero
     global_centroid: np.ndarray  # H
-    class_weights: np.ndarray  # C, Σ_i Ŷ_ic
 
 
 def _as_probs(prediction: SoftPrediction | np.ndarray) -> np.ndarray:
@@ -116,7 +115,6 @@ def _variance_terms(Z: np.ndarray, probs: np.ndarray) -> PicBreakdown:
         sigma_sq=sigma_sq,
         centroids=centroids,
         global_centroid=global_centroid,
-        class_weights=weights,
     )
 
 
@@ -149,32 +147,18 @@ def _diff_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndar
     return d_intra - d_inter
 
 
-def entropy_from_logits(logits: np.ndarray) -> float:
-    """Mean per-row softmax entropy."""
-    log_probs = log_softmax(logits)
-    probs = np.exp(log_probs)
-    return float(-(probs * log_probs).sum(axis=1).mean())
-
-
-def entropy_grad_logits(logits: np.ndarray) -> np.ndarray:
-    """∂(mean entropy)/∂logits = −P ⊙ (log P + H_row) / N."""
-    n = logits.shape[0]
-    log_probs = log_softmax(logits)
-    probs = np.exp(log_probs)
-    row_entropy = -(probs * log_probs).sum(axis=1, keepdims=True)
-    return -probs * (log_probs + row_entropy) / n
-
-
 def loss_and_grad_z(
     kind: str,
     Z: np.ndarray,
-    prediction: SoftPrediction | np.ndarray,
+    prediction: SoftPrediction | np.ndarray | None,
     model: GprModel,
 ) -> tuple[float, np.ndarray]:
     """Loss value and ∂L/∂Z for any surrogate kind.
 
     ``pic`` and ``diff`` act on Z directly; ``entropy`` and ``pseudo`` act
     on classifier logits, chained back through the linear classifier.
+    ``entropy`` (the mean softmax entropy, which Tent also descends) does not
+    read ``prediction``.
     """
     if kind in ("pic", "diff"):
         Z = np.asarray(Z, dtype=np.float64)
@@ -186,8 +170,12 @@ def loss_and_grad_z(
     if kind in ("entropy", "pseudo"):
         logits = Z @ model.W_cls + model.b_cls[None, :]
         if kind == "entropy":
-            loss = entropy_from_logits(logits)
-            dlogits = entropy_grad_logits(logits)
+            # Mean row entropy H̄ and ∂H̄/∂logits = −P ⊙ (log P + H_row)/N.
+            log_probs = log_softmax(logits)
+            probs = np.exp(log_probs)
+            row_entropy = -(probs * log_probs).sum(axis=1)
+            loss = float(row_entropy.mean())
+            dlogits = -probs * (log_probs + row_entropy[:, None]) / logits.shape[0]
         else:
             loss, dlogits = cross_entropy(logits, _as_probs(prediction).argmax(axis=1))
         return loss, dlogits @ model.W_cls.T

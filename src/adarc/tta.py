@@ -1,12 +1,16 @@
 """Base test-time-adaptation predictors, interchangeable inside the outer loop.
 
-``Erm`` is the passthrough (softmax of the classifier's logits). ``TentLite``
-runs a few entropy-minimization gradient steps on the normalization
-scale/shift only, on cloned parameters. ``T3aLite`` classifies by distance
-to per-class prototypes built from the most confident predictions.
+Every variant builds its Z with one routine, ``tent_lite``, and classifies it
+with one ``model.classify``. ``erm`` is the passthrough: softmax of the
+classifier's logits at the model's own norm affine. ``tent`` first takes a
+few steps on the mean prediction entropy, ``loss_and_grad_z("entropy", …)``,
+over cloned scale/shift (Tent's norm-affine-only update); ``adapt`` calls
+``tent_lite`` directly to write that affine back. ``t3a`` classifies by
+distance to per-class prototypes built from the most confident ERM
+predictions, ranked by each node's entropy from classify's logits.
 
 None of the variants mutates γ, and none triggers new propagate calls:
-norm-affine variants rebuild Z from the cache's pre-affine hop stack.
+Z is rebuilt from the cache's pre-affine hop stack.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
+from .losses import loss_and_grad_z
 from .model import (
     GprModel,
     HopCache,
@@ -23,14 +28,13 @@ from .model import (
     StaleCacheError,
     affine_grad_from_dz,
     affine_matrix,
-    aggregate,
     classify,
+    log_softmax,
     mix_hops,
     softmax,
 )
-from .losses import entropy_from_logits, entropy_grad_logits
 
-__all__ = ["BaseTtaKind", "base_predict", "tent_lite_affine"]
+__all__ = ["BaseTtaKind", "base_predict", "tent_lite"]
 
 BASE_TTA_NAMES = ("erm", "tent", "t3a")
 
@@ -57,66 +61,46 @@ class BaseTtaKind:
             raise ValueError("keep_per_class must be >= 1")
 
 
-def _erm_predict(model: GprModel, cache: HopCache) -> SoftPrediction:
-    _, prediction = classify(
-        aggregate(cache, model.gamma, model.scale, model.shift), model
-    )
-    return prediction
-
-
-def _tent_lite(
+def tent_lite(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tent_lite_affine``'s (scale, shift) and the logits they give."""
+    """Entropy-minimized (scale, shift) and the Z = mix_hops(…) @ A they give.
+
+    Takes ``kind.steps`` descent steps on ``loss_and_grad_z("entropy", …)``
+    over clones of the model's affine; a step that fails to strictly decrease
+    the mean entropy is reverted and iteration stops early. Any variant but
+    ``tent`` takes no step, so its Z is the model's own.
+    """
     scale = model.scale.copy()
     shift = model.shift.copy()
     mix = mix_hops(cache, model.gamma)
     Z = mix @ affine_matrix(scale, shift)
-    logits = Z @ model.W_cls + model.b_cls[None, :]
-    entropy = entropy_from_logits(logits)
+    if kind.variant != "tent" or kind.steps == 0:
+        return scale, shift, Z
+    entropy, dZ = loss_and_grad_z("entropy", Z, None, model)
     for _ in range(kind.steps):
-        dZ = entropy_grad_logits(logits) @ model.W_cls.T
         d_scale, d_shift = affine_grad_from_dz(mix, dZ)
+        # Free the N×H gradient before the trial step builds the next one.
+        del dZ
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
-        Z = mix @ affine_matrix(new_scale, new_shift)
-        new_logits = Z @ model.W_cls + model.b_cls[None, :]
-        new_entropy = entropy_from_logits(new_logits)
+        new_Z = mix @ affine_matrix(new_scale, new_shift)
+        new_entropy, dZ = loss_and_grad_z("entropy", new_Z, None, model)
         if not new_entropy < entropy:
             break
-        scale, shift, logits, entropy = new_scale, new_shift, new_logits, new_entropy
-    return scale, shift, logits
-
-
-def tent_lite_affine(
-    kind: BaseTtaKind, model: GprModel, cache: HopCache
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy-minimized (scale, shift) after ``kind.steps`` descent steps.
-
-    Cloned from the model; a step that fails to strictly decrease the mean
-    entropy is reverted and iteration stops early.
-    """
-    scale, shift, _ = _tent_lite(kind, model, cache)
-    return scale, shift
-
-
-def _tent_predict(
-    kind: BaseTtaKind, model: GprModel, cache: HopCache
-) -> SoftPrediction:
-    # The logits of the accepted affine are those classify would rebuild.
-    _, _, logits = _tent_lite(kind, model, cache)
-    return SoftPrediction(softmax(logits))
+        scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy
+    return scale, shift, Z
 
 
 def _t3a_predict(
-    kind: BaseTtaKind, model: GprModel, cache: HopCache
+    kind: BaseTtaKind,
+    model: GprModel,
+    Z: np.ndarray,
+    logits: np.ndarray,
+    prediction: SoftPrediction,
 ) -> SoftPrediction:
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    _, prediction = classify(Z, model)
-    probs = prediction.probs
     hard = prediction.hard
-    log_probs = np.log(np.clip(probs, 1e-300, None))
-    node_entropy = -(probs * log_probs).sum(axis=1)
+    node_entropy = -(prediction.probs * log_softmax(logits)).sum(axis=1)
 
     num_classes = model.W_cls.shape[1]
     prototypes = np.empty((num_classes, Z.shape[1]))
@@ -139,8 +123,8 @@ def base_predict(
     """Algorithm step Ŷ ← BaseTTA(…); never mutates γ or the model."""
     if not cache.is_fresh(model, dataset.graph):
         raise StaleCacheError("hop cache is stale for the current parameters")
-    if kind.variant == "erm":
-        return _erm_predict(model, cache)
-    if kind.variant == "tent":
-        return _tent_predict(kind, model, cache)
-    return _t3a_predict(kind, model, cache)
+    _, _, Z = tent_lite(kind, model, cache)
+    logits, prediction = classify(Z, model)
+    if kind.variant == "t3a":
+        return _t3a_predict(kind, model, Z, logits, prediction)
+    return prediction

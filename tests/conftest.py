@@ -19,7 +19,6 @@ from adarc import (
 TINY_N = 320
 TINY_DIM = 48
 TINY_MU = 0.25  # per-entry class-mean magnitude
-TINY_DELTA = 0.1
 
 TINY_TRAIN = TrainConfig(epochs=150, patience=25, hidden=16, num_hops=5, seed=1)
 

@@ -20,6 +20,7 @@ from adarc import (
     surrogate_loss_and_grad_gamma,
 )
 from adarc.adapt import ABLATION_NAMES
+from adarc.tta import tent_lite
 
 STATIC_PARAMS = ("W1", "b1", "scale", "shift", "W_cls", "b_cls")
 
@@ -130,6 +131,35 @@ def test_persist_base_tta_keeps_tent_affine(tiny_model, tiny_target):
         not np.array_equal(result.model.shift, tiny_model.shift)
     )
     assert changed, "persisted TentLite must write the affine back"
+
+
+def test_affine_write_backs_run_theta_step_then_persisted_tent(tiny_model, tiny_target):
+    # One joint epoch with a persisted Tent is, bit for bit: the γ step, then
+    # the one-step θ update at affine_lr, then the base Tent on top of it.
+    base = BaseTtaKind("tent", steps=2, lr=0.05)
+    config = dict(ablation="joint", persist_base_tta=True, affine_lr=0.02, epochs=1)
+    result, _ = run(tiny_model, tiny_target, base=base, **config)
+
+    probe = tiny_model.copy()
+    cache = featurize_hops(probe, tiny_target, PropagationOperator(tiny_target.graph, "sym"))
+    prediction = base_predict(base, probe, cache, tiny_target)
+    _, grad = surrogate_loss_and_grad_gamma("pic", probe, cache, prediction)
+    probe.gamma[:] = probe.gamma - AdaptConfig().learning_rate * grad
+    theta_step = BaseTtaKind("tent", steps=1, lr=config["affine_lr"])
+
+    def write_backs(kinds):
+        model = probe.copy()
+        for kind in kinds:
+            model.scale[:], model.shift[:] = tent_lite(kind, model, cache)[:2]
+        return model
+
+    expected = write_backs([theta_step, base])
+    for name in ("gamma", "scale", "shift"):
+        np.testing.assert_array_equal(
+            getattr(result.model, name), getattr(expected, name), err_msg=name
+        )
+    swapped = write_backs([base, theta_step])
+    assert not np.array_equal(swapped.scale, expected.scale), "order must matter here"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

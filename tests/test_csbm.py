@@ -115,6 +115,15 @@ def test_scatter_rows_in_place_matches_a_fancy_scatter(perm):
     assert np.array_equal(rows, expected)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 100, 160])
+def test_within_pairs_decode_every_flat_index_once(m):
+    # At p = 1 every flat index is drawn, so the decoded pairs must be each
+    # i < j pair of the block exactly once.
+    pairs = _sample_within_pairs(np.random.default_rng(0), m, 1.0)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    np.testing.assert_array_equal(pairs[order], np.column_stack(np.triu_indices(m, 1)))
+
+
 def test_generated_degree_and_homophily_match_parameters():
     params = CsbmParams(
         n=4000,

@@ -240,7 +240,7 @@ def test_run_scenario_featurizes_for_plain_methods_only_without_partner(
     assert set(report.per_seed) == set(methods)
 
 
-def test_run_scenario_accepts_preset_string():
+def test_run_scenario_reports_the_scenario_id():
     report = run_scenario(
         ScenarioSpec("homo2hetero", n=320, dim=48),
         methods=("erm",),

@@ -14,8 +14,8 @@ from adarc import (
     classify,
     featurize_hops,
 )
-from adarc.losses import entropy_from_logits
-from adarc.tta import BASE_TTA_NAMES, tent_lite_affine
+from adarc.losses import loss_and_grad_z
+from adarc.tta import BASE_TTA_NAMES, tent_lite
 
 
 @pytest.fixture()
@@ -76,12 +76,11 @@ def test_tent_entropy_monotone_in_steps(tiny_model, tiny_target, cache_and_op):
     cache, _ = cache_and_op
     entropies = []
     for steps in (1, 3, 10):
-        scale, shift = tent_lite_affine(
+        scale, shift, _ = tent_lite(
             BaseTtaKind("tent", steps=steps, lr=0.02), tiny_model, cache
         )
         Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        logits = Z @ tiny_model.W_cls + tiny_model.b_cls[None, :]
-        entropies.append(entropy_from_logits(logits))
+        entropies.append(loss_and_grad_z("entropy", Z, None, tiny_model)[0])
     assert entropies[0] >= entropies[1] >= entropies[2]
 
 
@@ -94,10 +93,9 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
 
     def affine_entropy(scale, shift):
         Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        logits = Z @ tiny_model.W_cls + tiny_model.b_cls[None, :]
-        return entropy_from_logits(logits)
+        return loss_and_grad_z("entropy", Z, None, tiny_model)[0]
 
-    scale, shift = tent_lite_affine(
+    scale, shift, _ = tent_lite(
         BaseTtaKind("tent", steps=4, lr=lr), tiny_model, cache
     )
     assert np.all(np.isfinite(scale)) and np.all(np.isfinite(shift))
@@ -110,11 +108,11 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
 def test_tent_prediction_is_classify_of_the_accepted_affine(
     tiny_model, tiny_target, cache_and_op, steps, lr
 ):
-    # The prediction reuses the logits of the affine tent accepted; they must
-    # be the very bits a second aggregate + classify would rebuild.
+    # The prediction classifies the Z of the affine tent accepted; it must be
+    # the very bits a second aggregate + classify would rebuild.
     cache, _ = cache_and_op
     kind = BaseTtaKind("tent", steps=steps, lr=lr)
-    scale, shift = tent_lite_affine(kind, tiny_model, cache)
+    scale, shift, _ = tent_lite(kind, tiny_model, cache)
     _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
     tent = base_predict(kind, tiny_model, cache, tiny_target)
     np.testing.assert_array_equal(tent.probs, expected.probs)
@@ -138,11 +136,11 @@ def test_t3a_probs_follow_prototype_distances(tiny_model, tiny_target, cache_and
     np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
     # reconstruct prototypes with the same rule and verify the soft scores
     from adarc import classify, softmax
+    from adarc.model import log_softmax
 
     Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
-    _, base = classify(Z, tiny_model)
-    probs = np.clip(base.probs, 1e-300, None)
-    node_entropy = -(base.probs * np.log(probs)).sum(axis=1)
+    logits, base = classify(Z, tiny_model)
+    node_entropy = -(base.probs * log_softmax(logits)).sum(axis=1)
     prototypes = []
     for c in range(tiny_target.num_classes):
         members = np.flatnonzero(base.hard == c)
