@@ -20,12 +20,12 @@ from .csbm import (
     PRESET_D,
     PRESET_N,
     PRESETS,
+    CsbmParams,
     attach_split_masks,
     generate,
     preset_params,
 )
 from .graph import Dataset, PropagationOperator
-from .losses import LOSS_KINDS
 from .model import (
     GprModel,
     aggregate,
@@ -35,7 +35,7 @@ from .model import (
     prediction_accuracy,
 )
 from .pretrain import TrainConfig, pretrain_on
-from .tta import BaseTtaKind, base_predict
+from .tta import BASE_TTA_NAMES, BaseTtaKind, base_predict
 
 __all__ = [
     "METHOD_NAMES",
@@ -53,9 +53,8 @@ __all__ = [
     "decompose_gap",
 ]
 
-METHOD_NAMES = ("erm", "tent", "t3a", "erm+adarc", "tent+adarc", "t3a+adarc")
+METHOD_NAMES = BASE_TTA_NAMES + tuple(f"{base}+adarc" for base in BASE_TTA_NAMES)
 SWEEP_AXES = ("shift_level", "lr_epochs", "hops_K", "loss_kind")
-_DEGREE_PRESETS = ("high2low", "low2high")
 #: ``fit_linear_head`` stops below this gradient norm (converged) or at this cap.
 HEAD_FIT_TOLERANCE = 1e-6
 HEAD_FIT_MAX_ITERATIONS = 5000
@@ -63,7 +62,12 @@ HEAD_FIT_MAX_ITERATIONS = 5000
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A named source→target shift scenario."""
+    """A named source→target shift scenario.
+
+    Construction builds the source and target draws' parameters, so an
+    unknown preset, an odd ``n``, an h outside [0, 1] or an infeasible
+    p/q raises here, before anything is drawn.
+    """
 
     preset: str
     attribute_shift: bool = False
@@ -73,10 +77,22 @@ class ScenarioSpec:
     source_d: float | None = None
 
     def __post_init__(self) -> None:
-        if self.preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}"
-            )
+        for role in ("source", "target"):
+            self.params(role, seed=0)
+
+    def params(self, role: str, seed: int) -> CsbmParams:
+        """CSBM parameters of the ``role`` graph; only the source takes ``source_*``."""
+        source = role == "source"
+        return preset_params(
+            self.preset,
+            role,
+            seed=seed,
+            attribute_shift=self.attribute_shift,
+            n=self.n,
+            dim=self.dim,
+            override_d=self.source_d if source else None,
+            override_h=self.source_h if source else None,
+        )
 
     @property
     def scenario_id(self) -> str:
@@ -116,9 +132,8 @@ def scenario_seeds(seed: int) -> dict[str, int]:
 def _parse_method(name: str) -> tuple[str, bool]:
     if name not in METHOD_NAMES:
         raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
-    if name.endswith("+adarc"):
-        return name[: -len("+adarc")], True
-    return name, False
+    base, _, adarc = name.partition("+")
+    return base, bool(adarc)
 
 
 def build_scenario_datasets(
@@ -132,24 +147,8 @@ def build_scenario_datasets(
     this returns, and its exception, if any, is raised here.
     """
     derived = scenario_seeds(seed)
-    source_params = preset_params(
-        spec.preset,
-        "source",
-        seed=derived["source_graph"],
-        attribute_shift=spec.attribute_shift,
-        n=spec.n,
-        dim=spec.dim,
-        override_d=spec.source_d,
-        override_h=spec.source_h,
-    )
-    target_params = preset_params(
-        spec.preset,
-        "target",
-        seed=derived["target_graph"],
-        attribute_shift=spec.attribute_shift,
-        n=spec.n,
-        dim=spec.dim,
-    )
+    source_params = spec.params("source", derived["source_graph"])
+    target_params = spec.params("target", derived["target_graph"])
     if (
         spec.attribute_shift
         and source_params.avg_degree == target_params.avg_degree
@@ -202,8 +201,7 @@ def run_scenario(
         raise ValueError("methods must be nonempty")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    for name in methods:
-        _parse_method(name)
+    parsed = [(name, *_parse_method(name)) for name in methods]
     train_config = train_config or TrainConfig()
     adapt_config = adapt_config or AdaptConfig()
 
@@ -219,12 +217,11 @@ def run_scenario(
             base: adapt(
                 model, target, op, replace(adapt_config, base=BaseTtaKind(base))
             )
-            for base, use_adarc in map(_parse_method, methods)
+            for _, base, use_adarc in parsed
             if use_adarc
         }
         plain_cache = None
-        for name in methods:
-            base, use_adarc = _parse_method(name)
+        for name, base, use_adarc in parsed:
             if use_adarc:
                 acc = prediction_accuracy(adapted[base].prediction, target.labels)
             elif base in adapted:
@@ -264,9 +261,10 @@ def _apply_axis(
 ) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, str]:
     if axis == "shift_level":
         level = float(value)
-        if spec.preset in _DEGREE_PRESETS:
-            return replace(spec, source_d=level), train_config, adapt_config, f"source_d={level:g}"
-        return replace(spec, source_h=level), train_config, adapt_config, f"source_h={level:g}"
+        # PRESETS holds (d, h) per role: sweep d where the preset shifts it, else h.
+        preset = PRESETS[spec.preset]
+        field = "source_d" if preset["source"][0] != preset["target"][0] else "source_h"
+        return replace(spec, **{field: level}), train_config, adapt_config, f"{field}={level:g}"
     if axis == "lr_epochs":
         lr, epochs = value
         new = replace(adapt_config, learning_rate=float(lr), epochs=int(epochs))
@@ -276,8 +274,6 @@ def _apply_axis(
         return spec, replace(train_config, num_hops=k), adapt_config, f"K={k}"
     if axis == "loss_kind":
         kind = str(value)
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}")
         return spec, train_config, replace(adapt_config, loss=kind), f"loss={kind}"
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
@@ -293,21 +289,20 @@ def sweep(
 ) -> list[ExperimentReport]:
     """One ``run_scenario`` report per grid value along the chosen axis.
 
-    ``shift_level`` varies the source homophily (for homophily presets) or
-    source degree (for degree presets) with the target fixed; ``lr_epochs``
-    takes (learning-rate, epochs) pairs; ``hops_K`` re-pretrains with a
-    different hop count; ``loss_kind`` switches the surrogate.
+    ``shift_level`` sets whichever of the source's degree or homophily the
+    preset shifts, with the target fixed; ``lr_epochs`` takes
+    (learning-rate, epochs) pairs; ``hops_K`` re-pretrains with a different
+    hop count; ``loss_kind`` switches the surrogate. Grid values may be
+    strings: every value is converted and its scenario and configs built,
+    and so checked, before the first arm runs.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
     train_config = train_config or TrainConfig()
     adapt_config = adapt_config or AdaptConfig()
+    arms = [_apply_axis(axis, v, spec, train_config, adapt_config) for v in grid]
+    if not arms:
+        raise ValueError("grid must be nonempty")
     reports = []
-    for value in grid:
-        spec_v, train_v, adapt_v, tag = _apply_axis(
-            axis, value, spec, train_config, adapt_config
-        )
+    for spec_v, train_v, adapt_v, tag in arms:
         report = run_scenario(spec_v, methods, seeds, train_v, adapt_v)
         reports.append(replace(report, scenario=f"{spec.scenario_id}[{tag}]"))
     return reports
@@ -325,9 +320,6 @@ class GapDecomposition:
     fit_iterations: int
     fit_grad_norm: float
     fit_converged: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_linear_head(
@@ -386,17 +378,14 @@ def decompose_gap(
     Δ_g = sup_g_acc − acc_target. Both graphs propagate under the model's
     ``prop_mode``.
     """
-    source_op = PropagationOperator(source.graph, model.prop_mode)
-    source_cache = featurize_hops(model, source, source_op)
-    Z_s = aggregate(source_cache, model.gamma, model.scale, model.shift)
-    _, source_pred = classify(Z_s, model)
-    acc_source = prediction_accuracy(source_pred, source.labels)
 
-    target_op = PropagationOperator(target.graph, model.prop_mode)
-    target_cache = featurize_hops(model, target, target_op)
-    Z_t = aggregate(target_cache, model.gamma, model.scale, model.shift)
-    _, target_pred = classify(Z_t, model)
-    acc_target = prediction_accuracy(target_pred, target.labels)
+    def erm(data: Dataset) -> tuple[np.ndarray, float]:
+        op = PropagationOperator(data.graph, model.prop_mode)
+        Z = aggregate(featurize_hops(model, data, op), model.gamma, model.scale, model.shift)
+        return Z, prediction_accuracy(classify(Z, model)[1], data.labels)
+
+    _, acc_source = erm(source)
+    Z_t, acc_target = erm(target)
 
     W, b, iterations, grad_norm = fit_linear_head(
         Z_t, target.labels, target.num_classes

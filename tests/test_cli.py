@@ -507,6 +507,31 @@ def test_sweep_writes_json_and_csv(workspace, tmp_path):
     assert len(csv_lines) == 2
 
 
+@pytest.mark.parametrize(
+    "axis, grid, message",
+    [
+        ("loss_kind", "pic,nosuch", "error: loss must be one of"),
+        ("lr_epochs", "0.1:2,0.1:0", "error: epochs must be >= 1"),
+        ("hops_K", "2,two", "error: invalid literal for int()"),
+    ],
+    ids=["loss-nosuch", "epochs-0", "K-not-a-number"],
+)
+def test_sweep_bad_grid_value_exits_2_before_pretraining(
+    monkeypatch, capsys, tmp_path, axis, grid, message
+):
+    from adarc import cli, harness
+
+    def never(*args):
+        raise AssertionError("sweep pretrained before checking its grid")
+
+    monkeypatch.setattr(harness, "pretrain_on", never)
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--axis", axis, "--grid", grid, "--n", "160", "--dim", "24"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_decompose_cli_identity_and_config_override(tmp_path):
     config = tmp_path / "cfg"
     config.write_text(TINY_TRAIN_CONFIG + "scenario.source_h=0.8\n")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from adarc import (
+    PRESETS,
     AdaptConfig,
     BaseTtaKind,
     GapDecomposition,
@@ -25,6 +26,7 @@ from adarc import (
     fit_linear_head,
     generate,
     preset_params,
+    pretrain_on,
     run_scenario,
     scenario_seeds,
     sweep,
@@ -58,6 +60,28 @@ def test_scenario_spec_validation_and_id():
     assert ScenarioSpec("homo2hetero").scenario_id == "homo2hetero"
     composed = ScenarioSpec("hetero2homo", attribute_shift=True, source_h=0.8)
     assert composed.scenario_id == "hetero2homo+attr+source_h=0.8"
+
+
+@pytest.mark.parametrize(
+    "preset, shape, message",
+    [
+        ("homo2hetero", dict(n=161), "n must be positive and even"),
+        ("homo2hetero", dict(source_h=1.5), "homophily must lie in"),
+        ("high2low", dict(n=8), "infeasible edge probabilities"),
+    ],
+    ids=["odd-n", "source-h-above-1", "high2low-at-n-8"],
+)
+def test_scenario_spec_rejects_an_undrawable_scenario(preset, shape, message):
+    with pytest.raises(ValueError, match=message):
+        ScenarioSpec(preset, **shape)
+
+
+def test_scenario_spec_params_override_the_source_only():
+    spec = ScenarioSpec("high2low", attribute_shift=True, source_d=4.0, n=320, dim=48)
+    source, target = spec.params("source", seed=7), spec.params("target", seed=8)
+    assert (source.avg_degree, source.homophily, source.seed) == (4.0, 0.8, 7)
+    assert (target.avg_degree, target.homophily, target.seed) == (2.0, 0.8, 8)
+    assert not source.delta_mu.any() and target.delta_mu.all()
 
 
 def test_build_datasets_masks_and_determinism():
@@ -259,33 +283,33 @@ def test_run_scenario_validation():
         run_scenario(TINY_SPEC, methods=("erm",), seeds=())
 
 
-def test_sweep_shift_level_homophily():
+@pytest.mark.parametrize(
+    "preset, moved, kept, levels",
+    [
+        ("homo2hetero", "source_h", "source_d", (0.6, 0.9)),
+        ("hetero2homo", "source_h", "source_d", (0.4, 0.1)),
+        ("high2low", "source_d", "source_h", (4.0, 7.5)),
+        ("low2high", "source_d", "source_h", (4.0, 7.5)),
+    ],
+    ids=["homo2hetero", "hetero2homo", "high2low", "low2high"],
+)
+def test_sweep_shift_level_moves_the_shifted_field(preset, moved, kept, levels):
+    # The preset's source and target differ in exactly the moved field.
+    index = ("source_d", "source_h").index(moved)
+    source, target = PRESETS[preset]["source"], PRESETS[preset]["target"]
+    assert source[index] != target[index] and source[1 - index] == target[1 - index]
     reports = sweep(
         "shift_level",
-        (0.6, 0.8),
-        TINY_SPEC,
+        levels,
+        ScenarioSpec(preset, n=320, dim=48),
         methods=("erm",),
         seeds=(0,),
         train_config=TINY_TRAIN,
     )
-    assert [r.scenario for r in reports] == [
-        "homo2hetero[source_h=0.6]",
-        "homo2hetero[source_h=0.8]",
-    ]
-    assert reports[0].config["scenario"]["source_h"] == 0.6
-
-
-def test_sweep_shift_level_degree_preset():
-    reports = sweep(
-        "shift_level",
-        (4.0,),
-        ScenarioSpec("high2low", n=320, dim=48),
-        methods=("erm",),
-        seeds=(0,),
-        train_config=TINY_TRAIN,
-    )
-    assert reports[0].scenario == "high2low[source_d=4]"
-    assert reports[0].config["scenario"]["source_d"] == 4.0
+    assert [r.scenario for r in reports] == [f"{preset}[{moved}={v:g}]" for v in levels]
+    for report, level in zip(reports, levels):
+        assert report.config["scenario"][moved] == level
+        assert report.config["scenario"][kept] is None
 
 
 def test_sweep_lr_epochs_axis():
@@ -329,6 +353,38 @@ def test_sweep_loss_kind_axis():
     assert reports[0].scenario == "homo2hetero[loss=entropy]"
 
 
+@pytest.mark.parametrize(
+    "axis, grid",
+    [
+        ("loss_kind", ("entropy", "nosuch")),
+        ("lr_epochs", ((0.1, 2), (-1.0, 2))),
+        ("lr_epochs", ((0.1, 2), (0.1, 0))),
+        ("hops_K", (2, -1)),
+        ("shift_level", (0.6, 1.5)),
+    ],
+    ids=["loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5"],
+)
+def test_sweep_rejects_a_bad_last_value_before_any_pretraining(monkeypatch, axis, grid):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pretrain_on(*args)
+
+    monkeypatch.setattr(harness, "pretrain_on", counting)
+    with pytest.raises(ValueError):
+        sweep(
+            axis,
+            grid,
+            TINY_SPEC,
+            methods=("erm", "erm+adarc"),
+            seeds=(0, 1),
+            train_config=TINY_TRAIN,
+            adapt_config=TINY_ADAPT,
+        )
+    assert len(calls) == 0
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep("nosuch", (1,), TINY_SPEC)
@@ -369,7 +425,7 @@ def test_decompose_gap_identity_and_fields(tiny_model, tiny_source, tiny_target)
     )
     assert isinstance(gap.fit_converged, bool)
     assert gap.fit_iterations >= 1
-    keys = set(gap.as_dict())
+    keys = {f.name for f in fields(gap)}
     assert {"delta_f", "delta_g", "acc_source", "sup_g_acc", "acc_target"} <= keys
 
 
