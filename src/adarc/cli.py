@@ -2,14 +2,16 @@
 
 Seven subcommands: ``generate``, ``pretrain``, ``adapt``, ``eval``,
 ``sweep``, ``decompose``, ``theory``. Every subcommand takes ``--out``;
-``--seed`` is declared only where it seeds a draw (``generate``,
+``--seed`` (default 0) is declared only where it seeds a draw (``generate``,
 ``pretrain``, ``decompose``, ``theory``) and ``--config FILE`` everywhere
 but ``theory``. FILE holds ``key=value`` lines (``#`` comments allowed).
 Recognized keys use prefixes ``scenario.``, ``train.``, ``adapt.``,
-``base.`` over the corresponding config dataclasses. Each flag
-that sets a run setting names one key (``--lr`` is ``adapt.learning_rate``,
-``--base-tta`` is ``base.variant``) and is merged over the file in one
-place, so flags win; ``--seed`` is ``train.seed`` for ``pretrain``.
+``base.`` over the corresponding config dataclasses. Each flag that sets a
+run setting names one key (``--lr`` is ``adapt.learning_rate``,
+``--base-tta`` is ``base.variant``, ``pretrain --seed`` is ``train.seed``)
+and is merged over the file in one place, so flags win. Every command that
+takes ``--config`` builds every section, so a bad value is an input error
+even in a section the command does not read.
 ``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
 
@@ -21,6 +23,7 @@ measurements are printed to stdout/stderr only, never into ``--out`` files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import textwrap
 from dataclasses import MISSING, asdict, fields, replace
@@ -127,40 +130,38 @@ def _convert(example, text: str, key: str):
         return text
     kind = float if example is None else type(example)
     try:
-        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+        value = _BOOLEANS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         message = f"config key {key}: expected {kind.__name__}, got {text!r}"
         raise ValueError(message) from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config key {key}: expected a finite float, got {text!r}")
+    return value
 
 
-def _apply_prefixed(instance, prefix: str, overrides: dict[str, str]):
-    updates = {}
-    for f in fields(instance):
-        key = f"{prefix}.{f.name}"
-        if key in overrides:
-            current = getattr(instance, f.name)
-            updates[f.name] = _convert(current, overrides[key], key)
-    return replace(instance, **updates) if updates else instance
+def _settings(args) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, dict[str, str]]:
+    """Every section of ``_SECTIONS``, and the merged keys they were built from.
 
-
-def _load_overrides(args) -> dict[str, str]:
-    """The ``--config`` file's keys, then every given flag's key over them."""
+    The ``--config`` file's keys come first and every given flag's key goes
+    over them. Each section is built, and so checked, whether or not the
+    command reads it; ``base`` is nested into the ``AdaptConfig``.
+    """
     overrides = _parse_config_file(args.config) if args.config else {}
     known = _known_keys()
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    flags = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    return overrides | flags
-
-
-def _scenario_from(overrides: dict[str, str]) -> ScenarioSpec:
-    return _apply_prefixed(ScenarioSpec(preset="homo2hetero"), "scenario", overrides)
-
-
-def _adapt_config_from(overrides: dict[str, str]) -> AdaptConfig:
-    base = _apply_prefixed(BaseTtaKind(), "base", overrides)
-    return replace(_apply_prefixed(AdaptConfig(), "adapt", overrides), base=base)
+    overrides |= {k: v for k, v in vars(args).items() if k in known and v is not None}
+    sections = []
+    for prefix, cls in _SECTIONS:
+        values = {}
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            if key in overrides:
+                values[f.name] = _convert(f.default, overrides[key], key)
+        sections.append(cls(**values))
+    spec, train_config, adapt_config, base = sections
+    return spec, train_config, replace(adapt_config, base=base), overrides
 
 
 def _load_model_and_op(
@@ -192,11 +193,9 @@ def _emit(args, report: dict) -> None:
 
 
 def _cmd_generate(args) -> int:
-    overrides = _load_overrides(args)
-    spec = _scenario_from(overrides)
+    spec, _, _, _ = _settings(args)
     out_dir = _require_out(args, "generate")
-    seed = args.seed if args.seed is not None else 0
-    source, target = build_scenario_datasets(spec, seed)
+    source, target = build_scenario_datasets(spec, args.seed)
     roles = ("source", "target") if args.role == "both" else (args.role,)
     for role in roles:
         dataset = source if role == "source" else target
@@ -208,10 +207,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    overrides = _load_overrides(args)
-    if args.seed is not None:
-        overrides["train.seed"] = str(args.seed)
-    config = _apply_prefixed(TrainConfig(), "train", overrides)
+    _, config, _, _ = _settings(args)
     dataset = read_dataset(args.data)
     model, history = pretrain_on(dataset, config)
     out = _require_out(args, "pretrain")
@@ -246,8 +242,7 @@ def _adapt_config_echo(config: AdaptConfig) -> dict:
 
 
 def _cmd_adapt(args) -> int:
-    overrides = _load_overrides(args)
-    config = _adapt_config_from(overrides)
+    _, _, config, overrides = _settings(args)
     dataset = read_dataset(args.data)
     model, op = _load_model_and_op(args, overrides, dataset)
 
@@ -295,7 +290,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    overrides = _load_overrides(args)
+    *_, overrides = _settings(args)
     dataset = read_dataset(args.data)
     model, op = _load_model_and_op(args, overrides, dataset)
     # The ERM prediction: one featurization serves every mask.
@@ -334,10 +329,7 @@ def _parse_grid(axis: str, text: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = _load_overrides(args)
-    spec = _scenario_from(overrides)
-    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
-    adapt_cfg = _adapt_config_from(overrides)
+    spec, train_cfg, adapt_cfg, _ = _settings(args)
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
     seeds = _parse_seeds(args.seeds)
     grid = _parse_grid(args.axis, args.grid)
@@ -361,19 +353,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    overrides = _load_overrides(args)
-    spec = _scenario_from(overrides)
-    train_cfg = _apply_prefixed(TrainConfig(), "train", overrides)
-    seed = args.seed if args.seed is not None else 0
-    source, target = build_scenario_datasets(spec, seed)
-    train_cfg = replace(train_cfg, seed=scenario_seeds(seed)["model"])
+    spec, train_cfg, _, _ = _settings(args)
+    source, target = build_scenario_datasets(spec, args.seed)
+    train_cfg = replace(train_cfg, seed=scenario_seeds(args.seed)["model"])
     model, _ = pretrain_on(source, train_cfg)
     decomposition = decompose_gap(model, source, target)
     tolerance = np.format_float_scientific(HEAD_FIT_TOLERANCE, trim="-", exp_digits=1)
     stop = f"gradient norm < {tolerance} or {HEAD_FIT_MAX_ITERATIONS} iterations"
     report = {
         "scenario": spec.scenario_id,
-        "seed": seed,
+        "seed": args.seed,
         "fit": {
             "method": "multinomial logistic regression, gradient descent",
             "stop": stop,
@@ -413,15 +402,13 @@ def _cmd_theory(args) -> int:
             "delta_mu_norm": args.delta_mu_norm,
         }
     if args.mc_trials:
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(args.seed)
         direction = rng.standard_normal(args.mc_dim)
         mu = args.mu_norm * direction / np.linalg.norm(direction)
         report["monte_carlo"] = {
             "trials": args.mc_trials,
             "dim": args.mc_dim,
-            "accuracy": monte_carlo_accuracy(
-                point, mu, args.mc_trials, args.seed if args.seed is not None else 0
-            ),
+            "accuracy": monte_carlo_accuracy(point, mu, args.mc_trials, args.seed),
         }
     _emit(args, report)
     return 0
@@ -432,7 +419,7 @@ def _add_common(
 ) -> None:
     # A subcommand declares only the flags it reads; any other is an error.
     if seed:
-        parser.add_argument("--seed", type=int, default=None, help="base random seed")
+        parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--out", default=None, help="output path")
     if config:
         parser.add_argument(
@@ -441,7 +428,7 @@ def _add_common(
 
 
 # A flag that sets a config field has that field's key as its dest and keeps
-# its text: _load_overrides merges it over the file and _convert converts both.
+# its text: _settings merges it over the file and _convert converts both.
 # A switch stores the text "true".
 _SWITCH = {"action": "store_const", "const": "true"}
 
@@ -471,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("pretrain", help="train a source model on a dataset directory")
-    _add_common(p)
+    _add_common(p, seed=False)
+    p.add_argument("--seed", dest="train.seed", help="model initialization seed")
     p.add_argument("--data", required=True, help="dataset directory")
     p.set_defaults(func=_cmd_pretrain)
 

@@ -35,7 +35,7 @@ from .model import (
     prediction_accuracy,
 )
 from .pretrain import TrainConfig, pretrain_on
-from .tta import BASE_TTA_NAMES, BaseTtaKind, base_predict
+from .tta import BASE_TTA_NAMES, base_predict
 
 __all__ = [
     "METHOD_NAMES",
@@ -69,7 +69,7 @@ class ScenarioSpec:
     p/q raises here, before anything is drawn.
     """
 
-    preset: str
+    preset: str = "homo2hetero"
     attribute_shift: bool = False
     n: int = PRESET_N
     dim: int = PRESET_D
@@ -186,24 +186,26 @@ def run_scenario(
     spec: ScenarioSpec,
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    train_config: TrainConfig | None = None,
-    adapt_config: AdaptConfig | None = None,
+    train_config: TrainConfig = TrainConfig(),
+    adapt_config: AdaptConfig = AdaptConfig(),
 ) -> ExperimentReport:
     """Generate, pretrain, and evaluate every method on the target graph.
 
-    Target accuracy is measured over all target nodes. One pretrained model
-    per seed is shared by all methods. A plain method whose ``+adarc``
-    partner also runs reads its accuracy from epoch 0 of that run's trace,
-    which scores the same unadapted base prediction; only plain methods
-    without a partner featurize the target (once per seed, shared).
+    Each method's variant comes from its name, and its options from
+    ``adapt_config.base``. Target accuracy is measured over all target nodes.
+    One pretrained model per seed is shared by all methods. A plain method
+    whose ``+adarc`` partner also runs reads its accuracy from epoch 0 of
+    that run's trace, which scores the same unadapted base prediction; only
+    plain methods without a partner featurize the target (once per seed,
+    shared). A repeated method or seed is an error.
     """
-    if not methods:
-        raise ValueError("methods must be nonempty")
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
+    for what, values in (("methods", methods), ("seeds", seeds)):
+        if not values:
+            raise ValueError(f"{what} must be nonempty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{what} must not repeat, got {tuple(values)}")
     parsed = [(name, *_parse_method(name)) for name in methods]
-    train_config = train_config or TrainConfig()
-    adapt_config = adapt_config or AdaptConfig()
+    kinds = {base: replace(adapt_config.base, variant=base) for _, base, _ in parsed}
 
     accs: dict[str, list[float]] = {m: [] for m in methods}
 
@@ -214,9 +216,7 @@ def run_scenario(
 
         op = PropagationOperator(target.graph, model.prop_mode)
         adapted = {
-            base: adapt(
-                model, target, op, replace(adapt_config, base=BaseTtaKind(base))
-            )
+            base: adapt(model, target, op, replace(adapt_config, base=kinds[base]))
             for _, base, use_adarc in parsed
             if use_adarc
         }
@@ -231,7 +231,7 @@ def run_scenario(
             else:
                 if plain_cache is None:
                     plain_cache = featurize_hops(model, target, op)
-                prediction = base_predict(BaseTtaKind(base), model, plain_cache, target)
+                prediction = base_predict(kinds[base], model, plain_cache, target)
                 acc = prediction_accuracy(prediction, target.labels)
             accs[name].append(acc)
 
@@ -252,6 +252,14 @@ def run_scenario(
     )
 
 
+def _whole_number(value, what: str) -> int:
+    """``value`` as an int: 3.0 is 3, and 2.7 is an error, not 2."""
+    number = int(value)
+    if number != float(value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return number
+
+
 def _apply_axis(
     axis: str,
     value,
@@ -266,11 +274,11 @@ def _apply_axis(
         field = "source_d" if preset["source"][0] != preset["target"][0] else "source_h"
         return replace(spec, **{field: level}), train_config, adapt_config, f"{field}={level:g}"
     if axis == "lr_epochs":
-        lr, epochs = value
-        new = replace(adapt_config, learning_rate=float(lr), epochs=int(epochs))
-        return spec, train_config, new, f"lr={float(lr):g},T={int(epochs)}"
+        lr, epochs = float(value[0]), _whole_number(value[1], "epochs")
+        new = replace(adapt_config, learning_rate=lr, epochs=epochs)
+        return spec, train_config, new, f"lr={lr:g},T={epochs}"
     if axis == "hops_K":
-        k = int(value)
+        k = _whole_number(value, "K")
         return spec, replace(train_config, num_hops=k), adapt_config, f"K={k}"
     if axis == "loss_kind":
         kind = str(value)
@@ -284,20 +292,20 @@ def sweep(
     spec: ScenarioSpec,
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    train_config: TrainConfig | None = None,
-    adapt_config: AdaptConfig | None = None,
+    train_config: TrainConfig = TrainConfig(),
+    adapt_config: AdaptConfig = AdaptConfig(),
 ) -> list[ExperimentReport]:
     """One ``run_scenario`` report per grid value along the chosen axis.
 
     ``shift_level`` sets whichever of the source's degree or homophily the
     preset shifts, with the target fixed; ``lr_epochs`` takes
     (learning-rate, epochs) pairs; ``hops_K`` re-pretrains with a different
-    hop count; ``loss_kind`` switches the surrogate. Grid values may be
-    strings: every value is converted and its scenario and configs built,
-    and so checked, before the first arm runs.
+    hop count; ``loss_kind`` switches the surrogate. Epoch and hop counts
+    must be whole numbers. Grid values may be strings: every value is
+    converted and its scenario and configs built, and so checked, before the
+    first arm runs. As in ``run_scenario``, each method's variant comes from
+    its name and its options from ``adapt_config.base``.
     """
-    train_config = train_config or TrainConfig()
-    adapt_config = adapt_config or AdaptConfig()
     arms = [_apply_axis(axis, v, spec, train_config, adapt_config) for v in grid]
     if not arms:
         raise ValueError("grid must be nonempty")

@@ -42,12 +42,14 @@ class TheoryPoint:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.mu_norm < 0:
-            raise ValueError("mu_norm must be >= 0")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        if not 0 <= self.mu_norm < math.inf:
+            raise ValueError("mu_norm must be finite and >= 0")
+        if not 1 <= self.d < math.inf:
+            raise ValueError("d must be finite and >= 1")
         if not 0.0 <= self.h <= 1.0:
             raise ValueError("h must lie in [0, 1]")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
 
 def std_normal_cdf(x: float) -> float:
@@ -107,10 +109,12 @@ def attribute_shift_accuracy(
     Averages the two class-conditional accuracies: ½Φ(x₀+Δx) + ½Φ(x₀−Δx)
     with x₀ the unshifted argument and Δx = √(d/(d+γ²))·|1+γ|·cos_sim·‖Δμ‖.
     The admissible regime is ‖Δμ‖ < |1+γ(2h−1)|/|1+γ|·‖μ‖; outside it the
-    value is still returned but flagged.
+    value is still returned but flagged. ``cos_sim`` must lie in [−1, 1].
     """
-    if delta_mu_norm < 0:
-        raise ValueError("delta_mu_norm must be >= 0")
+    if not 0 <= delta_mu_norm < math.inf:
+        raise ValueError("delta_mu_norm must be finite and >= 0")
+    if not -1.0 <= cos_sim <= 1.0:
+        raise ValueError("cos_sim must lie in [-1, 1]")
     snr = math.sqrt(point.d / (point.d + point.gamma**2))
     coeff = abs(_signal_coefficient(point))
     shift_gain = abs(1.0 + point.gamma)

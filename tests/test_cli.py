@@ -468,6 +468,28 @@ def test_theory_report_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mu-norm", "nan"], "mu_norm must be finite"),
+        (["--d", "inf"], "d must be finite"),
+        (["--gamma", "nan"], "gamma must be finite"),
+        (["--delta-mu-norm", "0.5", "--cos-sim", "5"], "cos_sim must lie in [-1, 1]"),
+        (["--delta-mu-norm", "inf"], "delta_mu_norm must be finite"),
+    ],
+    ids=["mu-norm-nan", "d-inf", "gamma-nan", "cos-sim-5", "delta-mu-norm-inf"],
+)
+def test_theory_rejects_bad_input_with_exit_2(tmp_path, capsys, flags, message):
+    # Written out, NaN and Infinity would not be valid JSON.
+    from adarc import cli
+
+    out = tmp_path / "theory.json"
+    argv = ["theory", "--d", "5", "--h", "0.8", *flags, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--axis", "hops_K", "--grid", "2", "--seed", "1"],
@@ -565,6 +587,7 @@ FLAG_CASES = [
     ("adapt.ablation", "theta", ["--ablation", "joint"], "joint"),
     ("adapt.persist_base_tta", "false", ["--persist-base-tta"], True),
     ("base.variant", "tent", ["--base-tta", "t3a"], "t3a"),
+    ("train.seed", "5", ["--seed", "7"], 7),
 ]
 
 
@@ -592,6 +615,9 @@ def test_flag_beats_the_config_file(
     if section == "scenario":
         monkeypatch.setattr(cli, "build_scenario_datasets", capture)
         argv = ["generate", "--out", str(tmp_path / "data")]
+    elif section == "train":
+        monkeypatch.setattr(cli, "pretrain_on", capture)
+        argv = ["pretrain", "--data", str(workspace["data"] / "source")]
     else:
         monkeypatch.setattr(cli, "adapt", capture)
         argv = [
@@ -600,8 +626,10 @@ def test_flag_beats_the_config_file(
         ]
     with pytest.raises(_Captured):
         cli.main([*argv, "--config", str(config), *flag])
-    # build_scenario_datasets(spec, seed) or adapt(model, dataset, op, config)
-    built = seen[0] if section == "scenario" else seen[3]
+    # build_scenario_datasets(spec, seed), pretrain_on(dataset, config) or
+    # adapt(model, dataset, op, config): the configuration is the last argument
+    # but for build_scenario_datasets.
+    built = seen[0] if section == "scenario" else seen[-1]
     if section == "base":
         built = built.base
     assert getattr(built, name) == expected
@@ -623,24 +651,127 @@ def test_every_dotted_flag_dest_is_a_config_key():
     assert dests == {case[0] for case in FLAG_CASES}
 
 
+#: Paths that are never read: each case fails before any file is opened.
+_ADAPT = ["adapt", "--ckpt", "m.ckpt", "--data", "data"]
+
+
 @pytest.mark.parametrize(
-    "flag, in_file, key",
+    "argv, in_file, message",
     [
-        (["--epochs", "abc"], None, "adapt.epochs"),
-        ([], "adapt.epochs=abc", "adapt.epochs"),
-        ([], "adapt.learning_rate=fast", "adapt.learning_rate"),
+        ([*_ADAPT, "--epochs", "abc"], None, "adapt.epochs: expected int, got 'abc'"),
+        (_ADAPT, "adapt.epochs=abc", "adapt.epochs: expected int, got 'abc'"),
+        (_ADAPT, "adapt.learning_rate=fast", "adapt.learning_rate: expected float"),
+        ([*_ADAPT, "--lr", "nan"], None, "adapt.learning_rate: expected a finite"),
+        (
+            ["pretrain", "--data", "data"],
+            "train.learning_rate=nan",
+            "train.learning_rate: expected a finite float, got 'nan'",
+        ),
+        (
+            ["pretrain", "--data", "data", "--seed", "abc"],
+            None,
+            "train.seed: expected int, got 'abc'",
+        ),
     ],
-    ids=["int-flag", "int-file", "float-file"],
+    ids=[
+        "int-flag", "int-file", "float-file", "nan-flag", "nan-file",
+        "pretrain-seed-not-an-int",
+    ],
 )
-def test_unconvertible_value_exits_2_naming_the_key(tmp_path, capsys, flag, in_file, key):
+def test_unconvertible_value_exits_2_naming_the_key(
+    tmp_path, capsys, argv, in_file, message
+):
+    # A NaN learning rate used to fail mid-run: exit 2 from a prediction
+    # check in adapt, exit 3 as a numerical failure in pretrain.
     from adarc import cli
 
-    argv = ["adapt", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(tmp_path), *flag]
     if in_file:
         (tmp_path / "bad.cfg").write_text(in_file + "\n")
-        argv += ["--config", str(tmp_path / "bad.cfg")]
+        argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
     assert cli.main(argv) == 2
-    assert f"config key {key}: expected" in capsys.readouterr().err
+    assert f"config key {message}" in capsys.readouterr().err
+
+
+#: A bad line for a section the command does not read; sweep reads every
+#: section, and a base option reaches each method's base TTA.
+UNREAD_SECTION_LINES = {
+    "generate": "train.hidden=0",
+    "pretrain": "scenario.n=7",
+    "adapt": "scenario.n=7",
+    "eval": "adapt.epochs=0",
+    "sweep": "base.keep_per_class=0",
+    "decompose": "base.steps=-1",
+}
+
+
+@pytest.mark.parametrize("command, line", UNREAD_SECTION_LINES.items())
+def test_bad_value_in_any_section_exits_2(workspace, tmp_path, capsys, command, line):
+    # Every command that takes --config builds every section from it.
+    from adarc import cli
+
+    data, ckpt = workspace["data"], str(workspace["ckpt"])
+    shape = ["--n", "160", "--dim", "24"]
+    argv = {
+        "generate": shape,
+        "pretrain": ["--data", str(data / "source")],
+        "adapt": ["--ckpt", ckpt, "--data", str(data / "target")],
+        "eval": ["--ckpt", ckpt, "--data", str(data / "target")],
+        "sweep": ["--axis", "hops_K", "--grid", "2", "--seeds", "0", *shape],
+        "decompose": shape,
+    }[command]
+    # Small settings otherwise, so that ignoring the bad line would finish.
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_TRAIN_CONFIG + line + "\n")
+    out = tmp_path / "out"
+    code = cli.main([command, *argv, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_runs_each_base_with_the_configured_options(tmp_path):
+    # Each method's variant comes from its name, its options from base.*.
+    from adarc import (
+        BaseTtaKind,
+        PropagationOperator,
+        ScenarioSpec,
+        TrainConfig,
+        base_predict,
+        build_scenario_datasets,
+        cli,
+        featurize_hops,
+        prediction_accuracy,
+        pretrain_on,
+        scenario_seeds,
+    )
+
+    config = tmp_path / "run.cfg"
+    options = "base.steps=3\nbase.lr=0.5\nbase.keep_per_class=3\n"
+    config.write_text(TINY_TRAIN_CONFIG + options)
+    out = tmp_path / "sweep.json"
+    assert cli.main([
+        "sweep", "--preset", "high2low", "--n", "160", "--dim", "24",
+        "--axis", "loss_kind", "--grid", "pic", "--methods", "tent,t3a",
+        "--seeds", "0", "--config", str(config), "--out", str(out),
+    ]) == 0
+    (report,) = json.loads(out.read_text())["reports"]
+
+    source, target = build_scenario_datasets(
+        ScenarioSpec("high2low", n=160, dim=24), 0
+    )
+    train = TrainConfig(epochs=40, patience=10, hidden=16, num_hops=3)
+    model, _ = pretrain_on(source, replace(train, seed=scenario_seeds(0)["model"]))
+    cache = featurize_hops(model, target, PropagationOperator(target.graph, "sym"))
+    for variant in ("tent", "t3a"):
+        options = BaseTtaKind(variant, steps=3, lr=0.5, keep_per_class=3)
+        expected = prediction_accuracy(
+            base_predict(options, model, cache, target), target.labels
+        )
+        default = prediction_accuracy(
+            base_predict(BaseTtaKind(variant), model, cache, target), target.labels
+        )
+        assert report["per_seed"][variant] == [expected]
+        assert expected != default, "the options must move the accuracy here"
 
 
 # --- the checkpoint carries its propagation mode ---

@@ -264,6 +264,37 @@ def test_run_scenario_featurizes_for_plain_methods_only_without_partner(
     assert set(report.per_seed) == set(methods)
 
 
+def test_run_scenario_runs_each_base_with_the_configured_options():
+    # Each method's variant comes from its name, its options from
+    # adapt_config.base; plain tent reads its +adarc partner's epoch 0.
+    options = BaseTtaKind("tent", steps=3, lr=0.5, keep_per_class=3)
+    adapt_config = replace(TINY_ADAPT, base=options)
+    report = run_scenario(
+        TINY_SPEC,
+        methods=("tent", "tent+adarc", "t3a"),
+        seeds=(0,),
+        train_config=TINY_TRAIN,
+        adapt_config=adapt_config,
+    )
+    source, target = build_scenario_datasets(TINY_SPEC, 0)
+    model, _ = pretrain_on(source, replace(TINY_TRAIN, seed=scenario_seeds(0)["model"]))
+    op = PropagationOperator(target.graph, model.prop_mode)
+    cache = featurize_hops(model, target, op)
+
+    def accuracy(kind):
+        prediction = base_predict(kind, model, cache, target)
+        return prediction_accuracy(prediction, target.labels)
+
+    for variant in ("tent", "t3a"):
+        kind = replace(options, variant=variant)
+        assert report.per_seed[variant] == (accuracy(kind),)
+        # The options move the accuracy here, so dropping them would show.
+        assert accuracy(kind) != accuracy(BaseTtaKind(variant))
+    adapted = adapt(model, target, op, replace(adapt_config, base=options))
+    expected = prediction_accuracy(adapted.prediction, target.labels)
+    assert report.per_seed["tent+adarc"] == (expected,)
+
+
 def test_run_scenario_reports_the_scenario_id():
     report = run_scenario(
         ScenarioSpec("homo2hetero", n=320, dim=48),
@@ -281,6 +312,10 @@ def test_run_scenario_validation():
         run_scenario(TINY_SPEC, methods=(), seeds=(0,))
     with pytest.raises(ValueError):
         run_scenario(TINY_SPEC, methods=("erm",), seeds=())
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        run_scenario(TINY_SPEC, methods=("erm", "erm"), seeds=(0,))
+    with pytest.raises(ValueError, match="seeds must not repeat"):
+        run_scenario(TINY_SPEC, methods=("erm",), seeds=(0, 0))
 
 
 @pytest.mark.parametrize(
@@ -361,8 +396,13 @@ def test_sweep_loss_kind_axis():
         ("lr_epochs", ((0.1, 2), (0.1, 0))),
         ("hops_K", (2, -1)),
         ("shift_level", (0.6, 1.5)),
+        ("hops_K", (2, 2.7)),
+        ("lr_epochs", ((0.1, 2), (0.1, 2.9))),
     ],
-    ids=["loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5"],
+    ids=[
+        "loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5",
+        "K-2.7", "epochs-2.9",
+    ],
 )
 def test_sweep_rejects_a_bad_last_value_before_any_pretraining(monkeypatch, axis, grid):
     calls = []
@@ -382,6 +422,36 @@ def test_sweep_rejects_a_bad_last_value_before_any_pretraining(monkeypatch, axis
             train_config=TINY_TRAIN,
             adapt_config=TINY_ADAPT,
         )
+    assert len(calls) == 0
+
+
+def test_sweep_takes_a_whole_float_count_as_an_int():
+    _, train, _, tag = harness._apply_axis(
+        "hops_K", 3.0, TINY_SPEC, TINY_TRAIN, TINY_ADAPT
+    )
+    assert (train.num_hops, type(train.num_hops), tag) == (3, int, "K=3")
+    _, _, adapt_config, tag = harness._apply_axis(
+        "lr_epochs", (0.1, 3.0), TINY_SPEC, TINY_TRAIN, TINY_ADAPT
+    )
+    assert (adapt_config.epochs, type(adapt_config.epochs)) == (3, int)
+    assert tag == "lr=0.1,T=3"
+
+
+@pytest.mark.parametrize(
+    "methods, seeds",
+    [(("erm", "erm+adarc", "erm"), (0, 1)), (("erm",), (0, 1, 0))],
+    ids=["method-twice", "seed-twice"],
+)
+def test_sweep_rejects_a_repeat_before_any_pretraining(monkeypatch, methods, seeds):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pretrain_on(*args)
+
+    monkeypatch.setattr(harness, "pretrain_on", counting)
+    with pytest.raises(ValueError, match="must not repeat"):
+        sweep("loss_kind", ("pic",), TINY_SPEC, methods, seeds, TINY_TRAIN, TINY_ADAPT)
     assert len(calls) == 0
 
 

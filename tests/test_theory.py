@@ -150,6 +150,12 @@ def test_attribute_shift_regime_flag():
     assert not attribute_shift_accuracy(point, 1.0, 0.81).in_regime
     with pytest.raises(ValueError):
         attribute_shift_accuracy(point, 1.0, -0.1)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta_mu_norm must be finite"):
+            attribute_shift_accuracy(point, 1.0, delta)
+    for cos_sim in (5.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="cos_sim must lie in"):
+            attribute_shift_accuracy(point, cos_sim, 0.5)
 
 
 def test_attribute_shift_always_hurts_within_regime():
@@ -197,6 +203,12 @@ def test_theory_point_validation():
         TheoryPoint(mu_norm=1.0, d=0.2, h=0.5, gamma=0.0)
     with pytest.raises(ValueError):
         TheoryPoint(mu_norm=1.0, d=5.0, h=1.5, gamma=0.0)
+    for field in ("mu_norm", "d", "gamma"):
+        for value in (math.nan, math.inf, -math.inf):
+            values = {"mu_norm": 1.0, "d": 5.0, "h": 0.5, "gamma": 0.0, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TheoryPoint(**values)
+
 
 
 def test_monte_carlo_validation():
