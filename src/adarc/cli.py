@@ -14,6 +14,9 @@ takes ``--config`` builds every section, so a bad value is an input error
 even in a section the command does not read.
 ``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
+``adapt`` featurizes the target twice: once for the pre-adaptation
+prediction, whose hop cache it drops at once, and once inside
+``adapt.adapt``. So it holds the features and one hop stack at a time.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 All output files are byte-deterministic for a fixed seed; wall-clock
@@ -246,8 +249,9 @@ def _cmd_adapt(args) -> int:
     dataset = read_dataset(args.data)
     model, op = _load_model_and_op(args, overrides, dataset)
 
-    before_cache = featurize_hops(model, dataset, op)
-    before = base_predict(config.base, model, before_cache, dataset)
+    # The pre-adaptation cache is dropped before ``adapt`` builds its own, so
+    # the run holds one hop stack at a time.
+    before = base_predict(config.base, model, featurize_hops(model, dataset, op), dataset)
 
     try:
         result = adapt(model, dataset, op, config)

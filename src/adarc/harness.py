@@ -173,12 +173,15 @@ def _config_echo(
     train_config: TrainConfig,
     adapt_config: AdaptConfig,
 ) -> dict:
+    # Each method's name gives its variant, so only the base options are echoed.
+    adapt_echo = asdict(adapt_config)
+    del adapt_echo["base"]["variant"]
     return {
         "scenario": asdict(spec),
         "methods": list(methods),
         "seeds": list(seeds),
         "train": asdict(train_config),
-        "adapt": asdict(adapt_config),
+        "adapt": adapt_echo,
     }
 
 
@@ -234,6 +237,8 @@ def run_scenario(
                 prediction = base_predict(kinds[base], model, plain_cache, target)
                 acc = prediction_accuracy(prediction, target.labels)
             accs[name].append(acc)
+        # Release this seed's graphs, model and caches before the next seed draws.
+        del source, target, model, op, adapted, plain_cache
 
     per_seed = {m: tuple(v) for m, v in accs.items()}
     mean = {m: float(np.mean(v)) for m, v in per_seed.items()}

@@ -12,9 +12,10 @@ gradient equals the full gradient: the centroid paths vanish identically,
 which is exactly what the finite-difference oracle tests certify.
 
 ``loss_and_grad_z`` is the Z-space reference for every kind; its ``entropy``
-branch is also Tent's objective (``tta.tent_lite`` descends it over the norm
-affine). For ``pic`` and ``diff``, ``surrogate_loss_and_grad_gamma`` never
-builds Z: with B_k = Ã^k [X̂ | 1] A,
+branch is also Tent's objective. ``tta.tent_lite`` descends it over the norm
+affine through its two halves, ``_entropy_terms`` and ``_entropy_grad_z``, so
+a trial step computes no gradient. For ``pic`` and ``diff``,
+``surrogate_loss_and_grad_gamma`` never builds Z: with B_k = Ã^k [X̂ | 1] A,
 b̄_k the mean row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic
 form in γ (Fisher's LDA criterion over K+1 hop directions):
 
@@ -147,6 +148,21 @@ def _diff_grad(Z: np.ndarray, probs: np.ndarray, terms: PicBreakdown) -> np.ndar
     return d_intra - d_inter
 
 
+def _entropy_terms(Z: np.ndarray, model: GprModel) -> tuple[float, tuple]:
+    """Mean row entropy H̄ of Z's logits, and the N×C terms its gradient reads."""
+    log_probs = log_softmax(Z @ model.W_cls + model.b_cls[None, :])
+    probs = np.exp(log_probs)
+    row_entropy = -(probs * log_probs).sum(axis=1)
+    return float(row_entropy.mean()), (probs, log_probs, row_entropy)
+
+
+def _entropy_grad_z(terms: tuple, model: GprModel) -> np.ndarray:
+    """∂H̄/∂Z from ``_entropy_terms``: ∂H̄/∂logits = −P ⊙ (log P + H_row)/N."""
+    probs, log_probs, row_entropy = terms
+    dlogits = -probs * (log_probs + row_entropy[:, None]) / probs.shape[0]
+    return dlogits @ model.W_cls.T
+
+
 def loss_and_grad_z(
     kind: str,
     Z: np.ndarray,
@@ -167,17 +183,12 @@ def loss_and_grad_z(
         if kind == "pic":
             return terms.loss, _pic_grad(Z, probs, terms)
         return terms.sigma_intra_sq - terms.sigma_inter_sq, _diff_grad(Z, probs, terms)
-    if kind in ("entropy", "pseudo"):
+    if kind == "entropy":
+        loss, terms = _entropy_terms(Z, model)
+        return loss, _entropy_grad_z(terms, model)
+    if kind == "pseudo":
         logits = Z @ model.W_cls + model.b_cls[None, :]
-        if kind == "entropy":
-            # Mean row entropy H̄ and ∂H̄/∂logits = −P ⊙ (log P + H_row)/N.
-            log_probs = log_softmax(logits)
-            probs = np.exp(log_probs)
-            row_entropy = -(probs * log_probs).sum(axis=1)
-            loss = float(row_entropy.mean())
-            dlogits = -probs * (log_probs + row_entropy[:, None]) / logits.shape[0]
-        else:
-            loss, dlogits = cross_entropy(logits, _as_probs(prediction).argmax(axis=1))
+        loss, dlogits = cross_entropy(logits, _as_probs(prediction).argmax(axis=1))
         return loss, dlogits @ model.W_cls.T
     raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
 

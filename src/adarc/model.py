@@ -23,6 +23,16 @@ column and adds the ones column, they give the total variance of Z as a
 (K+1)×(K+1) quadratic form in γ under any (scale, shift):
 σ² = γᵀ S_t γ with S_t = ``HopMoments.total_gram(scale, shift)``.
 
+Memory budget: a run holds its feature matrices and one hop stack, 13.2 MB
+at N=5000, H=32, K=9. Every other N-sized array is transient and lives inside
+one call: ``featurize_hops`` builds X W1 + b1, normalizes it into hop 0 in
+place and copies each hop's propagate output into its slot; ``backward_ce``
+holds Z until the classifier gradients, then ∂L/∂Z, the Horner accumulator
+with one scratch array and the propagate output, and turns the accumulator
+into ∂L/∂(X W1 + b1) in place. Callers keep one cache at a time:
+``train_source`` drops each epoch's stack before it builds the next, and
+``adarc adapt`` drops its pre-adaptation stack before ``adapt`` builds its own.
+
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
 are the source statistics that pretraining stores for the checkpoint.
@@ -307,7 +317,10 @@ def featurize_hops(
     # With the features on the right the GEMM reads X in its stored layout,
     # which OpenBLAS 0.3.31 runs faster and to the same bits as X @ W1. ``pre``
     # must be C-ordered, or mean/var would sum in another order.
-    pre = np.ascontiguousarray((model.W1.T @ dataset.features.T).T) + model.b1[None, :]
+    # The N×H intermediates are updated in place, to the same bits as the
+    # out-of-place forms.
+    pre = np.ascontiguousarray((model.W1.T @ dataset.features.T).T)
+    pre += model.b1
     mean = pre.mean(axis=0)
     var = pre.var(axis=0)
     std = np.sqrt(var + BN_EPS)
@@ -317,7 +330,10 @@ def featurize_hops(
     # Propagate the normalized features and the all-ones column together so
     # the whole cache costs exactly K propagate calls.
     stack = np.empty((k + 1, n, h + 1))
-    np.divide(pre - mean[None, :], std[None, :], out=stack[0, :, :h])
+    xhat = stack[0, :, :h]
+    np.subtract(pre, mean, out=xhat)
+    del pre
+    xhat /= std
     stack[0, :, h] = 1.0
     for step in range(1, k + 1):
         stack[step] = op.apply(stack[step - 1])
@@ -433,26 +449,32 @@ def backward_ce(
     dlogits[rows] = masked_dlogits
 
     grad_W_cls = Z.T @ dlogits
+    del Z
     grad_b_cls = dlogits.sum(axis=0)
     dZ = dlogits @ model.W_cls.T
 
     grad_gamma = gamma_grad_from_dz(cache, dZ, model.scale, model.shift)
 
-    # ∂L/∂H^(0) via Horner: G = Σ_k γ_k (Ãᵀ)^k dZ.
+    # ∂L/∂H^(0) via Horner: G = Σ_k γ_k (Ãᵀ)^k dZ. The N×H updates below are
+    # in place, to the same bits as the out-of-place forms.
     k = model.num_hops
     G = model.gamma[k] * dZ
+    scratch = np.empty_like(dZ)
     for step in range(k - 1, -1, -1):
-        G = op.apply(G, transpose=True) + model.gamma[step] * dZ
+        G = op.apply(G, transpose=True)
+        G += np.multiply(model.gamma[step], dZ, out=scratch)
+    del scratch
 
     xhat = cache.xhat
     grad_scale = (xhat * G).sum(axis=0)
     grad_shift = G.sum(axis=0)
-    d_xhat = G * model.scale[None, :]
-    mean_d = d_xhat.mean(axis=0)
-    mean_dx = (d_xhat * xhat).mean(axis=0)
-    d_pre = (
-        d_xhat - mean_d[None, :] - xhat * mean_dx[None, :]
-    ) / cache.used_std[None, :]
+    d_pre = G  # d_xhat first, then ∂L/∂pre
+    d_pre *= model.scale
+    mean_d = d_pre.mean(axis=0)
+    mean_dx = (d_pre * xhat).mean(axis=0)
+    d_pre -= mean_d
+    d_pre -= xhat * mean_dx
+    d_pre /= cache.used_std
 
     # Features on the right, as in featurize_hops (same bits as Xᵀ @ d_pre).
     grad_W1 = (d_pre.T @ dataset.features).T

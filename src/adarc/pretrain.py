@@ -17,6 +17,10 @@ gradients and val accuracy bit for bit. It reuses them instead: the retry
 costs no propagate call and no pass over the features, and it still
 records its own history row and counts toward patience.
 
+An epoch's hop stack is dropped once its backward pass is done; only its
+normalization mean and variance are kept, for the best epoch's running
+statistics. So training holds one stack at a time (see ``model``).
+
 After restoring, the hop-weight vector is gauge-normalized: logits are
 invariant under γ → γ/c, W_cls → c·W_cls, and cross-entropy training
 drifts γ to large norms (the bilinear dynamics approximately conserve
@@ -148,6 +152,9 @@ def train_source(
         else:
             cache = featurize_hops(model, dataset, op)
             ce, grads, logits = backward_ce(model, dataset, cache, train_mask, op)
+            # Keep only the statistics; the stack goes before the next one is built.
+            stats = {"running_mean": cache.mean, "running_var": cache.var}
+            del cache
             objective = _objective(ce, model, config.weight_decay)
             if not np.isfinite(objective):
                 raise TrainDivergedError(
@@ -177,7 +184,7 @@ def train_source(
             # The cache was built from these W1 and b1, so its statistics
             # are the source statistics that belong with them.
             best_state = {n: getattr(model, n).copy() for n in _PARAM_NAMES}
-            best_state.update(running_mean=cache.mean, running_var=cache.var)
+            best_state.update(stats)
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -50,6 +50,10 @@ class TheoryPoint:
             raise ValueError("h must lie in [0, 1]")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
+        try:
+            self.gamma**2
+        except OverflowError:
+            raise ValueError(f"gamma={self.gamma!r} is too large: gamma**2 overflows") from None
 
 
 def std_normal_cdf(x: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .losses import loss_and_grad_z
+from .losses import _entropy_grad_z, _entropy_terms
 from .model import (
     GprModel,
     HopCache,
@@ -77,15 +77,15 @@ def tent_lite(
     Z = mix @ affine_matrix(scale, shift)
     if kind.variant != "tent" or kind.steps == 0:
         return scale, shift, Z
-    entropy, dZ = loss_and_grad_z("entropy", Z, None, model)
+    # A trial reads only the entropy; its N×H gradient is built only for a
+    # next step, from the accepted point's N×C terms.
+    entropy, terms = _entropy_terms(Z, model)
     for _ in range(kind.steps):
-        d_scale, d_shift = affine_grad_from_dz(mix, dZ)
-        # Free the N×H gradient before the trial step builds the next one.
-        del dZ
+        d_scale, d_shift = affine_grad_from_dz(mix, _entropy_grad_z(terms, model))
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
         new_Z = mix @ affine_matrix(new_scale, new_shift)
-        new_entropy, dZ = loss_and_grad_z("entropy", new_Z, None, model)
+        new_entropy, terms = _entropy_terms(new_Z, model)
         if not new_entropy < entropy:
             break
         scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy

@@ -473,10 +473,16 @@ def test_theory_report_and_determinism(tmp_path):
         (["--mu-norm", "nan"], "mu_norm must be finite"),
         (["--d", "inf"], "d must be finite"),
         (["--gamma", "nan"], "gamma must be finite"),
+        # Finite, but gamma**2 overflows: an input error, not a numerical failure.
+        (["--gamma", "1e200"], "gamma=1e+200 is too large"),
+        (["--gamma=-1e200"], "gamma=-1e+200 is too large"),
         (["--delta-mu-norm", "0.5", "--cos-sim", "5"], "cos_sim must lie in [-1, 1]"),
         (["--delta-mu-norm", "inf"], "delta_mu_norm must be finite"),
     ],
-    ids=["mu-norm-nan", "d-inf", "gamma-nan", "cos-sim-5", "delta-mu-norm-inf"],
+    ids=[
+        "mu-norm-nan", "d-inf", "gamma-nan", "gamma-1e200", "gamma-minus-1e200",
+        "cos-sim-5", "delta-mu-norm-inf",
+    ],
 )
 def test_theory_rejects_bad_input_with_exit_2(tmp_path, capsys, flags, message):
     # Written out, NaN and Infinity would not be valid JSON.
@@ -755,6 +761,8 @@ def test_sweep_runs_each_base_with_the_configured_options(tmp_path):
         "--seeds", "0", "--config", str(config), "--out", str(out),
     ]) == 0
     (report,) = json.loads(out.read_text())["reports"]
+    # The echo holds the base options; each method's name gives its variant.
+    assert report["config"]["adapt"]["base"] == {"steps": 3, "lr": 0.5, "keep_per_class": 3}
 
     source, target = build_scenario_datasets(
         ScenarioSpec("high2low", n=160, dim=24), 0

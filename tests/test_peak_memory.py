@@ -1,0 +1,105 @@
+"""Peak-memory budgets: a run holds its feature matrices plus one hop stack.
+
+Each bound is in units of the run's own arrays: the feature matrix, the
+(K+1)×N×(H+1) hop stack and "columns", N×(H+1) f64 arrays. The slack above
+the budget comes from the traced peaks measured at these sizes (numpy 2.4.6),
+written next to each bound; each bound is below the peak of a run that holds a
+second stack or a second seed's data.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tracemalloc
+
+import pytest
+
+from adarc import (
+    ScenarioSpec,
+    TrainConfig,
+    build_scenario_datasets,
+    cli,
+    init_model,
+    pretrain_on,
+    run_scenario,
+    save_checkpoint,
+    train_source,
+    write_dataset,
+)
+
+N, D, H, K = 2000, 16, 32, 9
+COLUMN = N * (H + 1) * 8
+STACK = (K + 1) * COLUMN
+FEATURES = N * D * 8
+TRAIN = TrainConfig(epochs=5, patience=5, hidden=H, num_hops=K, learning_rate=2.0, seed=1)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def high2low():
+    """(source with masks, target) of one high2low seed at N=2000, D=16."""
+    return build_scenario_datasets(ScenarioSpec("high2low", n=N, dim=D), 0)
+
+
+@pytest.fixture(scope="module")
+def adapt_inputs(high2low, tmp_path_factory):
+    """A directory holding a pretrained ``model.ckpt`` and the ``target`` dataset."""
+    source, target = high2low
+    root = tmp_path_factory.mktemp("peak")
+    model, _ = pretrain_on(source, TRAIN)
+    save_checkpoint(model, root / "model.ckpt")
+    write_dataset(target, root / "target")
+    return root
+
+
+@pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
+def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
+    argv = [
+        "adapt", "--ckpt", str(adapt_inputs / "model.ckpt"),
+        "--data", str(adapt_inputs / "target"), "--base-tta", variant,
+        "--out", str(adapt_inputs / f"{variant}.json"),
+    ]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0, sink.getvalue()
+    # Measured above features + one stack: 2.9 (erm), 4.9 (tent) and 4.1 (t3a)
+    # columns; 13.0 to 15.0 while the pre-adaptation stack was still held.
+    assert peak <= FEATURES + STACK + 6 * COLUMN
+
+
+def test_train_source_holds_one_stack(high2low):
+    source, _ = high2low
+    model = init_model(D, H, source.num_classes, K, seed=TRAIN.seed)
+    (_, history), peak = traced_peak(lambda: train_source(model, source, TRAIN))
+    assert len(history) == TRAIN.epochs
+    # Measured above one stack: 5.1 columns, 4.1 of them backward_ce's scratch;
+    # 13.2 while the previous epoch's stack was still held.
+    assert peak <= STACK + 6 * COLUMN
+
+
+def test_run_scenario_releases_each_seed_before_the_next():
+    spec = ScenarioSpec("homo2hetero", n=200, dim=2000)
+    train = TrainConfig(epochs=2, patience=2, hidden=8, num_hops=2)
+
+    def run(seeds):
+        report, peak = traced_peak(
+            lambda: run_scenario(spec, ("erm", "erm+adarc"), seeds, train)
+        )
+        assert len(report.per_seed["erm+adarc"]) == len(seeds)
+        return peak
+
+    one, three = run((0,)), run((0, 1, 2))
+    # Measured: 7.01 MB for both (a 3.05 MB feature matrix per graph); holding
+    # the previous seed's graphs while the next one drew read 12.76 MB.
+    assert three <= one + spec.n * spec.dim * 8 // 4

@@ -14,7 +14,9 @@ from adarc import (
     classify,
     featurize_hops,
 )
+from adarc import tta
 from adarc.losses import loss_and_grad_z
+from adarc.model import affine_grad_from_dz, affine_matrix, mix_hops
 from adarc.tta import BASE_TTA_NAMES, tent_lite
 
 
@@ -116,6 +118,38 @@ def test_tent_prediction_is_classify_of_the_accepted_affine(
     _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
     tent = base_predict(kind, tiny_model, cache, tiny_target)
     np.testing.assert_array_equal(tent.probs, expected.probs)
+
+
+@pytest.mark.parametrize("steps, lr", [(1, 0.05), (3, 0.05), (4, 1e3)])
+def test_tent_builds_a_gradient_only_for_a_step_it_tries(
+    tiny_model, cache_and_op, monkeypatch, steps, lr
+):
+    # Reference: every trial takes its entropy and gradient from
+    # loss_and_grad_z. tent_lite must return the same bits while building one
+    # gradient per step it tries and none after the last trial.
+    cache, _ = cache_and_op
+    mix = mix_hops(cache, tiny_model.gamma)
+    scale, shift = tiny_model.scale, tiny_model.shift
+    Z = mix @ affine_matrix(scale, shift)
+    entropy, dZ = loss_and_grad_z("entropy", Z, None, tiny_model)
+    tried = 0
+    for _ in range(steps):
+        tried += 1
+        d_scale, d_shift = affine_grad_from_dz(mix, dZ)
+        new_scale, new_shift = scale - lr * d_scale, shift - lr * d_shift
+        new_Z = mix @ affine_matrix(new_scale, new_shift)
+        new_entropy, dZ = loss_and_grad_z("entropy", new_Z, None, tiny_model)
+        if not new_entropy < entropy:
+            break
+        scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy
+
+    calls = []
+    grad_z = tta._entropy_grad_z
+    monkeypatch.setattr(tta, "_entropy_grad_z", lambda *a: calls.append(a) or grad_z(*a))
+    got = tent_lite(BaseTtaKind("tent", steps=steps, lr=lr), tiny_model, cache)
+    for array, expected in zip(got, (scale, shift, Z)):
+        np.testing.assert_array_equal(array, expected)
+    assert len(calls) == tried
 
 
 def test_tent_does_not_mutate_the_model(tiny_model, tiny_target, cache_and_op):
