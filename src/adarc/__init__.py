@@ -49,8 +49,6 @@ from .io import (
 from .losses import (
     LOSS_KINDS,
     DegenerateRepresentationError,
-    PicBreakdown,
-    pic_loss,
     surrogate_loss_and_grad_gamma,
 )
 from .model import (
@@ -125,8 +123,6 @@ __all__ = [
     # losses
     "LOSS_KINDS",
     "DegenerateRepresentationError",
-    "PicBreakdown",
-    "pic_loss",
     "surrogate_loss_and_grad_gamma",
     # pretrain
     "TrainConfig",

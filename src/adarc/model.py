@@ -82,7 +82,6 @@ __all__ = [
     "cross_entropy",
     "backward_ce",
     "gamma_grad_from_dz",
-    "affine_grad_from_dz",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -414,11 +413,6 @@ def gamma_grad_from_dz(
     """∇_γ of any loss given ∂L/∂Z: component k is ⟨H^(k), ∂L/∂Z⟩."""
     d_mix = dZ @ affine_matrix(scale, shift).T
     return np.tensordot(cache.hops, d_mix, axes=([1, 2], [0, 1]))
-
-
-def affine_grad_from_dz(mix: np.ndarray, dZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(∂L/∂scale, ∂L/∂shift) given ∂L/∂Z, for Z = mix_hops(…) @ A(scale, shift)."""
-    return (mix[:, :-1] * dZ).sum(axis=0), mix[:, -1] @ dZ
 
 
 def backward_ce(

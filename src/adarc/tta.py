@@ -3,11 +3,12 @@
 Every variant builds its Z with one routine, ``tent_lite``, and classifies it
 with one ``model.classify``. ``erm`` is the passthrough: softmax of the
 classifier's logits at the model's own norm affine. ``tent`` first takes a
-few steps on the mean prediction entropy, ``loss_and_grad_z("entropy", …)``,
-over cloned scale/shift (Tent's norm-affine-only update); ``adapt`` calls
-``tent_lite`` directly to write that affine back. ``t3a`` classifies by
-distance to per-class prototypes built from the most confident ERM
-predictions, ranked by each node's entropy from classify's logits.
+few steps on the mean prediction entropy (``losses._entropy_terms`` and
+``losses._entropy_grad_z``) over cloned scale/shift (Tent's norm-affine-only
+update); ``adapt`` calls ``tent_lite`` directly to write that affine back.
+``t3a`` classifies by distance to per-class prototypes built from the most
+confident ERM predictions, ranked by each node's entropy from classify's
+logits.
 
 None of the variants mutates γ, and none triggers new propagate calls:
 Z is rebuilt from the cache's pre-affine hop stack.
@@ -26,7 +27,6 @@ from .model import (
     HopCache,
     SoftPrediction,
     StaleCacheError,
-    affine_grad_from_dz,
     affine_matrix,
     classify,
     log_softmax,
@@ -66,9 +66,10 @@ def tent_lite(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entropy-minimized (scale, shift) and the Z = mix_hops(…) @ A they give.
 
-    Takes ``kind.steps`` descent steps on ``loss_and_grad_z("entropy", …)``
-    over clones of the model's affine; a step that fails to strictly decrease
-    the mean entropy is reverted and iteration stops early. Any variant but
+    Takes ``kind.steps`` descent steps on the mean entropy of
+    ``_entropy_terms``, with ``_entropy_grad_z``'s gradient, over clones of
+    the model's affine; a step that fails to strictly decrease the mean
+    entropy is reverted and iteration stops early. Any variant but
     ``tent`` takes no step, so its Z is the model's own.
     """
     scale = model.scale.copy()
@@ -81,7 +82,13 @@ def tent_lite(
     # next step, from the accepted point's N×C terms.
     entropy, terms = _entropy_terms(Z, model)
     for _ in range(kind.steps):
-        d_scale, d_shift = affine_grad_from_dz(mix, _entropy_grad_z(terms, model))
+        # ∂H̄/∂scale = Σ_i mix[i, :-1] ⊙ dZ[i] and ∂H̄/∂shift = Σ_i mix[i, -1] dZ[i];
+        # the product is taken in dZ, which this step owns.
+        dZ = _entropy_grad_z(terms, model)
+        d_shift = mix[:, -1] @ dZ
+        dZ *= mix[:, :-1]
+        d_scale = dZ.sum(axis=0)
+        del dZ
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
         new_Z = mix @ affine_matrix(new_scale, new_shift)

@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adarc import (
+    LOSS_KINDS,
     BaseTtaKind,
     DegenerateRepresentationError,
+    HopCache,
     aggregate,
     base_predict,
     featurize_hops,
     init_model,
-    pic_loss,
     softmax,
     surrogate_loss_and_grad_gamma,
 )
-from adarc.losses import LOSS_KINDS, loss_and_grad_z
-from adarc.model import gamma_grad_from_dz
 
 from oracle_utils import (
     brute_variances,
@@ -30,40 +29,80 @@ from oracle_utils import (
 )
 
 
-def test_pic_hand_example(tiny_model):
+def stack_cache(hops):
+    """A hop cache over a given (K+1)×N×(H+1) stack; the losses read only its hops."""
+    h = hops.shape[2] - 1
+    return HopCache(hops=hops, mean=np.zeros(h), var=np.ones(h), used_std=np.ones(h), theta=())
+
+
+def z_space(Z, num_classes=2):
+    """(model, cache) whose surrogate acts on exactly Z.
+
+    The cache is K=0 with the single hop [Z | 1]; at γ=[1], scale 1 and
+    shift 0 it aggregates to Z itself.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    model = init_model(1, Z.shape[1], num_classes, 0, seed=0)
+    model.gamma[:] = 1.0
+    return model, stack_cache(np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)[None])
+
+
+def z_space_losses(Z, probs):
+    """(PIC, diff) of exactly Z under ``probs``."""
+    model, cache = z_space(Z, probs.shape[1])
+    return tuple(
+        surrogate_loss_and_grad_gamma(kind, model, cache, probs)[0]
+        for kind in ("pic", "diff")
+    )
+
+
+def random_stack_problem(rng):
+    """(model, cache, probs): a random stack, γ and affine, and soft predictions."""
+    n, h, c, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 13), (1, 5), (2, 5), (1, 4)))
+    model = init_model(1, h, c, k, seed=int(rng.integers(1 << 30)))
+    model.gamma[:] = rng.normal(size=k + 1)
+    model.scale[:] = rng.uniform(0.5, 1.5, size=h)
+    model.shift[:] = rng.normal(scale=0.5, size=h)
+    cache = stack_cache(rng.normal(size=(k + 1, n, h + 1)))
+    probs = rng.dirichlet(np.full(c, rng.uniform(0.3, 3.0)), size=n)
+    return model, cache, probs
+
+
+def test_pic_hand_example():
     # four points on a line, two hard clusters {0,1} and {3,4}:
-    # σ²_intra = 4·0.25 = 1, σ² = 4+1+1+4 = 10, loss = 0.1
+    # σ²_intra = 4·0.25 = 1, σ² = 4+1+1+4 = 10, σ²_inter = 9, loss = 0.1
     Z = np.array([[0.0], [1.0], [3.0], [4.0]])
     probs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    out = pic_loss(Z, probs)
-    assert out.sigma_intra_sq == pytest.approx(1.0)
-    assert out.sigma_sq == pytest.approx(10.0)
-    assert out.sigma_inter_sq == pytest.approx(9.0)
-    assert out.loss == pytest.approx(0.1)
-    np.testing.assert_allclose(out.centroids, [[0.5], [3.5]])
-    assert loss_and_grad_z("diff", Z, probs, tiny_model)[0] == pytest.approx(1.0 - 9.0)
+    model, cache = z_space(Z)
+    pic, pic_grad = surrogate_loss_and_grad_gamma("pic", model, cache, probs)
+    diff, diff_grad = surrogate_loss_and_grad_gamma("diff", model, cache, probs)
+    assert pic == pytest.approx(0.1)
+    assert diff == pytest.approx(1.0 - 9.0)
+    # PIC is scale invariant in the single γ; diff = γ²(σ²_intra − σ²_inter).
+    np.testing.assert_allclose(pic_grad, [0.0], atol=1e-15)
+    np.testing.assert_allclose(diff_grad, [2.0 * (1.0 - 9.0)])
 
 
 def test_variance_terms_match_brute_force():
     rng = np.random.default_rng(0)
     for trial in range(50):
         Z, probs = random_instance(rng, hard=bool(trial % 2))
-        out = pic_loss(Z, probs)
+        pic, diff = z_space_losses(Z, probs)
         intra, inter, total = brute_variances(Z, probs)
-        assert out.sigma_intra_sq == pytest.approx(intra, rel=1e-9, abs=1e-12)
-        assert out.sigma_inter_sq == pytest.approx(inter, rel=1e-9, abs=1e-12)
-        assert out.sigma_sq == pytest.approx(total, rel=1e-9, abs=1e-12)
+        assert pic == pytest.approx(intra / total, rel=1e-9, abs=1e-12)
+        assert abs(diff - (intra - inter)) <= 1e-9 * total
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_variance_decomposition_property(seed, hard):
+    # The hop-space path takes σ²_intra as σ² − σ²_inter; the oracle sums
+    # σ²_intra directly, so agreement certifies the decomposition.
     Z, probs = random_instance(np.random.default_rng(seed), hard=hard)
-    out = pic_loss(Z, probs)
-    assert out.sigma_intra_sq + out.sigma_inter_sq == pytest.approx(
-        out.sigma_sq, rel=1e-9
-    )
-    assert 0.0 <= out.loss <= 1.0
+    pic, _ = z_space_losses(Z, probs)
+    intra, _, total = brute_variances(Z, probs)
+    assert pic == pytest.approx(intra / total, rel=1e-9, abs=1e-12)
+    assert 0.0 <= pic <= 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,56 +110,40 @@ def test_variance_decomposition_property(seed, hard):
 def test_pic_scale_and_translation_invariance(seed):
     rng = np.random.default_rng(seed)
     Z, probs = random_instance(rng)
-    base = pic_loss(Z, probs).loss
+    base = z_space_losses(Z, probs)[0]
     c = float(rng.uniform(0.1, 10.0)) * float(rng.choice([-1.0, 1.0]))
     t = rng.normal(size=Z.shape[1])
-    assert pic_loss(c * Z, probs).loss == pytest.approx(base, rel=1e-10)
-    assert pic_loss(Z + t[None, :], probs).loss == pytest.approx(base, rel=1e-10)
+    assert z_space_losses(c * Z, probs)[0] == pytest.approx(base, rel=1e-10)
+    assert z_space_losses(Z + t[None, :], probs)[0] == pytest.approx(base, rel=1e-10)
 
 
-def test_pic_grad_z_matches_finite_differences(tiny_model):
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_surrogate_gamma_grad_matches_fd_on_random_stacks(kind):
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(30):
-        Z, probs = random_instance(rng, max_nodes=12, max_dim=4)
-        analytic = loss_and_grad_z("pic", Z, probs, tiny_model)[1]
-        numeric = fd_grad(lambda z: pic_loss(z, probs).loss, Z)
-        worst = max(worst, relative_error(analytic, numeric))
-    assert worst < 1e-4
-
-
-def test_pic_grad_z_euler_orthogonality(tiny_model):
-    # scale invariance makes the gradient orthogonal to Z (Euler's relation)
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        Z, probs = random_instance(rng)
-        g = loss_and_grad_z("pic", Z, probs, tiny_model)[1]
-        scale = np.linalg.norm(g) * np.linalg.norm(Z)
-        assert abs(float((g * Z).sum())) <= 1e-10 + 1e-8 * scale
-
-
-def test_diff_grad_z_matches_finite_differences(tiny_model):
-    rng = np.random.default_rng(3)
     for _ in range(20):
-        Z, probs = random_instance(rng, max_nodes=10, max_dim=3)
-        analytic = loss_and_grad_z("diff", Z, probs, tiny_model)[1]
-        numeric = fd_grad(lambda z: loss_and_grad_z("diff", z, probs, tiny_model)[0], Z)
+        model, cache, probs = random_stack_problem(rng)
+
+        def value(gamma):
+            probe = model.copy()
+            probe.gamma[:] = gamma
+            return surrogate_loss_and_grad_gamma(kind, probe, cache, probs)[0]
+
+        analytic = surrogate_loss_and_grad_gamma(kind, model, cache, probs)[1]
+        numeric = fd_grad(value, model.gamma)
         assert relative_error(analytic, numeric) < 1e-4
 
 
-def test_loss_and_grad_z_all_kinds_fd(tiny_model):
-    rng = np.random.default_rng(4)
-    for kind in LOSS_KINDS:
-        for _ in range(10):
-            n = int(rng.integers(4, 12))
-            Z = rng.normal(size=(n, tiny_model.W_cls.shape[0]))
-            logits = Z @ tiny_model.W_cls + tiny_model.b_cls[None, :]
-            probs = softmax(logits)
-            analytic = loss_and_grad_z(kind, Z, probs, tiny_model)[1]
-            numeric = fd_grad(
-                lambda z: loss_and_grad_z(kind, z, probs, tiny_model)[0], Z
-            )
-            assert relative_error(analytic, numeric) < 1e-4, kind
+def test_pic_and_diff_grad_gamma_euler_relations():
+    # PIC is invariant to scaling γ and diff is quadratic in it, so by Euler's
+    # relation γ·∇PIC = 0 and γ·∇diff = 2·diff.
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        model, cache, probs = random_stack_problem(rng)
+        scale = np.linalg.norm(model.gamma)
+        _, g = surrogate_loss_and_grad_gamma("pic", model, cache, probs)
+        assert abs(float(g @ model.gamma)) <= 1e-10 + 1e-8 * np.linalg.norm(g) * scale
+        diff, g = surrogate_loss_and_grad_gamma("diff", model, cache, probs)
+        assert float(g @ model.gamma) == pytest.approx(2.0 * diff, rel=1e-8, abs=1e-10)
 
 
 def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
@@ -134,8 +157,7 @@ def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
         def value(gamma):
             probe = tiny_model.copy()
             probe.gamma[:] = gamma
-            Z = aggregate(cache, probe.gamma, probe.scale, probe.shift)
-            return loss_and_grad_z(kind, Z, prediction, probe)[0]
+            return surrogate_loss_and_grad_gamma(kind, probe, cache, prediction)[0]
 
         numeric = fd_grad(value, model.gamma)
         assert relative_error(analytic, numeric) < 1e-4, kind
@@ -143,40 +165,40 @@ def test_surrogate_gamma_gradients_fd(tiny_model, tiny_target, tiny_op):
 
 def test_entropy_and_pseudo_hand_values():
     logits = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
-    identity_head = init_model(1, 2, 2, 1, seed=0)
-    identity_head.W_cls[:] = np.eye(2)  # so Z is the logits; b_cls is zero
-    expected = (np.log(2.0) + -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))) / 2.0
-    entropy = loss_and_grad_z("entropy", logits, None, identity_head)[0]
-    assert entropy == pytest.approx(expected)
+    model, cache = z_space(logits)
+    model.W_cls[:] = np.eye(2)  # so Z is the logits; b_cls is zero
     probs = softmax(logits)
+    expected = (np.log(2.0) + -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))) / 2.0
+    entropy = surrogate_loss_and_grad_gamma("entropy", model, cache, probs)[0]
+    assert entropy == pytest.approx(expected)
     # pseudo-label CE against the argmax of the prediction; ties at 0.5 break low
     expected_pl = (-np.log(0.5) - np.log(0.9)) / 2.0
-    pseudo = loss_and_grad_z("pseudo", logits, probs, identity_head)[0]
+    pseudo = surrogate_loss_and_grad_gamma("pseudo", model, cache, probs)[0]
     assert pseudo == pytest.approx(expected_pl)
 
 
-def test_degenerate_representations_raise(tiny_model):
-    Z = np.ones((8, 3))  # zero variance
+def test_degenerate_representations_raise():
+    model, cache = z_space(np.ones((8, 3)))  # zero variance
     probs = np.full((8, 2), 0.5)
-    with pytest.raises(DegenerateRepresentationError):
-        pic_loss(Z, probs)
-    with pytest.raises(DegenerateRepresentationError):
-        loss_and_grad_z("pic", Z, probs, tiny_model)
+    for kind in ("pic", "diff"):
+        with pytest.raises(DegenerateRepresentationError):
+            surrogate_loss_and_grad_gamma(kind, model, cache, probs)
 
 
-def test_empty_class_is_tolerated(tiny_model):
+def test_empty_class_is_tolerated():
     Z = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, -1.0]])
     probs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    out = pic_loss(Z, probs)  # class 2 has zero mass
-    assert np.isfinite(out.loss)
-    np.testing.assert_array_equal(out.centroids[2], 0.0)
-    g = loss_and_grad_z("pic", Z, probs, tiny_model)[1]
+    model, cache = z_space(Z, num_classes=3)  # class 2 has zero mass
+    intra, _, total = brute_variances(Z, probs)
+    loss, g = surrogate_loss_and_grad_gamma("pic", model, cache, probs)
+    assert loss == pytest.approx(intra / total, rel=1e-12)
     assert np.all(np.isfinite(g))
 
 
-def test_unknown_loss_kind_rejected(tiny_model):
-    with pytest.raises(ValueError):
-        loss_and_grad_z("nosuch", np.ones((3, 2)), np.full((3, 2), 0.5), tiny_model)
+def test_unknown_loss_kind_rejected():
+    model, cache = z_space(np.eye(3, 2))
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        surrogate_loss_and_grad_gamma("nosuch", model, cache, np.full((3, 2), 0.5))
 
 
 # --- hop-space surrogate: pic and diff from the hop cache's moments ---
@@ -189,13 +211,6 @@ def shifted_affine_model(tiny_model):
     model.scale[:] = rng.uniform(0.5, 1.5, size=model.scale.shape)
     model.shift[:] = rng.normal(scale=0.5, size=model.shift.shape)
     return model
-
-
-def z_space_reference(kind, model, cache, probs):
-    """``loss_and_grad_z`` on the built Z, chained back to γ."""
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    loss, dZ = loss_and_grad_z(kind, Z, probs, model)
-    return loss, gamma_grad_from_dz(cache, dZ, model.scale, model.shift)
 
 
 def hop_space_predictions(model, cache, target):
@@ -234,14 +249,20 @@ def test_hop_space_surrogate_matches_references(kind, tiny_model, tiny_target, t
         true_loss, true_grad = extended_reference(kind, model, cache, probs)
         assert abs(loss - true_loss) <= 1e-12 * abs(true_loss), name
         assert relative_error(grad, true_grad) <= 1e-12, name
-        # The Z-space path is itself up to ~5e-12 off the extended-precision
-        # gradient here, so it is held to a looser bound than the oracle. At
-        # PIC ≈ 0.98–0.999 its class-centroid offsets μ_c − z̄ nearly cancel,
-        # and both are f64 means over N rows: taking just those offsets in
-        # long double brings it within 6e-13 of the oracle.
-        ref_loss, ref_grad = z_space_reference(kind, model, cache, probs)
-        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss), name
-        assert relative_error(grad, ref_grad) <= 1e-11, name
+
+
+def test_hop_space_surrogate_matches_brute_force_variances(tiny_model, tiny_target, tiny_op):
+    # The f64 loops of ``brute_variances`` on the built Z: a check that needs
+    # no 80-bit long double, so it runs on every platform.
+    model = shifted_affine_model(tiny_model)
+    cache = featurize_hops(model, tiny_target, tiny_op)
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    for name, probs in hop_space_predictions(model, cache, tiny_target).items():
+        intra, inter, total = brute_variances(Z, probs)
+        pic = surrogate_loss_and_grad_gamma("pic", model, cache, probs)[0]
+        diff = surrogate_loss_and_grad_gamma("diff", model, cache, probs)[0]
+        assert abs(pic - intra / total) <= 1e-9 * (intra / total), name
+        assert abs(diff - (intra - inter)) <= 1e-9 * abs(intra - inter), name
 
 
 def test_hop_space_surrogate_skips_an_empty_class(tiny_model, tiny_target, tiny_op):
@@ -264,7 +285,8 @@ def test_hop_space_surrogate_degeneracy_threshold(tiny_model, tiny_target, tiny_
     probs = np.full((tiny_target.num_nodes, 2), 0.5)
     eps = 1e-12 * tiny_target.num_nodes * model.scale.shape[0]  # 1e-12·N·H
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    unit = model.gamma / np.sqrt(pic_loss(Z, probs).sigma_sq)  # σ² = 1 at this γ
+    sigma_sq = float(((Z - Z.mean(axis=0)) ** 2).sum())
+    unit = model.gamma / np.sqrt(sigma_sq)  # σ² = 1 at this γ
     for kind in ("pic", "diff"):
         # σ² is quadratic in γ: zero, half the threshold, then twice it.
         for gamma in (0.0 * unit, np.sqrt(0.5 * eps) * unit):

@@ -73,9 +73,10 @@ def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0, sink.getvalue()
-    # Measured above features + one stack: 2.9 (erm), 4.9 (tent) and 4.1 (t3a)
-    # columns; 13.0 to 15.0 while the pre-adaptation stack was still held.
-    assert peak <= FEATURES + STACK + 6 * COLUMN
+    # Measured above features + one stack: 2.87 (erm), 4.10 (tent) and 4.07
+    # (t3a) columns; 4.92 for tent while its affine step held a product array
+    # beside ∂H̄/∂Z, and 13.0 to 15.0 while the pre-adaptation stack was held.
+    assert peak <= FEATURES + STACK + 4.5 * COLUMN
 
 
 def test_train_source_holds_one_stack(high2low):

@@ -15,8 +15,8 @@ from adarc import (
     featurize_hops,
 )
 from adarc import tta
-from adarc.losses import loss_and_grad_z
-from adarc.model import affine_grad_from_dz, affine_matrix, mix_hops
+from adarc.losses import _entropy_grad_z, _entropy_terms
+from adarc.model import affine_matrix, mix_hops
 from adarc.tta import BASE_TTA_NAMES, tent_lite
 
 
@@ -82,7 +82,7 @@ def test_tent_entropy_monotone_in_steps(tiny_model, tiny_target, cache_and_op):
             BaseTtaKind("tent", steps=steps, lr=0.02), tiny_model, cache
         )
         Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        entropies.append(loss_and_grad_z("entropy", Z, None, tiny_model)[0])
+        entropies.append(_entropy_terms(Z, tiny_model)[0])
     assert entropies[0] >= entropies[1] >= entropies[2]
 
 
@@ -95,7 +95,7 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
 
     def affine_entropy(scale, shift):
         Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        return loss_and_grad_z("entropy", Z, None, tiny_model)[0]
+        return _entropy_terms(Z, tiny_model)[0]
 
     scale, shift, _ = tent_lite(
         BaseTtaKind("tent", steps=4, lr=lr), tiny_model, cache
@@ -124,21 +124,24 @@ def test_tent_prediction_is_classify_of_the_accepted_affine(
 def test_tent_builds_a_gradient_only_for_a_step_it_tries(
     tiny_model, cache_and_op, monkeypatch, steps, lr
 ):
-    # Reference: every trial takes its entropy and gradient from
-    # loss_and_grad_z. tent_lite must return the same bits while building one
-    # gradient per step it tries and none after the last trial.
+    # Reference: every trial builds its entropy and gradient, and the affine
+    # gradient is taken out of place. tent_lite must return the same bits
+    # while building one gradient per step it tries and none after the last
+    # trial.
     cache, _ = cache_and_op
     mix = mix_hops(cache, tiny_model.gamma)
     scale, shift = tiny_model.scale, tiny_model.shift
     Z = mix @ affine_matrix(scale, shift)
-    entropy, dZ = loss_and_grad_z("entropy", Z, None, tiny_model)
+    entropy, terms = _entropy_terms(Z, tiny_model)
+    dZ = _entropy_grad_z(terms, tiny_model)
     tried = 0
     for _ in range(steps):
         tried += 1
-        d_scale, d_shift = affine_grad_from_dz(mix, dZ)
+        d_scale, d_shift = (mix[:, :-1] * dZ).sum(axis=0), mix[:, -1] @ dZ
         new_scale, new_shift = scale - lr * d_scale, shift - lr * d_shift
         new_Z = mix @ affine_matrix(new_scale, new_shift)
-        new_entropy, dZ = loss_and_grad_z("entropy", new_Z, None, tiny_model)
+        new_entropy, terms = _entropy_terms(new_Z, tiny_model)
+        dZ = _entropy_grad_z(terms, tiny_model)
         if not new_entropy < entropy:
             break
         scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy
