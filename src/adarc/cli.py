@@ -21,6 +21,12 @@ prediction, whose hop cache it drops at once, and once inside
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 All output files are byte-deterministic for a fixed seed; wall-clock
 measurements are printed to stdout/stderr only, never into ``--out`` files.
+
+Reproducibility contract: ``--out`` files (and checkpoints, datasets and
+traces) are byte-identical for a fixed OpenBLAS build, CPU kernel and BLAS
+thread count. Across thread counts the BLAS sums run in another order, so
+they agree to round-off only. ``tests/byte_identity.py`` hashes the outputs
+of one fixed script at one BLAS thread, to compare two source trees.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ hold it.
 ``surrogate_loss_and_grad_gamma`` is the one loss entry point, and each kind
 takes one path:
 
-- ``entropy`` and ``pseudo`` build Z and chain ∂L/∂Z back to γ through
-  ``gamma_grad_from_dz``. ``entropy``'s two halves, ``_entropy_terms`` and
-  ``_entropy_grad_z``, are also Tent's objective: ``tta.tent_lite`` descends
-  them over the norm affine, so a trial step computes no gradient.
+- ``entropy`` and ``pseudo`` build Z and its logits, and chain ∂L/∂logits
+  back to γ through ∂L/∂Z and ``gamma_grad_from_dz``. ``entropy``'s two
+  halves, ``_entropy_terms`` and ``_entropy_grad_logits``, take logits, and
+  are also Tent's objective: ``tta.tent_lite`` descends them over the norm
+  affine in logit space, without Z, and a trial step computes no gradient.
 - ``pic`` and ``diff`` never build Z. With B_k = Ã^k [X̂ | 1] A, b̄_k the mean
   row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic form in γ
   (Fisher's LDA criterion over K+1 hop directions):
@@ -42,6 +43,7 @@ from .model import (
     HopCache,
     SoftPrediction,
     aggregate,
+    class_sum,
     cross_entropy,
     gamma_grad_from_dz,
     log_softmax,
@@ -60,19 +62,18 @@ class DegenerateRepresentationError(ValueError):
     """Total variance too small for variance-ratio losses."""
 
 
-def _entropy_terms(Z: np.ndarray, model: GprModel) -> tuple[float, tuple]:
-    """Mean row entropy H̄ of Z's logits, and the N×C terms its gradient reads."""
-    log_probs = log_softmax(Z @ model.W_cls + model.b_cls[None, :])
+def _entropy_terms(logits: np.ndarray) -> tuple[float, tuple]:
+    """Mean row entropy H̄ of softmax(logits), and the N×C terms its gradient reads."""
+    log_probs = log_softmax(logits)
     probs = np.exp(log_probs)
-    row_entropy = -(probs * log_probs).sum(axis=1)
+    row_entropy = -class_sum(probs * log_probs)
     return float(row_entropy.mean()), (probs, log_probs, row_entropy)
 
 
-def _entropy_grad_z(terms: tuple, model: GprModel) -> np.ndarray:
-    """∂H̄/∂Z from ``_entropy_terms``: ∂H̄/∂logits = −P ⊙ (log P + H_row)/N."""
+def _entropy_grad_logits(terms: tuple) -> np.ndarray:
+    """∂H̄/∂logits from ``_entropy_terms``: −P ⊙ (log P + H_row)/N."""
     probs, log_probs, row_entropy = terms
-    dlogits = -probs * (log_probs + row_entropy[:, None]) / probs.shape[0]
-    return dlogits @ model.W_cls.T
+    return -probs * (log_probs + row_entropy[:, None]) / probs.shape[0]
 
 
 def _hop_space_loss_and_grad(
@@ -132,11 +133,11 @@ def surrogate_loss_and_grad_gamma(
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    logits = Z @ model.W_cls + model.b_cls[None, :]
     if kind == "entropy":
-        loss, terms = _entropy_terms(Z, model)
-        dZ = _entropy_grad_z(terms, model)
+        loss, terms = _entropy_terms(logits)
+        dlogits = _entropy_grad_logits(terms)
     else:
-        logits = Z @ model.W_cls + model.b_cls[None, :]
         loss, dlogits = cross_entropy(logits, prediction.hard)
-        dZ = dlogits @ model.W_cls.T
+    dZ = dlogits @ model.W_cls.T
     return loss, gamma_grad_from_dz(cache, dZ, model.scale, model.shift)

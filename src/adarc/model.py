@@ -29,7 +29,9 @@ one call: ``featurize_hops`` builds X W1 + b1, normalizes it into hop 0 in
 place and copies each hop's propagate output into its slot; ``backward_ce``
 holds Z until the classifier gradients, then ∂L/∂Z, the Horner accumulator
 with one scratch array and the propagate output, and turns the accumulator
-into ∂L/∂(X W1 + b1) in place. Callers keep one cache at a time:
+into ∂L/∂(X W1 + b1) in place. A base prediction holds the γ-mix of the
+stack and N×C arrays (Tent), or Z = mix·A once mix is freed, and for T3A one
+N×H scratch array for its distances. Callers keep one cache at a time:
 ``train_source`` drops each epoch's stack before it builds the next, and
 ``adarc adapt`` drops its pre-adaptation stack before ``adapt`` builds its own.
 
@@ -178,7 +180,7 @@ class SoftPrediction:
     def __post_init__(self) -> None:
         if self.probs.ndim != 2:
             raise ValueError("probs must be N×C")
-        row_sums = self.probs.sum(axis=1)
+        row_sums = class_sum(self.probs)
         if not np.all(np.abs(row_sums - 1.0) <= 1e-6):
             raise ValueError("prediction rows must sum to 1 within 1e-6")
         if self.probs.min() < 0 or self.probs.max() > 1 + 1e-12:
@@ -186,8 +188,20 @@ class SoftPrediction:
 
     @property
     def hard(self) -> np.ndarray:
-        """Argmax labels; ties break toward the lowest class index."""
-        return self.probs.argmax(axis=1)
+        """Argmax labels; ties break toward the lowest class index.
+
+        One pass per class over a C×N copy, with a strict ``>``: a later
+        class must beat the best so far to take a node. These are the labels
+        of ``probs.argmax(axis=1)`` without its per-row loop over a short
+        class axis.
+        """
+        by_class = np.ascontiguousarray(self.probs.T)
+        labels = np.zeros(by_class.shape[1], dtype=np.intp)
+        best = by_class[0]
+        for c in range(1, by_class.shape[0]):
+            labels[by_class[c] > best] = c
+            best = np.maximum(best, by_class[c])
+        return labels
 
 
 @dataclass(frozen=True)
@@ -364,17 +378,46 @@ def aggregate(
     return mix_hops(cache, gamma) @ affine_matrix(scale, shift)
 
 
+def class_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums of an N×C array, reduced over classes on a C×N contiguous copy.
+
+    Each sum then adds whole rows of the copy, instead of running numpy's
+    per-row loop over a short class axis. For C < 8 the terms are added in the
+    same order as ``values.sum(axis=1)`` (numpy's pairwise sum unrolls only
+    from 8 terms), so the bits are the same; for C ≥ 8 the order differs and
+    the two agree to round-off.
+    """
+    return np.ascontiguousarray(values.T).sum(axis=0)
+
+
+def _shifted_class_major(logits: np.ndarray) -> np.ndarray:
+    """A C×N copy of the logits minus each row's max."""
+    shifted = logits.T.copy()
+    shifted -= shifted.max(axis=0)
+    return shifted
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax, stabilized by row-max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row softmax, stabilized by row-max subtraction.
+
+    Reduces over classes on a C×N copy (see ``class_sum`` for the bits) and
+    returns a C-ordered N×C array.
+    """
+    exp = _shifted_class_major(logits)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=0)
+    return np.ascontiguousarray(exp.T)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row log-softmax, stabilized by row-max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row log-softmax, stabilized by row-max subtraction.
+
+    Reduces over classes on a C×N copy (see ``class_sum`` for the bits) and
+    returns a C-ordered N×C array.
+    """
+    shifted = _shifted_class_major(logits)
+    shifted -= np.log(np.exp(shifted).sum(axis=0))
+    return np.ascontiguousarray(shifted.T)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,17 +1,21 @@
 """Base test-time-adaptation predictors, interchangeable inside the outer loop.
 
-Every variant builds its Z with one routine, ``tent_lite``, and classifies it
-with one ``model.classify``. ``erm`` is the passthrough: softmax of the
-classifier's logits at the model's own norm affine. ``tent`` first takes a
-few steps on the mean prediction entropy (``losses._entropy_terms`` and
-``losses._entropy_grad_z``) over cloned scale/shift (Tent's norm-affine-only
-update); ``adapt`` calls ``tent_lite`` directly to write that affine back.
-``t3a`` classifies by distance to per-class prototypes built from the most
-confident ERM predictions, ranked by each node's entropy from classify's
-logits.
+``erm`` and ``t3a`` build Z = mix_hops(cache, γ)·A at the model's own norm
+affine and classify it once with ``model.classify``. ``erm`` is the
+passthrough: softmax of the classifier's logits. ``t3a`` classifies by
+distance to per-class prototypes built from the most confident ERM
+predictions, ranked by each node's entropy from classify's logits.
+
+``tent`` never builds Z. Its logits are linear in the norm affine, so
+``tent_lite`` takes a few steps on the mean prediction entropy over cloned
+scale/shift (Tent's norm-affine-only update) in logit space: a step costs
+two products of mix with an (H+1)×C array plus N×C work. The entropy is
+``losses._entropy_terms``, the ``entropy`` surrogate's own routine. The
+prediction is the softmax of the accepted logits; ``adapt`` calls
+``tent_lite`` directly to write that affine back.
 
 None of the variants mutates γ, and none triggers new propagate calls:
-Z is rebuilt from the cache's pre-affine hop stack.
+every prediction is rebuilt from the cache's pre-affine hop stack.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dataset
-from .losses import _entropy_grad_z, _entropy_terms
+from .losses import _entropy_grad_logits, _entropy_terms
 from .model import (
     GprModel,
     HopCache,
     SoftPrediction,
     StaleCacheError,
     affine_matrix,
+    aggregate,
+    class_sum,
     classify,
     log_softmax,
     mix_hops,
@@ -61,42 +67,53 @@ class BaseTtaKind:
             raise ValueError("keep_per_class must be >= 1")
 
 
+def _entropy_grad_affine(
+    mix: np.ndarray, terms: tuple, model: GprModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """(∂H̄/∂scale, ∂H̄/∂shift) at the logits ``terms`` came from.
+
+    logits(s, t) = mix·(A(s, t)·W_cls) + b_cls is linear in A, so with
+    G = mixᵀ·∂H̄/∂logits, an (H+1)×C array, ∂H̄/∂scale = Σ_c G[:H] ⊙ W_cls
+    and ∂H̄/∂shift = W_cls·G[H]; no N×H array is built.
+    """
+    G = mix.T @ _entropy_grad_logits(terms)
+    return (G[:-1] * model.W_cls).sum(axis=1), model.W_cls @ G[-1]
+
+
 def tent_lite(
     kind: BaseTtaKind, model: GprModel, cache: HopCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entropy-minimized (scale, shift) and the Z = mix_hops(…) @ A they give.
+    """Entropy-minimized (scale, shift) and the N×C logits they give.
 
-    Takes ``kind.steps`` descent steps on the mean entropy of
-    ``_entropy_terms``, with ``_entropy_grad_z``'s gradient, over clones of
-    the model's affine; a step that fails to strictly decrease the mean
-    entropy is reverted and iteration stops early. Any variant but
-    ``tent`` takes no step, so its Z is the model's own.
+    The logits are mix·(A(scale, shift)·W_cls) + b_cls with
+    mix = ``mix_hops(cache, γ)``, so no step builds Z. Takes ``kind.steps``
+    descent steps on the mean entropy of ``_entropy_terms``, with
+    ``_entropy_grad_affine``'s gradient, over clones of the model's affine; a
+    step that fails to strictly decrease the mean entropy is reverted and
+    iteration stops early. A trial reads only the entropy: a gradient is built
+    only for a step taken.
     """
     scale = model.scale.copy()
     shift = model.shift.copy()
     mix = mix_hops(cache, model.gamma)
-    Z = mix @ affine_matrix(scale, shift)
-    if kind.variant != "tent" or kind.steps == 0:
-        return scale, shift, Z
-    # A trial reads only the entropy; its N×H gradient is built only for a
-    # next step, from the accepted point's N×C terms.
-    entropy, terms = _entropy_terms(Z, model)
+
+    def logits_at(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        return mix @ (affine_matrix(scale, shift) @ model.W_cls) + model.b_cls
+
+    logits = logits_at(scale, shift)
+    if kind.steps == 0:
+        return scale, shift, logits
+    entropy, terms = _entropy_terms(logits)
     for _ in range(kind.steps):
-        # ∂H̄/∂scale = Σ_i mix[i, :-1] ⊙ dZ[i] and ∂H̄/∂shift = Σ_i mix[i, -1] dZ[i];
-        # the product is taken in dZ, which this step owns.
-        dZ = _entropy_grad_z(terms, model)
-        d_shift = mix[:, -1] @ dZ
-        dZ *= mix[:, :-1]
-        d_scale = dZ.sum(axis=0)
-        del dZ
+        d_scale, d_shift = _entropy_grad_affine(mix, terms, model)
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
-        new_Z = mix @ affine_matrix(new_scale, new_shift)
-        new_entropy, terms = _entropy_terms(new_Z, model)
+        new_logits = logits_at(new_scale, new_shift)
+        new_entropy, terms = _entropy_terms(new_logits)
         if not new_entropy < entropy:
             break
-        scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy
-    return scale, shift, Z
+        scale, shift, logits, entropy = new_scale, new_shift, new_logits, new_entropy
+    return scale, shift, logits
 
 
 def _t3a_predict(
@@ -107,7 +124,7 @@ def _t3a_predict(
     prediction: SoftPrediction,
 ) -> SoftPrediction:
     hard = prediction.hard
-    node_entropy = -(prediction.probs * log_softmax(logits)).sum(axis=1)
+    node_entropy = -class_sum(prediction.probs * log_softmax(logits))
 
     num_classes = model.W_cls.shape[1]
     prototypes = np.empty((num_classes, Z.shape[1]))
@@ -120,8 +137,15 @@ def _t3a_predict(
         order = members[np.argsort(node_entropy[members], kind="stable")]
         prototypes[c] = Z[order[: kind.keep_per_class]].mean(axis=0)
 
-    sq_dist = ((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
-    return SoftPrediction(softmax(-sq_dist))
+    # One class at a time: each row still sums its H squares in one contiguous
+    # reduction, so the bits match the N×C×H broadcast without building it.
+    sq_dist = np.empty((num_classes, Z.shape[0]))
+    offset = np.empty_like(Z)
+    for c, prototype in enumerate(prototypes):
+        np.subtract(Z, prototype, out=offset)
+        offset *= offset
+        offset.sum(axis=1, out=sq_dist[c])
+    return SoftPrediction(softmax(-sq_dist.T))
 
 
 def base_predict(
@@ -130,7 +154,9 @@ def base_predict(
     """Algorithm step Ŷ ← BaseTTA(…); never mutates γ or the model."""
     if not cache.is_fresh(model, dataset.graph):
         raise StaleCacheError("hop cache is stale for the current parameters")
-    _, _, Z = tent_lite(kind, model, cache)
+    if kind.variant == "tent":
+        return SoftPrediction(softmax(tent_lite(kind, model, cache)[2]))
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
     logits, prediction = classify(Z, model)
     if kind.variant == "t3a":
         return _t3a_predict(kind, model, Z, logits, prediction)

@@ -1,0 +1,129 @@
+"""Hash every output of one fixed ``adarc`` CLI script, run at one BLAS thread.
+
+Usage::
+
+    python tests/byte_identity.py WORKDIR [--size tiny|small] [--src DIR]
+
+The script runs in one subprocess whose environment pins the BLAS thread
+count to 1 before numpy loads. It generates a high2low scenario, pretrains
+on its source, adapts the checkpoint to its target for erm, tent and t3a,
+each by default and with ``--ablation joint --persist-base-tta``, evaluates
+the checkpoint and runs a one-seed ``loss_kind`` sweep. Every adapt writes
+``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
+per file under WORKDIR, sorted by name, so the outputs of two source trees
+(``--src``, default this checkout's ``src``) compare with ``diff``.
+
+Hashes hold only for a fixed OpenBLAS build, CPU kernel and thread count
+(see ``adarc.cli``), so none are committed: compare two runs on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: scenario flags, config-file lines and adapt epochs of each size.
+SIZES = {
+    "tiny": (
+        ["--n", "200", "--dim", "16"],
+        ["train.epochs=30", "train.hidden=8", "train.num_hops=3"],
+        "6",
+    ),
+    "small": (
+        ["--n", "600", "--dim", "32"],
+        ["train.epochs=60", "train.hidden=16", "train.num_hops=4"],
+        "20",
+    ),
+}
+BASES = ("erm", "tent", "t3a")
+ARMS = {"default": [], "joint": ["--ablation", "joint", "--persist-base-tta"]}
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs each argv through ``cli.main`` in one process; stops at the first failure.
+_CHILD = """
+import json, sys
+from adarc import cli
+for argv in json.load(sys.stdin):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"adarc {' '.join(argv)} exited with {code}")
+"""
+
+
+def commands(workdir: Path, size: str) -> list[list[str]]:
+    """The script: every ``adarc`` argv, in order, writing under ``workdir``."""
+    scenario, config_lines, adapt_epochs = SIZES[size]
+    config = workdir / "run.cfg"
+    config.write_text("".join(f"{line}\n" for line in config_lines))
+    data, ckpt = workdir / "data", str(workdir / "model.bin")
+    script = [
+        ["generate", "--preset", "high2low", *scenario, "--out", str(data)],
+        ["pretrain", "--data", str(data / "source"), "--config", str(config),
+         "--out", ckpt],
+    ]
+    for base in BASES:
+        for arm, flags in ARMS.items():
+            out = workdir / f"adapt-{base}-{arm}"
+            script.append(
+                ["adapt", "--ckpt", ckpt, "--data", str(data / "target"),
+                 "--base-tta", base, "--epochs", adapt_epochs, *flags,
+                 "--out", f"{out}.json", "--trace", f"{out}.trace.csv"]
+            )
+    script += [
+        ["eval", "--ckpt", ckpt, "--data", str(data / "target"),
+         "--out", str(workdir / "eval.json")],
+        ["sweep", "--preset", "high2low", *scenario, "--config", str(config),
+         "--axis", "loss_kind", "--grid", "pic,entropy",
+         "--methods", "erm,tent,t3a+adarc,tent+adarc", "--seeds", "0",
+         "--out", str(workdir / "sweep.json")],
+    ]
+    return script
+
+
+def run(workdir: Path, size: str = "tiny", src: Path = REPO_SRC) -> list[tuple[str, str]]:
+    """Run the script into an empty ``workdir``; (sha256, name) of every file in it."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    if any(workdir.iterdir()):
+        raise ValueError(f"{workdir} is not empty")
+    env = dict(os.environ, PYTHONPATH=str(src), **dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=json.dumps(commands(workdir, size)),
+        env=env,
+        text=True,
+        capture_output=True,
+    )
+    if child.returncode:
+        raise RuntimeError(f"the CLI script failed:\n{child.stdout}{child.stderr}")
+    files = sorted(p for p in workdir.rglob("*") if p.is_file())
+    return [
+        (hashlib.sha256(p.read_bytes()).hexdigest(), p.relative_to(workdir).as_posix())
+        for p in files
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workdir", type=Path, help="empty (or new) output directory")
+    parser.add_argument("--size", choices=sorted(SIZES), default="tiny")
+    parser.add_argument("--src", type=Path, default=REPO_SRC, help="source tree to run")
+    args = parser.parse_args(argv)
+    try:
+        hashes = run(args.workdir, args.size, args.src.resolve())
+    except RuntimeError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 1
+    for digest, name in hashes:
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

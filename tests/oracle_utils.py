@@ -129,3 +129,45 @@ def dense_propagation(graph, mode: str) -> np.ndarray:
         return inv[:, None] * A
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     return inv_sqrt[:, None] * A * inv_sqrt[None, :]
+
+
+def tent_affine_grad_z(mix: np.ndarray, dZ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(∂/∂scale, ∂/∂shift) from ∂L/∂Z for Z = mix·[diag(scale); shiftᵀ], node by node.
+
+    Z[i] = scale ⊙ mix[i, :H] + shift·mix[i, H], so the scale gradient is
+    Σ_i mix[i, :H] ⊙ dZ[i] and the shift gradient Σ_i mix[i, H]·dZ[i].
+    """
+    d_scale = np.zeros(dZ.shape[1])
+    d_shift = np.zeros(dZ.shape[1])
+    for row, dz in zip(mix, dZ):
+        d_scale += row[:-1] * dz
+        d_shift += row[-1] * dz
+    return d_scale, d_shift
+
+
+# Row-wise class reductions: the forms ``model.softmax`` and friends had before
+# they reduced on a class-major copy. For C < 8 the two must agree bit for bit.
+
+
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def row_log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    n = logits.shape[0]
+    loss = float(-row_log_softmax(logits)[np.arange(n), labels].mean())
+    dlogits = row_softmax(logits)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+def row_entropy(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    return -(probs * log_probs).sum(axis=1)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adarc import (
     BaseTtaKind,
@@ -19,7 +21,10 @@ from adarc import (
     prediction_accuracy,
     softmax,
 )
+from adarc.losses import _entropy_terms
 from adarc.model import (
+    SoftPrediction,
+    affine_matrix,
     backward_ce,
     cross_entropy,
     gamma_grad_from_dz,
@@ -27,7 +32,14 @@ from adarc.model import (
     mix_hops,
 )
 
-from oracle_utils import fd_grad, relative_error
+from oracle_utils import (
+    fd_grad,
+    relative_error,
+    row_cross_entropy,
+    row_entropy,
+    row_log_softmax,
+    row_softmax,
+)
 
 
 def test_init_model_ppr_gamma():
@@ -286,3 +298,73 @@ def test_backward_ce_matches_finite_differences(tiny_source):
 
 def test_stale_cache_error_has_helpful_type():
     assert issubclass(StaleCacheError, RuntimeError)
+
+# Logits over C ∈ {2, …, 7} classes, drawn from a pool with repeated values
+# (ties) and ±700 (exp under- and overflow without the max shift).
+_LOGIT = st.one_of(
+    st.sampled_from([-700.0, -1.5, 0.0, 0.25, 1.5, 700.0]),
+    st.floats(-60.0, 60.0, allow_nan=False),
+)
+_LOGITS = st.integers(2, 7).flatmap(
+    lambda c: st.lists(st.lists(_LOGIT, min_size=c, max_size=c), min_size=1, max_size=40)
+).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOGITS, st.data())
+def test_class_major_reductions_match_the_row_wise_bits(logits, data):
+    n, c = logits.shape
+    probs = softmax(logits)
+    np.testing.assert_array_equal(probs, row_softmax(logits))
+    assert probs.flags.c_contiguous
+    log_probs = log_softmax(logits)
+    np.testing.assert_array_equal(log_probs, row_log_softmax(logits))
+    assert log_probs.flags.c_contiguous
+
+    labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    loss, dlogits = cross_entropy(logits, labels)
+    expected_loss, expected_dlogits = row_cross_entropy(logits, labels)
+    assert loss == expected_loss
+    np.testing.assert_array_equal(dlogits, expected_dlogits)
+
+    np.testing.assert_array_equal(SoftPrediction(probs).hard, probs.argmax(axis=1))
+    entropy, (probs_e, log_probs_e, entropies) = _entropy_terms(logits)
+    np.testing.assert_array_equal(entropies, row_entropy(probs_e, log_probs_e))
+    assert entropy == float(row_entropy(probs_e, log_probs_e).mean())
+
+
+@pytest.mark.parametrize("c", [8, 13])
+def test_class_major_reductions_agree_to_round_off_from_eight_classes(c):
+    # From 8 terms numpy's row-wise sum is pairwise, so the order differs.
+    logits = 20.0 * np.random.default_rng(c).normal(size=(300, c))
+    np.testing.assert_allclose(softmax(logits), row_softmax(logits), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        log_softmax(logits), row_log_softmax(logits), rtol=1e-13, atol=1e-13
+    )
+    probs = softmax(logits)
+    np.testing.assert_array_equal(SoftPrediction(probs).hard, probs.argmax(axis=1))
+
+
+def row_wise_prediction(variant, model, cache, keep_per_class=20):
+    """erm or t3a with every class reduction taken row by row, as a reference."""
+    Z = mix_hops(cache, model.gamma) @ affine_matrix(model.scale, model.shift)
+    logits = Z @ model.W_cls + model.b_cls[None, :]
+    probs = row_softmax(logits)
+    if variant == "erm":
+        return probs
+    hard = probs.argmax(axis=1)
+    node_entropy = row_entropy(probs, row_log_softmax(logits))
+    prototypes = []
+    for c in range(model.W_cls.shape[1]):
+        members = np.flatnonzero(hard == c)
+        order = members[np.argsort(node_entropy[members], kind="stable")]
+        prototypes.append(Z[order[:keep_per_class]].mean(axis=0))
+    prototypes = np.stack(prototypes)
+    return row_softmax(-((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2))
+
+
+@pytest.mark.parametrize("variant", ["erm", "t3a"])
+def test_base_predict_matches_the_row_wise_pipeline_bits(tiny_model, tiny_target, variant):
+    cache = featurize_hops(tiny_model, tiny_target, PropagationOperator(tiny_target.graph))
+    got = base_predict(BaseTtaKind(variant), tiny_model, cache, tiny_target)
+    np.testing.assert_array_equal(got.probs, row_wise_prediction(variant, tiny_model, cache))

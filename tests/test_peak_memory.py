@@ -62,6 +62,14 @@ def adapt_inputs(high2low, tmp_path_factory):
     return root
 
 
+# Measured above features + one stack: 2.87 (erm), 2.28 (tent) and 3.13 (t3a)
+# columns, each bound 0.4 above. Before tent stepped in logit space it read
+# 4.10, and 4.92 while its affine step held a product array beside ∂H̄/∂Z;
+# t3a read 4.07 while it built the N×C×H distance array. Every variant read
+# 13.0 to 15.0 while the pre-adaptation stack was held.
+ADAPT_COLUMNS = {"erm": 3.3, "tent": 2.7, "t3a": 3.55}
+
+
 @pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
 def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
     argv = [
@@ -73,10 +81,7 @@ def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0, sink.getvalue()
-    # Measured above features + one stack: 2.87 (erm), 4.10 (tent) and 4.07
-    # (t3a) columns; 4.92 for tent while its affine step held a product array
-    # beside ∂H̄/∂Z, and 13.0 to 15.0 while the pre-adaptation stack was held.
-    assert peak <= FEATURES + STACK + 4.5 * COLUMN
+    assert peak <= FEATURES + STACK + ADAPT_COLUMNS[variant] * COLUMN
 
 
 def test_train_source_holds_one_stack(high2low):

@@ -15,9 +15,11 @@ from adarc import (
     featurize_hops,
 )
 from adarc import tta
-from adarc.losses import _entropy_grad_z, _entropy_terms
-from adarc.model import affine_matrix, mix_hops
-from adarc.tta import BASE_TTA_NAMES, tent_lite
+from adarc.losses import _entropy_grad_logits, _entropy_terms
+from adarc.model import affine_matrix, mix_hops, softmax
+from adarc.tta import BASE_TTA_NAMES, _entropy_grad_affine, tent_lite
+
+from oracle_utils import fd_grad, relative_error, tent_affine_grad_z
 
 
 @pytest.fixture()
@@ -78,81 +80,118 @@ def test_tent_entropy_monotone_in_steps(tiny_model, tiny_target, cache_and_op):
     cache, _ = cache_and_op
     entropies = []
     for steps in (1, 3, 10):
-        scale, shift, _ = tent_lite(
+        _, _, logits = tent_lite(
             BaseTtaKind("tent", steps=steps, lr=0.02), tiny_model, cache
         )
-        Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        entropies.append(_entropy_terms(Z, tiny_model)[0])
+        entropies.append(_entropy_terms(logits)[0])
     assert entropies[0] >= entropies[1] >= entropies[2]
+
+
+def z_space_entropy(cache, model, scale, shift) -> float:
+    """Mean entropy at (scale, shift), through Z = aggregate(…) and classify."""
+    logits, _ = classify(aggregate(cache, model.gamma, scale, shift), model)
+    return _entropy_terms(logits)[0]
 
 
 @pytest.mark.parametrize("lr", [0.02, 5.0, 1e6])
 def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
     # The strict-decrease guard reverts any step that fails to lower the mean
     # entropy, so whatever the rate, the returned affine is at least as
-    # confident as the model's own.
+    # confident as the model's own; measured through Z, to round-off.
     cache, _ = cache_and_op
-
-    def affine_entropy(scale, shift):
-        Z = aggregate(cache, tiny_model.gamma, scale, shift)
-        return _entropy_terms(Z, tiny_model)[0]
-
     scale, shift, _ = tent_lite(
         BaseTtaKind("tent", steps=4, lr=lr), tiny_model, cache
     )
     assert np.all(np.isfinite(scale)) and np.all(np.isfinite(shift))
-    before = affine_entropy(tiny_model.scale, tiny_model.shift)
-    after = affine_entropy(scale, shift)
+    before = z_space_entropy(cache, tiny_model, tiny_model.scale, tiny_model.shift)
+    after = z_space_entropy(cache, tiny_model, scale, shift)
     assert after <= before + 1e-12
+
+
+def affine_logits(cache, model, scale, shift):
+    """Tent's logits at (scale, shift): mix·(A·W_cls) + b_cls."""
+    mix = mix_hops(cache, model.gamma)
+    return mix @ (affine_matrix(scale, shift) @ model.W_cls) + model.b_cls
 
 
 @pytest.mark.parametrize("steps, lr", [(0, 0.05), (3, 0.05), (3, 1e3)])
 def test_tent_prediction_is_classify_of_the_accepted_affine(
     tiny_model, tiny_target, cache_and_op, steps, lr
 ):
-    # The prediction classifies the Z of the affine tent accepted; it must be
-    # the very bits a second aggregate + classify would rebuild.
+    # The prediction is the softmax of the logits tent accepted: the very bits
+    # a rebuild from the returned affine gives, and classify's probabilities
+    # of that affine's Z to round-off.
     cache, _ = cache_and_op
     kind = BaseTtaKind("tent", steps=steps, lr=lr)
-    scale, shift, _ = tent_lite(kind, tiny_model, cache)
-    _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
+    scale, shift, logits = tent_lite(kind, tiny_model, cache)
+    np.testing.assert_array_equal(logits, affine_logits(cache, tiny_model, scale, shift))
     tent = base_predict(kind, tiny_model, cache, tiny_target)
-    np.testing.assert_array_equal(tent.probs, expected.probs)
+    np.testing.assert_array_equal(tent.probs, softmax(logits))
+    _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
+    np.testing.assert_allclose(tent.probs, expected.probs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(tent.hard, expected.hard)
 
 
 @pytest.mark.parametrize("steps, lr", [(1, 0.05), (3, 0.05), (4, 1e3)])
 def test_tent_builds_a_gradient_only_for_a_step_it_tries(
     tiny_model, cache_and_op, monkeypatch, steps, lr
 ):
-    # Reference: every trial builds its entropy and gradient, and the affine
-    # gradient is taken out of place. tent_lite must return the same bits
-    # while building one gradient per step it tries and none after the last
-    # trial.
+    # Reference: every trial builds its entropy and gradient. tent_lite must
+    # return the same bits while building one gradient per step it tries and
+    # none after the last trial.
     cache, _ = cache_and_op
     mix = mix_hops(cache, tiny_model.gamma)
     scale, shift = tiny_model.scale, tiny_model.shift
-    Z = mix @ affine_matrix(scale, shift)
-    entropy, terms = _entropy_terms(Z, tiny_model)
-    dZ = _entropy_grad_z(terms, tiny_model)
+    logits = affine_logits(cache, tiny_model, scale, shift)
+    entropy, terms = _entropy_terms(logits)
+    grad = _entropy_grad_affine(mix, terms, tiny_model)
     tried = 0
     for _ in range(steps):
         tried += 1
-        d_scale, d_shift = (mix[:, :-1] * dZ).sum(axis=0), mix[:, -1] @ dZ
-        new_scale, new_shift = scale - lr * d_scale, shift - lr * d_shift
-        new_Z = mix @ affine_matrix(new_scale, new_shift)
-        new_entropy, terms = _entropy_terms(new_Z, tiny_model)
-        dZ = _entropy_grad_z(terms, tiny_model)
+        new_scale, new_shift = scale - lr * grad[0], shift - lr * grad[1]
+        new_logits = affine_logits(cache, tiny_model, new_scale, new_shift)
+        new_entropy, terms = _entropy_terms(new_logits)
+        grad = _entropy_grad_affine(mix, terms, tiny_model)
         if not new_entropy < entropy:
             break
-        scale, shift, Z, entropy = new_scale, new_shift, new_Z, new_entropy
+        scale, shift, logits, entropy = new_scale, new_shift, new_logits, new_entropy
 
     calls = []
-    grad_z = tta._entropy_grad_z
-    monkeypatch.setattr(tta, "_entropy_grad_z", lambda *a: calls.append(a) or grad_z(*a))
+    grad_logits = tta._entropy_grad_logits
+    monkeypatch.setattr(
+        tta, "_entropy_grad_logits", lambda *a: calls.append(a) or grad_logits(*a)
+    )
     got = tent_lite(BaseTtaKind("tent", steps=steps, lr=lr), tiny_model, cache)
-    for array, expected in zip(got, (scale, shift, Z)):
+    for array, expected in zip(got, (scale, shift, logits)):
         np.testing.assert_array_equal(array, expected)
     assert len(calls) == tried
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_tent_affine_gradient_is_the_z_space_gradient(tiny_model, cache_and_op, offset):
+    # At the model's affine and at one moved along a fixed direction, the
+    # logit-space gradient must equal Σ_i mix[i] ⊙ (∂H̄/∂Z)[i] to 1e-12 and the
+    # central differences of the mean entropy to 1e-6.
+    cache, _ = cache_and_op
+    h = tiny_model.scale.shape[0]
+    direction = np.random.default_rng(5).normal(size=2 * h)
+    scale = tiny_model.scale + offset * direction[:h]
+    shift = tiny_model.shift + offset * direction[h:]
+    mix = mix_hops(cache, tiny_model.gamma)
+    _, terms = _entropy_terms(affine_logits(cache, tiny_model, scale, shift))
+    d_scale, d_shift = _entropy_grad_affine(mix, terms, tiny_model)
+
+    dZ = _entropy_grad_logits(terms) @ tiny_model.W_cls.T
+    z_scale, z_shift = tent_affine_grad_z(mix, dZ)
+    assert relative_error(d_scale, z_scale) <= 1e-12
+    assert relative_error(d_shift, z_shift) <= 1e-12
+
+    def entropy_of(affine):
+        logits = affine_logits(cache, tiny_model, affine[:h], affine[h:])
+        return _entropy_terms(logits)[0]
+
+    numeric = fd_grad(entropy_of, np.concatenate([scale, shift]))
+    assert relative_error(np.concatenate([d_scale, d_shift]), numeric) <= 1e-6
 
 
 def test_tent_does_not_mutate_the_model(tiny_model, tiny_target, cache_and_op):
