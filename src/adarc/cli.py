@@ -24,9 +24,12 @@ measurements are printed to stdout/stderr only, never into ``--out`` files.
 
 Reproducibility contract: ``--out`` files (and checkpoints, datasets and
 traces) are byte-identical for a fixed OpenBLAS build, CPU kernel and BLAS
-thread count. Across thread counts the BLAS sums run in another order, so
-they agree to round-off only. ``tests/byte_identity.py`` hashes the outputs
-of one fixed script at one BLAS thread, to compare two source trees.
+thread count. The two GEMMs that read the features run in f32 (``sgemm``),
+the rest of the model in f64, so the bytes are tied to both kernels. Across
+thread counts the BLAS sums run in another order, so they agree to round-off
+only. Datasets hold no BLAS result: ``generate`` writes the same bytes on any
+BLAS. ``tests/byte_identity.py`` hashes the outputs of one fixed script at one
+BLAS thread, to compare two source trees.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ PRESET_D = 2000
 PRESET_MU_ENTRY = 0.03
 #: Attribute-shift entry magnitude for presets (‖Δmu‖ = 0.02·√D ≈ 0.894).
 PRESET_DELTA_MU_ENTRY = 0.02
+#: Size of the f64 buffer ``generate`` draws the feature noise into (1 MiB).
+_NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,11 @@ def generate(params: CsbmParams) -> Dataset:
 
     The first N/2 block is class 0 and the rest class 1, then a seeded
     permutation relabels node ids so structure statistics are
-    position-independent. Features are rounded through f32 so in-memory
-    datasets match their on-disk representation bit-exactly. The noise
-    buffer is the only N×D array: it is shifted to the class centers,
-    rounded through f32 and row-permuted, each in place.
+    position-independent. Features are a C-ordered f32 matrix, the values
+    ``features.bin`` stores. It is the only N×D array: the noise is drawn in
+    row blocks of about ``_NOISE_BLOCK_BYTES`` of f64, each block is shifted
+    to its class center and rounded into the matrix, and the matrix is then
+    row-permuted in place.
     """
     p, q = edge_probs(params)
     rng = np.random.default_rng(params.seed)
@@ -148,17 +151,24 @@ def generate(params: CsbmParams) -> Dataset:
     block_edges = np.concatenate([within_a, within_b, cross], axis=0)
 
     block_labels = np.repeat(np.array([0, 1], dtype=np.int64), half)
-    # One N×D buffer: the noise, shifted in place to each block's center.
-    # IEEE addition commutes, so z + (c + Δμ) is exactly (c + Δμ) + z.
-    features = rng.standard_normal((params.n, params.dim))
-    features[:half] += params.mu + params.delta_mu
-    features[half:] += -params.mu + params.delta_mu
+    # The noise is drawn row block by row block, in the order one N×D draw
+    # takes, so the values are those of rng.standard_normal((N, D)). IEEE
+    # addition commutes, so z + (c + Δμ) is exactly (c + Δμ) + z.
+    features = np.empty((params.n, params.dim), dtype=np.float32)
+    rows = max(1, _NOISE_BLOCK_BYTES // (8 * max(params.dim, 1)))
+    noise = np.empty((min(rows, half), params.dim))
+    centers = (params.mu + params.delta_mu, -params.mu + params.delta_mu)
+    for first, center in zip((0, half), centers):
+        for start in range(first, first + half, rows):
+            block = noise[: min(rows, first + half - start)]
+            rng.standard_normal(out=block)
+            block += center
+            features[start : start + len(block)] = block
+    del noise
 
     perm = rng.permutation(params.n)
     labels = np.empty(params.n, dtype=np.int64)
     labels[perm] = block_labels
-    # Round through f32 in place: the ufunc casts in small buffered chunks.
-    np.positive(features, out=features, dtype=np.float32, casting="same_kind")
     _scatter_rows_in_place(features, perm)
     edges = perm[block_edges] if block_edges.size else block_edges
 

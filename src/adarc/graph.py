@@ -58,20 +58,29 @@ class Graph:
 
 @dataclass
 class Dataset:
-    """A graph with node features, labels, and optional train/val masks."""
+    """A graph with node features, labels, and optional train/val masks.
+
+    The lab creates and reads features as f32 (the ``features.bin`` values);
+    f64 features are accepted too. The feature GEMMs run in the features'
+    dtype, so any other dtype is rejected here.
+    """
 
     graph: Graph
-    features: np.ndarray  # N×D
+    features: np.ndarray  # N×D, float32 or float64
     labels: np.ndarray  # int64, length N, values in [0, C)
     num_classes: int
     masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.graph.num_nodes
-        if self.features.shape[0] != n:
+        features = self.features
+        if features.ndim != 2 or features.dtype not in (np.float32, np.float64):
             raise ValueError(
-                f"feature rows {self.features.shape[0]} != num_nodes {n}"
+                "features must be a 2-D float32 or float64 matrix, got "
+                f"{features.ndim}-D {features.dtype}"
             )
+        if features.shape[0] != n:
+            raise ValueError(f"feature rows {features.shape[0]} != num_nodes {n}")
         if self.labels.shape[0] != n:
             raise ValueError(f"label count {self.labels.shape[0]} != num_nodes {n}")
         if self.labels.size and (

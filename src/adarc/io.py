@@ -8,12 +8,13 @@ Dataset directory
 ``labels.csv``    one integer per line
 ``masks.csv``     optional; header ``train,val``, rows of 0/1
 
-``features.bin`` is streamed in both directions through one block of whole
-rows, about ``_BLOCK_BYTES`` of f32: the writer casts each row block into it
-and writes it, the reader reads each block into it, checks it is finite and
-widens it into its rows of the N×D f64 matrix, which is allocated once. The
-reader's peak memory is therefore that matrix plus one block; no copy of the
-whole payload is ever held.
+In memory, features are the C-ordered N×D f32 matrix whose bytes
+``features.bin`` stores; nothing widens them. The file is streamed in blocks
+of whole rows, about ``_BLOCK_BYTES`` each: the writer writes each row block
+(cast to f32 first if the matrix is f64), and the reader allocates the matrix
+once, reads each row block straight into it and checks that block is finite.
+The reader's peak memory is therefore the matrix plus one block's finiteness
+mask; no second copy of the payload is ever held.
 
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
@@ -44,7 +45,7 @@ __all__ = [
 FEATURES_MAGIC = b"ADRC"
 #: ``features.bin`` header: magic, version, N, D.
 _FEATURES_HEADER = struct.Struct("<4sIII")
-#: Size of the one buffer ``features.bin`` is streamed through (1 MiB of f32).
+#: Size of the row blocks ``features.bin`` is streamed in (1 MiB of f32).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -53,15 +54,13 @@ class FormatError(ValueError):
 
 
 def _row_blocks(n: int, d: int):
-    """(first row, f32 block) for each run of rows of an N×D ``features.bin``.
+    """Slices of whole rows of an N×D ``features.bin``, about ``_BLOCK_BYTES`` each.
 
-    Every block is a view of one buffer of about ``_BLOCK_BYTES``, at least
-    one row; the last may be shorter.
+    Every block is at least one row; the last may be shorter.
     """
     rows = max(1, _BLOCK_BYTES // (4 * max(d, 1)))
-    block = np.empty((min(rows, n), d), dtype="<f4")
     for start in range(0, n, rows):
-        yield start, block[: min(rows, n - start)]
+        yield slice(start, min(start + rows, n))
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -75,9 +74,8 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     n, d = features.shape
     with open(directory / "features.bin", "wb") as f:
         f.write(_FEATURES_HEADER.pack(FEATURES_MAGIC, 1, n, d))
-        for start, part in _row_blocks(n, d):
-            part[:] = features[start : start + len(part)]
-            f.write(part)
+        for rows in _row_blocks(n, d):
+            f.write(np.ascontiguousarray(features[rows], dtype="<f4"))
 
     labels = dataset.labels.tolist()
     (directory / "labels.csv").write_text("".join(f"{int(y)}\n" for y in labels))
@@ -109,7 +107,7 @@ def _read_ints(path: Path, columns: int, **loadtxt_args) -> np.ndarray:
 
 
 def _read_features(path: Path) -> np.ndarray:
-    """The N×D f64 matrix of a ``features.bin``, streamed block by block."""
+    """The N×D f32 matrix of a ``features.bin``, read block by block into place."""
     with open(path, "rb") as f:
         header = f.read(_FEATURES_HEADER.size)
         if header[:4] != FEATURES_MAGIC:
@@ -124,13 +122,13 @@ def _read_features(path: Path) -> np.ndarray:
         if found != expected:
             raise FormatError(f"features.bin: expected {expected} bytes, found {found}")
 
-        features = np.empty((n, d))
-        for start, part in _row_blocks(n, d):
+        features = np.empty((n, d), dtype="<f4")
+        for rows in _row_blocks(n, d):
+            part = features[rows]
             if f.readinto(part) != part.nbytes:
                 raise FormatError("features.bin: payload ends early")
             if not np.isfinite(part).all():
                 raise FormatError("features.bin: non-finite feature value")
-            features[start : start + len(part)] = part
         if f.read(1):
             raise FormatError("features.bin: bytes after the last row")
     return features

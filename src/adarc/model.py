@@ -23,17 +23,21 @@ column and adds the ones column, they give the total variance of Z as a
 (K+1)×(K+1) quadratic form in γ under any (scale, shift):
 σ² = γᵀ S_t γ with S_t = ``HopMoments.total_gram(scale, shift)``.
 
-Memory budget: a run holds its feature matrices and one hop stack, 13.2 MB
-at N=5000, H=32, K=9. Every other N-sized array is transient and lives inside
-one call: ``featurize_hops`` builds X W1 + b1, normalizes it into hop 0 in
-place and copies each hop's propagate output into its slot; ``backward_ce``
-holds Z until the classifier gradients, then ∂L/∂Z, the Horner accumulator
-with one scratch array and the propagate output, and turns the accumulator
-into ∂L/∂(X W1 + b1) in place. A base prediction holds the γ-mix of the
-stack and N×C arrays (Tent), or Z = mix·A once mix is freed, and for T3A one
-N×H scratch array for its distances. Callers keep one cache at a time:
-``train_source`` drops each epoch's stack before it builds the next, and
-``adarc adapt`` drops its pre-adaptation stack before ``adapt`` builds its own.
+Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
+D=2000) and one f64 hop stack, 13.2 MB at N=5000, H=32, K=9. The two GEMMs
+that read X, X·W1 in ``featurize_hops`` and Xᵀ·∂L/∂pre in ``backward_ce``,
+run in the features' dtype and widen their N×H and D×H results to f64, so X
+is never widened; everything else is f64. Every other N-sized array is
+transient and lives inside one call: ``featurize_hops`` builds X W1 + b1,
+normalizes it into hop 0 in place and copies each hop's propagate output into
+its slot; ``backward_ce`` holds Z until the classifier gradients, then ∂L/∂Z,
+the Horner accumulator with one scratch array and the propagate output, and
+turns the accumulator into ∂L/∂(X W1 + b1) in place. A base prediction holds
+the γ-mix of the stack and N×C arrays (Tent), or Z = mix·A once mix is freed,
+and for T3A one N×H scratch array for its distances. Callers keep one cache
+at a time: ``train_source`` drops each epoch's stack before it builds the
+next, and ``adarc adapt`` drops its pre-adaptation stack before ``adapt``
+builds its own.
 
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
@@ -327,12 +331,17 @@ def featurize_hops(
     """
     if dataset.features.shape[1] != model.W1.shape[0]:
         raise ValueError("feature dimension does not match the model")
-    # With the features on the right the GEMM reads X in its stored layout,
-    # which OpenBLAS 0.3.31 runs faster and to the same bits as X @ W1. ``pre``
-    # must be C-ordered, or mean/var would sum in another order.
-    # The N×H intermediates are updated in place, to the same bits as the
-    # out-of-place forms.
-    pre = np.ascontiguousarray((model.W1.T @ dataset.features.T).T)
+    # The GEMM runs in the features' dtype, f32 for every dataset the lab
+    # creates or reads, and its N×H result is widened: everything after it is
+    # f64. With the features on the right the GEMM reads X in its stored
+    # layout. At N=5000, D=2000, H=32 (OpenBLAS 0.3.31) X @ W1 runs faster in
+    # f32 (9.3 against 11.5 ms) but packs X into 7 MB more of BLAS buffer, and
+    # in f64 this form is the faster one. ``pre`` must be C-ordered, or
+    # mean/var would sum in another order. The N×H intermediates are updated
+    # in place, to the same bits as the out-of-place forms.
+    features = dataset.features
+    pre = (model.W1.astype(features.dtype, copy=False).T @ features.T).T
+    pre = np.ascontiguousarray(pre, dtype=np.float64)
     pre += model.b1
     mean = pre.mean(axis=0)
     var = pre.var(axis=0)
@@ -513,8 +522,12 @@ def backward_ce(
     d_pre -= xhat * mean_dx
     d_pre /= cache.used_std
 
-    # Features on the right, as in featurize_hops (same bits as Xᵀ @ d_pre).
-    grad_W1 = (d_pre.T @ dataset.features).T
+    # Xᵀ·∂L/∂pre in the features' dtype and widened, as in featurize_hops.
+    # With the features on the right the GEMM reads X in its stored layout,
+    # which OpenBLAS 0.3.31 runs faster in f64, to the same bits as Xᵀ @ d_pre.
+    features = dataset.features
+    grad_W1 = (d_pre.astype(features.dtype, copy=False).T @ features).T
+    grad_W1 = grad_W1.astype(np.float64, copy=False)
     grad_b1 = d_pre.sum(axis=0)
 
     grads = {

@@ -8,8 +8,9 @@ The script runs in one subprocess whose environment pins the BLAS thread
 count to 1 before numpy loads. It generates a high2low scenario, pretrains
 on its source, adapts the checkpoint to its target for erm, tent and t3a,
 each by default and with ``--ablation joint --persist-base-tta``, evaluates
-the checkpoint and runs a one-seed ``loss_kind`` sweep. Every adapt writes
-``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
+the checkpoint, runs a one-seed ``loss_kind`` sweep and a gap decomposition
+on the same scenario, and evaluates the closed-form theory with a Monte Carlo
+check. Every adapt writes ``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
 per file under WORKDIR, sorted by name, so the outputs of two source trees
 (``--src``, default this checkout's ``src``) compare with ``diff``.
 
@@ -83,6 +84,10 @@ def commands(workdir: Path, size: str) -> list[list[str]]:
          "--axis", "loss_kind", "--grid", "pic,entropy",
          "--methods", "erm,tent,t3a+adarc,tent+adarc", "--seeds", "0",
          "--out", str(workdir / "sweep.json")],
+        ["decompose", "--preset", "high2low", *scenario, "--config", str(config),
+         "--out", str(workdir / "decompose.json")],
+        ["theory", "--d", "5", "--h", "0.8", "--delta-mu-norm", "0.5",
+         "--mc-trials", "200", "--out", str(workdir / "theory.json")],
     ]
     return script
 

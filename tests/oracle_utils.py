@@ -7,6 +7,8 @@ slow-but-obvious computations, never the other way around.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -51,6 +53,15 @@ def brute_variances(Z: np.ndarray, probs: np.ndarray) -> tuple[float, float, flo
             intra += probs[i, j] * float(np.sum((Z[i] - centroids[j]) ** 2))
             inter += probs[i, j] * float(np.sum((centroids[j] - global_centroid) ** 2))
     return intra, inter, total
+
+
+def with_f64_features(dataset):
+    """``dataset`` with its features widened to f64, so the feature GEMMs run in f64.
+
+    The lab's datasets hold f32 features and run X·W1 and Xᵀ·∂L/∂pre in f32;
+    exact-math checks run on this widening so they test the formulas alone.
+    """
+    return replace(dataset, features=dataset.features.astype(np.float64))
 
 
 def fd_grad(func, X: np.ndarray, step: float = 1e-4) -> np.ndarray:

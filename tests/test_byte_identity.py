@@ -10,6 +10,8 @@ EXPECTED_FILES = {
     "eval.json",
     "sweep.json",
     "sweep.csv",
+    "decompose.json",
+    "theory.json",
     "data/source/masks.csv",
     *(f"data/{role}/{name}" for role in ("source", "target")
       for name in ("edges.csv", "features.bin", "labels.csv")),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adarc import (
     BACKEND,
+    Dataset,
     Graph,
     PropagationOperator,
     build_graph,
@@ -221,3 +222,27 @@ def test_homophily_equals_neighbor_loop_exactly():
     expected = [agree[u] / deg[u] if deg[u] > 0 else np.nan for u in range(n)]
     per_node, _ = node_homophily(g, labels)
     np.testing.assert_array_equal(per_node, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dataset_accepts_float32_and_float64_features(dtype):
+    features = np.zeros((5, 3), dtype=dtype)
+    dataset = Dataset(path_graph(), features, np.zeros(5, dtype=np.int64), 1)
+    assert dataset.features.dtype == dtype
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        np.zeros((5, 3), dtype=np.int64),
+        np.zeros((5, 3), dtype=bool),
+        np.zeros((5, 3), dtype=np.float16),
+        np.zeros(5),
+    ],
+    ids=["int64", "bool", "float16", "1-D"],
+)
+def test_dataset_rejects_features_that_are_not_a_float_matrix(features):
+    # The feature GEMMs run in the features' dtype: an int matrix would run an
+    # integer GEMM.
+    with pytest.raises(ValueError, match="2-D float32 or float64"):
+        Dataset(path_graph(), features, np.zeros(5, dtype=np.int64), 1)

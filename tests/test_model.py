@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from adarc import (
     BaseTtaKind,
     PropagationOperator,
+    ScenarioSpec,
     StaleCacheError,
+    TrainConfig,
     aggregate,
     base_predict,
+    build_scenario_datasets,
     classify,
     featurize_hops,
     init_model,
     prediction_accuracy,
+    pretrain_on,
     softmax,
 )
 from adarc.losses import _entropy_terms
@@ -39,6 +43,7 @@ from oracle_utils import (
     row_entropy,
     row_log_softmax,
     row_softmax,
+    with_f64_features,
 )
 
 
@@ -71,25 +76,27 @@ def test_featurize_uses_exactly_k_propagate_calls(tiny_model, tiny_target):
 
 
 def test_featurize_hops_does_not_mutate_the_model(tiny_model, tiny_target, tiny_op):
+    target = with_f64_features(tiny_target)
     before = [array.copy() for array in tiny_model.arrays()]
-    cache = featurize_hops(tiny_model, tiny_target, tiny_op)
+    cache = featurize_hops(tiny_model, target, tiny_op)
     for old, new in zip(before, tiny_model.arrays()):
         np.testing.assert_array_equal(new, old)
     # The target statistics live on the cache instead.
-    pre = tiny_target.features @ tiny_model.W1 + tiny_model.b1[None, :]
+    pre = target.features @ tiny_model.W1 + tiny_model.b1[None, :]
     np.testing.assert_allclose(cache.mean, pre.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cache.var, pre.var(axis=0), rtol=1e-12)
     np.testing.assert_allclose(cache.used_std, np.sqrt(cache.var + 1e-5), rtol=1e-12)
 
 
 def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
-    op = PropagationOperator(tiny_target.graph, "sym")
-    cache = featurize_hops(tiny_model, tiny_target, op)
+    target = with_f64_features(tiny_target)
+    op = PropagationOperator(target.graph, "sym")
+    cache = featurize_hops(tiny_model, target, op)
     scale, shift = tiny_model.scale, tiny_model.shift
     hops = [hop(cache, k, scale, shift) for k in range(cache.num_hops + 1)]
 
     # manual pipeline: linear, batch-norm on target statistics, then K hops
-    X = tiny_target.features.astype(np.float64)
+    X = target.features
     H0 = X @ tiny_model.W1 + tiny_model.b1[None, :]
     mean, var = H0.mean(axis=0), H0.var(axis=0)
     H0 = (H0 - mean) / np.sqrt(var + 1e-5)
@@ -251,21 +258,22 @@ def test_gamma_grad_from_dz_is_exact_adjoint(tiny_model, tiny_target):
 
 def test_backward_ce_matches_finite_differences(tiny_source):
     # full-model cross-entropy gradient on a tiny instance, checked by FD
+    source = with_f64_features(tiny_source)
     model = init_model(dim=48, hidden=5, num_classes=2, num_hops=3, seed=3)
-    op = PropagationOperator(tiny_source.graph, "sym")
-    mask = tiny_source.masks["train"]
+    op = PropagationOperator(source.graph, "sym")
+    mask = source.masks["train"]
 
     def loss_at(model_in):
-        cache = featurize_hops(model_in, tiny_source, PropagationOperator(tiny_source.graph))
+        cache = featurize_hops(model_in, source, PropagationOperator(source.graph))
         Z = aggregate(cache, model_in.gamma, model_in.scale, model_in.shift)
         logits, _ = classify(Z, model_in)
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        rows = np.arange(tiny_source.num_nodes)[mask]
-        return -float(np.mean(logp[rows, tiny_source.labels[mask]]))
+        rows = np.arange(source.num_nodes)[mask]
+        return -float(np.mean(logp[rows, source.labels[mask]]))
 
-    cache = featurize_hops(model, tiny_source, op)
-    loss, grads, logits = backward_ce(model, tiny_source, cache, mask, op)
+    cache = featurize_hops(model, source, op)
+    loss, grads, logits = backward_ce(model, source, cache, mask, op)
     assert loss == pytest.approx(loss_at(model), rel=1e-10)
     # The returned logits are classify's, on every node.
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
@@ -294,6 +302,56 @@ def test_backward_ce_matches_finite_differences(tiny_source):
             2 * step
         )
         assert grads["W1"][r, c] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+
+
+#: Largest max|f32 − f64| / max|f64| that the f32 feature GEMMs may leave in
+#: the hops, the loss and each gradient of ``backward_ce``. Measured on the
+#: four cases below: at most 5.0e-7 for the hops, 3.0e-8 for the loss and
+#: 9.2e-7 for a gradient, except 2.7e-6 for ``b_cls`` of the initial model on
+#: the target, a sum over nodes that nearly cancels (4.4e-4, against 1e-2 and
+#: more in the other cases).
+F32_GEMM_TOLERANCE = 5e-6
+
+
+@pytest.fixture(scope="module")
+def desk_width_models():
+    """(initial model, 10-epoch model, source, target) of homo2hetero at D=2000."""
+    spec = ScenarioSpec("homo2hetero", n=600, dim=2000)
+    source, target = build_scenario_datasets(spec, 0)
+    train = TrainConfig(epochs=10, patience=10, learning_rate=2.0)
+    trained, _ = pretrain_on(source, train)
+    initial = init_model(2000, train.hidden, 2, train.num_hops, seed=train.seed)
+    return initial, trained, source, target
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+@pytest.mark.parametrize("which", ["initial", "trained"])
+def test_f32_feature_gemms_match_the_f64_path_to_round_off(
+    desk_width_models, which, role
+):
+    initial, trained, source, target = desk_width_models
+    model = initial if which == "initial" else trained
+    dataset = source if role == "source" else target
+    assert dataset.features.dtype == np.float32
+    mask = dataset.masks.get("train", np.ones(dataset.num_nodes, dtype=bool))
+    runs = []
+    for data in (dataset, with_f64_features(dataset)):
+        op = PropagationOperator(data.graph, model.prop_mode)
+        cache = featurize_hops(model, data, op)
+        runs.append((cache.hops, *backward_ce(model, data, cache, mask, op)))
+    (hops32, loss32, grads32, logits32), (hops64, loss64, grads64, logits64) = runs
+
+    def relative(value, reference, scale):
+        return np.abs(value - reference).max() / np.abs(scale).max()
+
+    assert relative(hops32, hops64, hops64) <= F32_GEMM_TOLERANCE
+    assert abs(loss32 - loss64) <= F32_GEMM_TOLERANCE * abs(loss64)
+    for name, grad64 in grads64.items():
+        # b1 cannot move the normalized features, so its gradient is zero up
+        # to round-off on both paths; measure its difference on W1's scale.
+        scale = grads64["W1"] if name == "b1" else grad64
+        assert relative(grads32[name], grad64, scale) <= F32_GEMM_TOLERANCE, name
+    np.testing.assert_array_equal(logits32.argmax(axis=1), logits64.argmax(axis=1))
 
 
 def test_stale_cache_error_has_helpful_type():

@@ -1,10 +1,10 @@
-"""Peak-memory budgets: a run holds its feature matrices plus one hop stack.
+"""Peak-memory budgets: a run holds its f32 feature matrices plus one hop stack.
 
-Each bound is in units of the run's own arrays: the feature matrix, the
-(K+1)×N×(H+1) hop stack and "columns", N×(H+1) f64 arrays. The slack above
-the budget comes from the traced peaks measured at these sizes (numpy 2.4.6),
-written next to each bound; each bound is below the peak of a run that holds a
-second stack or a second seed's data.
+Each bound is in units of the run's own arrays: the f32 feature matrix, the
+(K+1)×N×(H+1) f64 hop stack and "columns", N×(H+1) f64 arrays. The slack
+above the budget comes from the traced peaks measured at these sizes (numpy
+2.4.6), written next to each bound; each bound is below the peak of a run that
+holds a second stack, a second seed's data or an f64 copy of its features.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import contextlib
 import io
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from adarc import (
@@ -20,7 +21,9 @@ from adarc import (
     TrainConfig,
     build_scenario_datasets,
     cli,
+    generate,
     init_model,
+    preset_params,
     pretrain_on,
     run_scenario,
     save_checkpoint,
@@ -31,7 +34,7 @@ from adarc import (
 N, D, H, K = 2000, 16, 32, 9
 COLUMN = N * (H + 1) * 8
 STACK = (K + 1) * COLUMN
-FEATURES = N * D * 8
+FEATURES = N * D * 4
 TRAIN = TrainConfig(epochs=5, patience=5, hidden=H, num_hops=K, learning_rate=2.0, seed=1)
 
 
@@ -62,11 +65,12 @@ def adapt_inputs(high2low, tmp_path_factory):
     return root
 
 
-# Measured above features + one stack: 2.87 (erm), 2.28 (tent) and 3.13 (t3a)
-# columns, each bound 0.4 above. Before tent stepped in logit space it read
-# 4.10, and 4.92 while its affine step held a product array beside ∂H̄/∂Z;
-# t3a read 4.07 while it built the N×C×H distance array. Every variant read
-# 13.0 to 15.0 while the pre-adaptation stack was held.
+# Measured above f32 features + one stack: 2.86 (erm), 2.28 (tent) and 3.13
+# (t3a) columns, each bound 0.4 above; with f64 features they read 3.11, 2.52
+# and 3.37. Before tent stepped in logit space it read 4.10, and 4.92 while its
+# affine step held a product array beside ∂H̄/∂Z; t3a read 4.07 while it built
+# the N×C×H distance array. Every variant read 13.0 to 15.0 while the
+# pre-adaptation stack was held.
 ADAPT_COLUMNS = {"erm": 3.3, "tent": 2.7, "t3a": 3.55}
 
 
@@ -106,6 +110,18 @@ def test_run_scenario_releases_each_seed_before_the_next():
         return peak
 
     one, three = run((0,)), run((0, 1, 2))
-    # Measured: 7.01 MB for both (a 3.05 MB feature matrix per graph); holding
-    # the previous seed's graphs while the next one drew read 12.76 MB.
-    assert three <= one + spec.n * spec.dim * 8 // 4
+    # Measured: 5.52 and 5.56 MB (a 1.6 MB f32 feature matrix per graph; 7.35
+    # MB with f64 features). Holding the previous seed's graphs while the next
+    # one drew read 12.76 MB with f64 features.
+    assert three <= one + spec.n * spec.dim * 4 // 4
+
+
+def test_generate_holds_one_f32_matrix():
+    n, dim = 2000, 1000
+    params = preset_params("homo2hetero", "target", seed=0, n=n, dim=dim)
+    dataset, peak = traced_peak(lambda: generate(params))
+    assert dataset.features.dtype == np.float32
+    # Measured 1.77 MiB above the 8 MB matrix: the 1 MiB f64 noise block, the
+    # edges and the graph. Drawing the noise as one f64 matrix and rounding it
+    # read 8.39 MiB above.
+    assert peak <= n * dim * 4 + 2 * 2**20

@@ -26,6 +26,7 @@ from adarc.model import aggregate, backward_ce, classify
 from adarc.pretrain import gauge_normalize
 
 from conftest import TINY_TRAIN
+from oracle_utils import with_f64_features
 
 
 def erm_prediction(model, dataset):
@@ -216,9 +217,10 @@ def test_train_source_propagates_2k_times_per_evaluated_epoch(tiny_source):
 
 
 def test_train_source_stores_source_statistics_at_returned_parameters(tiny_source):
+    source = with_f64_features(tiny_source)
     config = replace(TINY_TRAIN, epochs=60, patience=10)
-    model, _ = pretrain_on(tiny_source, config)
-    pre = tiny_source.features @ model.W1 + model.b1[None, :]
+    model, _ = pretrain_on(source, config)
+    pre = source.features @ model.W1 + model.b1[None, :]
     np.testing.assert_array_equal(model.running_mean, pre.mean(axis=0))
     np.testing.assert_array_equal(model.running_var, pre.var(axis=0))
 
