@@ -47,6 +47,7 @@ __all__ = [
     "GapDecomposition",
     "scenario_seeds",
     "build_scenario_datasets",
+    "pretrain_scenario",
     "run_scenario",
     "sweep",
     "fit_linear_head",
@@ -166,6 +167,15 @@ def build_scenario_datasets(
     return attach_split_masks(source, seed=derived["split"]), target
 
 
+def pretrain_scenario(
+    spec: ScenarioSpec, seed: int, train_config: TrainConfig
+) -> tuple[Dataset, Dataset, GprModel]:
+    """One seed's (source, target) and a model pretrained under its ``"model"`` seed."""
+    source, target = build_scenario_datasets(spec, seed)
+    model, _ = pretrain_on(source, replace(train_config, seed=scenario_seeds(seed)["model"]))
+    return source, target, model
+
+
 def _config_echo(
     spec: ScenarioSpec,
     methods: tuple[str, ...],
@@ -213,9 +223,7 @@ def run_scenario(
     accs: dict[str, list[float]] = {m: [] for m in methods}
 
     for seed in seeds:
-        source, target = build_scenario_datasets(spec, seed)
-        seed_train = replace(train_config, seed=scenario_seeds(seed)["model"])
-        model, _history = pretrain_on(source, seed_train)
+        source, target, model = pretrain_scenario(spec, seed, train_config)
 
         op = PropagationOperator(target.graph, model.prop_mode)
         adapted = {

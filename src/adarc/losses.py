@@ -13,11 +13,13 @@ hold it.
 ``surrogate_loss_and_grad_gamma`` is the one loss entry point, and each kind
 takes one path:
 
-- ``entropy`` and ``pseudo`` build Z and its logits, and chain ∂L/∂logits
-  back to γ through ∂L/∂Z and ``gamma_grad_from_dz``. ``entropy``'s two
-  halves, ``_entropy_terms`` and ``_entropy_grad_logits``, take logits, and
-  are also Tent's objective: ``tta.tent_lite`` descends them over the norm
-  affine in logit space, without Z, and a trial step computes no gradient.
+- ``entropy`` and ``pseudo`` never build Z. Their logits are
+  mix·head + b_cls, with mix = ``mix_hops(cache, γ)`` and head = A·W_cls, the
+  form every base predictor reads, so component k of the γ-gradient is
+  ⟨Ã^k [X̂ | 1], ∂L/∂logits·headᵀ⟩. ``entropy``'s two halves,
+  ``_entropy_terms`` and ``_entropy_grad_logits``, are also Tent's objective:
+  ``tta.tent_lite`` descends them over the norm affine, and a trial step
+  computes no gradient.
 - ``pic`` and ``diff`` never build Z. With B_k = Ã^k [X̂ | 1] A, b̄_k the mean
   row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic form in γ
   (Fisher's LDA criterion over K+1 hop directions):
@@ -42,11 +44,11 @@ from .model import (
     GprModel,
     HopCache,
     SoftPrediction,
-    aggregate,
+    affine_matrix,
     class_sum,
     cross_entropy,
-    gamma_grad_from_dz,
     log_softmax,
+    mix_hops,
 )
 
 __all__ = [
@@ -122,9 +124,10 @@ def surrogate_loss_and_grad_gamma(
 ) -> tuple[float, np.ndarray]:
     """Loss at Z = aggregate(cache, γ, scale, shift) and its analytic γ-gradient.
 
-    ``pic`` and ``diff`` are computed in hop space, ``entropy`` and ``pseudo``
-    from Z (see the module docstring). An array ``prediction`` must pass
-    ``SoftPrediction``'s checks: rows that do not sum to 1 are a ValueError.
+    ``pic`` and ``diff`` are computed from hop moments, ``entropy`` and
+    ``pseudo`` from the logits mix·(A·W_cls) + b_cls (see the module
+    docstring). An array ``prediction`` must pass ``SoftPrediction``'s
+    checks: rows that do not sum to 1 are a ValueError.
     """
     if not isinstance(prediction, SoftPrediction):
         prediction = SoftPrediction(np.asarray(prediction, dtype=np.float64))
@@ -132,12 +135,11 @@ def surrogate_loss_and_grad_gamma(
         return _hop_space_loss_and_grad(kind, model, cache, prediction.probs)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    logits = Z @ model.W_cls + model.b_cls[None, :]
+    head = affine_matrix(model.scale, model.shift) @ model.W_cls
+    logits = mix_hops(cache, model.gamma) @ head + model.b_cls
     if kind == "entropy":
         loss, terms = _entropy_terms(logits)
         dlogits = _entropy_grad_logits(terms)
     else:
         loss, dlogits = cross_entropy(logits, prediction.hard)
-    dZ = dlogits @ model.W_cls.T
-    return loss, gamma_grad_from_dz(cache, dZ, model.scale, model.shift)
+    return loss, np.tensordot(cache.hops, dlogits @ head.T, axes=([1, 2], [0, 1]))

@@ -32,9 +32,10 @@ transient and lives inside one call: ``featurize_hops`` builds X W1 + b1,
 normalizes it into hop 0 in place and copies each hop's propagate output into
 its slot; ``backward_ce`` holds Z until the classifier gradients, then ∂L/∂Z,
 the Horner accumulator with one scratch array and the propagate output, and
-turns the accumulator into ∂L/∂(X W1 + b1) in place. A base prediction holds
-the γ-mix of the stack and N×C arrays (Tent), or Z = mix·A once mix is freed,
-and for T3A one N×H scratch array for its distances. Callers keep one cache
+turns the accumulator into ∂L/∂(X W1 + b1) in place. A base prediction and
+the ``entropy``/``pseudo`` surrogates hold the γ-mix of the stack and N×C
+arrays: they score mix·(A·W) + b for an (H+1)×C head A·W and never build Z
+(the surrogates add one N×(H+1) ∂L/∂mix). Callers keep one cache
 at a time: ``train_source`` drops each epoch's stack before it builds the
 next, and ``adarc adapt`` drops its pre-adaptation stack before ``adapt``
 builds its own.

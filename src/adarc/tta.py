@@ -1,18 +1,18 @@
 """Base test-time-adaptation predictors, interchangeable inside the outer loop.
 
-``erm`` and ``t3a`` build Z = mix_hops(cache, γ)·A at the model's own norm
-affine and classify it once with ``model.classify``. ``erm`` is the
-passthrough: softmax of the classifier's logits. ``t3a`` classifies by
-distance to per-class prototypes built from the most confident ERM
-predictions, ranked by each node's entropy from classify's logits.
+No variant builds Z = mix·A. With mix = ``mix_hops(cache, γ)`` and
+A = ``affine_matrix(scale, shift)``, each scores a linear head (W, b) on Z as
+mix·(A·W) + b: two products with an (H+1)×C array.
 
-``tent`` never builds Z. Its logits are linear in the norm affine, so
-``tent_lite`` takes a few steps on the mean prediction entropy over cloned
-scale/shift (Tent's norm-affine-only update) in logit space: a step costs
-two products of mix with an (H+1)×C array plus N×C work. The entropy is
-``losses._entropy_terms``, the ``entropy`` surrogate's own routine. The
-prediction is the softmax of the accepted logits; ``adapt`` calls
-``tent_lite`` directly to write that affine back.
+``tent_lite`` takes a few steps on the mean entropy of the classifier's logits
+over cloned scale/shift (Tent's norm-affine-only update); the entropy is
+``losses._entropy_terms``, the ``entropy`` surrogate's own routine. Its
+prediction is the softmax of the accepted logits, and ``adapt`` calls it
+directly to write that affine back. ``erm`` is ``tent_lite`` with no step.
+``t3a`` ranks nodes by the entropy of those logits, takes each class's
+prototype p_c as the mean of its most confident mix rows times A (W_cls[:, c]
+for an empty class) and predicts softmax(−‖z_i − p_c‖²). ‖z_i‖² is the same
+for every class, so that is softmax(2 z_i·p_c − ‖p_c‖²): a linear head.
 
 None of the variants mutates γ, and none triggers new propagate calls:
 every prediction is rebuilt from the cache's pre-affine hop stack.
@@ -20,7 +20,7 @@ every prediction is rebuilt from the cache's pre-affine hop stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .model import (
     SoftPrediction,
     StaleCacheError,
     affine_matrix,
-    aggregate,
     class_sum,
-    classify,
     log_softmax,
     mix_hops,
     softmax,
@@ -116,36 +114,23 @@ def tent_lite(
     return scale, shift, logits
 
 
-def _t3a_predict(
-    kind: BaseTtaKind,
-    model: GprModel,
-    Z: np.ndarray,
-    logits: np.ndarray,
-    prediction: SoftPrediction,
-) -> SoftPrediction:
-    hard = prediction.hard
-    node_entropy = -class_sum(prediction.probs * log_softmax(logits))
+def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPrediction:
+    mix = mix_hops(cache, model.gamma)
+    affine = affine_matrix(model.scale, model.shift)
+    logits = mix @ (affine @ model.W_cls) + model.b_cls
+    probs = softmax(logits)
+    hard = SoftPrediction(probs).hard
+    node_entropy = -class_sum(probs * log_softmax(logits))
 
-    num_classes = model.W_cls.shape[1]
-    prototypes = np.empty((num_classes, Z.shape[1]))
-    for c in range(num_classes):
+    prototypes = model.W_cls.T.copy()  # an empty class keeps W_cls[:, c]
+    for c in range(prototypes.shape[0]):
         members = np.flatnonzero(hard == c)
-        if members.size == 0:
-            # Empty support: fall back to the classifier's class direction.
-            prototypes[c] = model.W_cls[:, c]
-            continue
-        order = members[np.argsort(node_entropy[members], kind="stable")]
-        prototypes[c] = Z[order[: kind.keep_per_class]].mean(axis=0)
-
-    # One class at a time: each row still sums its H squares in one contiguous
-    # reduction, so the bits match the N×C×H broadcast without building it.
-    sq_dist = np.empty((num_classes, Z.shape[0]))
-    offset = np.empty_like(Z)
-    for c, prototype in enumerate(prototypes):
-        np.subtract(Z, prototype, out=offset)
-        offset *= offset
-        offset.sum(axis=1, out=sq_dist[c])
-    return SoftPrediction(softmax(-sq_dist.T))
+        if members.size:
+            order = members[np.argsort(node_entropy[members], kind="stable")]
+            prototypes[c] = mix[order[: kind.keep_per_class]].mean(axis=0) @ affine
+    # −‖z − p_c‖² but for the per-node constant −‖z‖², which softmax drops.
+    scores = mix @ (affine @ (2.0 * prototypes.T)) - (prototypes * prototypes).sum(axis=1)
+    return SoftPrediction(softmax(scores))
 
 
 def base_predict(
@@ -154,10 +139,8 @@ def base_predict(
     """Algorithm step Ŷ ← BaseTTA(…); never mutates γ or the model."""
     if not cache.is_fresh(model, dataset.graph):
         raise StaleCacheError("hop cache is stale for the current parameters")
-    if kind.variant == "tent":
-        return SoftPrediction(softmax(tent_lite(kind, model, cache)[2]))
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    logits, prediction = classify(Z, model)
     if kind.variant == "t3a":
-        return _t3a_predict(kind, model, Z, logits, prediction)
-    return prediction
+        return _t3a_predict(kind, model, cache)
+    if kind.variant == "erm":
+        kind = replace(kind, steps=0)
+    return SoftPrediction(softmax(tent_lite(kind, model, cache)[2]))

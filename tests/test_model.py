@@ -404,9 +404,14 @@ def test_class_major_reductions_agree_to_round_off_from_eight_classes(c):
 
 
 def row_wise_prediction(variant, model, cache, keep_per_class=20):
-    """erm or t3a with every class reduction taken row by row, as a reference."""
-    Z = mix_hops(cache, model.gamma) @ affine_matrix(model.scale, model.shift)
-    logits = Z @ model.W_cls + model.b_cls[None, :]
+    """erm or t3a with every class reduction taken row by row, as a reference.
+
+    Both score linear heads on Z = mix·A without building Z: the classifier,
+    and T3A's 2Pᵀ with bias −‖p_c‖² (softmax(−‖z − p_c‖²) without ‖z‖²).
+    """
+    mix = mix_hops(cache, model.gamma)
+    affine = affine_matrix(model.scale, model.shift)
+    logits = mix @ (affine @ model.W_cls) + model.b_cls
     probs = row_softmax(logits)
     if variant == "erm":
         return probs
@@ -416,9 +421,10 @@ def row_wise_prediction(variant, model, cache, keep_per_class=20):
     for c in range(model.W_cls.shape[1]):
         members = np.flatnonzero(hard == c)
         order = members[np.argsort(node_entropy[members], kind="stable")]
-        prototypes.append(Z[order[:keep_per_class]].mean(axis=0))
+        prototypes.append(mix[order[:keep_per_class]].mean(axis=0) @ affine)
     prototypes = np.stack(prototypes)
-    return row_softmax(-((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2))
+    norms = (prototypes**2).sum(axis=1)
+    return row_softmax(mix @ (affine @ (2.0 * prototypes.T)) - norms)
 
 
 @pytest.mark.parametrize("variant", ["erm", "t3a"])

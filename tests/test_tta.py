@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adarc import (
     BaseTtaKind,
+    Dataset,
     PropagationOperator,
     StaleCacheError,
     aggregate,
     base_predict,
+    build_graph,
     classify,
     featurize_hops,
 )
 from adarc import tta
 from adarc.losses import _entropy_grad_logits, _entropy_terms
-from adarc.model import affine_matrix, mix_hops, softmax
+from adarc.model import affine_matrix, log_softmax, mix_hops, softmax
 from adarc.tta import BASE_TTA_NAMES, _entropy_grad_affine, tent_lite
 
 from oracle_utils import fd_grad, relative_error, tent_affine_grad_z
@@ -49,13 +53,17 @@ def test_kind_validation():
 
 
 def test_erm_is_plain_classifier(tiny_model, tiny_target, cache_and_op):
+    # The bits are the softmax of the logit form mix·(A·W_cls) + b_cls; the
+    # classifier on Z = aggregate(…) sums in another order, so it agrees to
+    # round-off with the same hard labels.
     cache, _ = cache_and_op
     pred = base_predict(BaseTtaKind("erm"), tiny_model, cache, tiny_target)
-    from adarc import classify
-
+    logits = affine_logits(cache, tiny_model, tiny_model.scale, tiny_model.shift)
+    np.testing.assert_array_equal(pred.probs, softmax(logits))
     Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
     _, direct = classify(Z, tiny_model)
-    np.testing.assert_array_equal(pred.probs, direct.probs)
+    np.testing.assert_allclose(pred.probs, direct.probs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(pred.hard, direct.hard)
 
 
 def test_tent_zero_steps_equals_erm(tiny_model, tiny_target, cache_and_op):
@@ -64,7 +72,7 @@ def test_tent_zero_steps_equals_erm(tiny_model, tiny_target, cache_and_op):
     tent = base_predict(
         BaseTtaKind("tent", steps=0), tiny_model, cache, tiny_target
     )
-    np.testing.assert_allclose(tent.probs, erm.probs, atol=1e-15)
+    np.testing.assert_array_equal(tent.probs, erm.probs)
 
 
 def test_tent_reduces_entropy(tiny_model, tiny_target, cache_and_op):
@@ -204,28 +212,51 @@ def test_tent_does_not_mutate_the_model(tiny_model, tiny_target, cache_and_op):
         np.testing.assert_array_equal(original, now)
 
 
+def z_space_t3a(model, cache, keep_per_class, empty_class_expected=False):
+    """T3A's probabilities from Z = aggregate(…): softmax(−‖Z − p_c‖²), as a reference."""
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    logits, base = classify(Z, model)
+    node_entropy = -(base.probs * log_softmax(logits)).sum(axis=1)
+    prototypes = []
+    for c in range(model.W_cls.shape[1]):
+        members = np.flatnonzero(base.hard == c)
+        if members.size == 0:
+            assert empty_class_expected, f"class {c} is empty"
+            prototypes.append(model.W_cls[:, c])
+            continue
+        order = members[np.argsort(node_entropy[members], kind="stable")]
+        prototypes.append(Z[order[:keep_per_class]].mean(axis=0))
+    prototypes = np.stack(prototypes)
+    return softmax(-((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2))
+
+
 def test_t3a_probs_follow_prototype_distances(tiny_model, tiny_target, cache_and_op):
     cache, _ = cache_and_op
     pred = base_predict(
         BaseTtaKind("t3a", keep_per_class=15), tiny_model, cache, tiny_target
     )
     np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
-    # reconstruct prototypes with the same rule and verify the soft scores
-    from adarc import classify, softmax
-    from adarc.model import log_softmax
+    expected = z_space_t3a(tiny_model, cache, keep_per_class=15)
+    np.testing.assert_allclose(pred.probs, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(pred.hard, expected.argmax(axis=1))
 
-    Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
-    logits, base = classify(Z, tiny_model)
-    node_entropy = -(base.probs * log_softmax(logits)).sum(axis=1)
-    prototypes = []
-    for c in range(tiny_target.num_classes):
-        members = np.flatnonzero(base.hard == c)
-        assert members.size > 0, "fixture should populate both classes"
-        order = members[np.argsort(node_entropy[members], kind="stable")]
-        prototypes.append(Z[order[:15]].mean(axis=0))
-    prototypes = np.stack(prototypes)
-    sq = ((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2)
-    np.testing.assert_allclose(pred.probs, softmax(-sq), atol=1e-8)
+
+def test_t3a_empty_class_falls_back_to_the_classifier_direction(
+    tiny_model, tiny_target, cache_and_op
+):
+    # A bias that sends every node to class 0, by a margin of 1 in the logits,
+    # leaves class 1 with no members, so its prototype is W_cls[:, 1]; the
+    # scores still match the distances.
+    cache, _ = cache_and_op
+    model = tiny_model.copy()
+    logits = affine_logits(cache, model, model.scale, model.shift)
+    model.b_cls[0] += (logits[:, 1] - logits[:, 0]).max() + 1.0
+    assert np.all(base_predict(BaseTtaKind("erm"), model, cache, tiny_target).hard == 0)
+    pred = base_predict(BaseTtaKind("t3a", keep_per_class=15), model, cache, tiny_target)
+    expected = z_space_t3a(model, cache, keep_per_class=15, empty_class_expected=True)
+    # Relative, because class 1's probabilities are tiny (7e-15 measured).
+    np.testing.assert_allclose(pred.probs, expected, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(pred.hard, expected.argmax(axis=1))
 
 
 def test_t3a_keep_larger_than_class_is_fine(tiny_model, tiny_target, cache_and_op):
@@ -251,3 +282,32 @@ def test_base_predict_uses_no_propagate_calls(tiny_model, tiny_target):
     for variant in BASE_TTA_NAMES:
         base_predict(BaseTtaKind(variant), tiny_model, cache, tiny_target)
     assert op.calls == calls_after_featurize
+
+def relabelled(dataset, order):
+    """``dataset`` with node ``order[i]`` renamed i."""
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    graph = build_graph(new_id[dataset.graph.edge_list()], dataset.num_nodes)
+    return Dataset(
+        graph, dataset.features[order], dataset.labels[order], dataset.num_classes
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_base_predictions_do_not_depend_on_node_ids(tiny_model, tiny_target, seed):
+    # Renaming the nodes only reorders sums over nodes (the normalization
+    # statistics, T3A's prototype means), so each prediction, mapped back,
+    # agrees to round-off with the same hard labels.
+    order = np.random.default_rng(seed).permutation(tiny_target.num_nodes)
+    renamed = relabelled(tiny_target, order)
+    caches = [
+        featurize_hops(tiny_model, data, PropagationOperator(data.graph, "sym"))
+        for data in (tiny_target, renamed)
+    ]
+    for variant in BASE_TTA_NAMES:
+        kind = BaseTtaKind(variant)
+        original = base_predict(kind, tiny_model, caches[0], tiny_target)
+        moved = base_predict(kind, tiny_model, caches[1], renamed)
+        np.testing.assert_allclose(moved.probs, original.probs[order], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(moved.hard, original.hard[order])
