@@ -232,25 +232,13 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-#: Names the ``adapt --out`` config block has always used; every other
-#: ``adapt.``/``base.`` key is echoed under the config key itself.
-_ADAPT_ECHO_NAMES = {
-    "adapt.learning_rate": "learning_rate",
-    "adapt.epochs": "epochs",
-    "adapt.loss": "loss",
-    "adapt.ablation": "ablation",
-    "base.variant": "base_tta",
-}
-
-
 def _adapt_config_echo(config: AdaptConfig) -> dict:
-    """Every ``AdaptConfig`` and ``BaseTtaKind`` field the run used."""
-    echo = {}
-    for prefix, instance in (("adapt", config), ("base", config.base)):
-        for name in _section_keys(type(instance)):
-            key = f"{prefix}.{name}"
-            echo[_ADAPT_ECHO_NAMES.get(key, key)] = getattr(instance, name)
-    return echo
+    """Every ``AdaptConfig`` and ``BaseTtaKind`` field the run used, by config key."""
+    return {
+        f"{prefix}.{name}": getattr(instance, name)
+        for prefix, instance in (("adapt", config), ("base", config.base))
+        for name in _section_keys(type(instance))
+    }
 
 
 def _cmd_adapt(args) -> int:

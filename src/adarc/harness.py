@@ -28,14 +28,14 @@ from .csbm import (
 from .graph import Dataset, PropagationOperator
 from .model import (
     GprModel,
+    HopCache,
     aggregate,
-    classify,
     cross_entropy,
     featurize_hops,
     prediction_accuracy,
 )
 from .pretrain import TrainConfig, pretrain_on
-from .tta import BASE_TTA_NAMES, base_predict
+from .tta import BASE_TTA_NAMES, BaseTtaKind, base_predict
 
 __all__ = [
     "METHOD_NAMES",
@@ -397,16 +397,19 @@ def decompose_gap(
     with target labels — an evaluation-only diagnostic giving the best the
     featurizer allows. Δ_f = acc_source − sup_g_acc and
     Δ_g = sup_g_acc − acc_target. Both graphs propagate under the model's
-    ``prop_mode``.
+    ``prop_mode``, and both accuracies are ``base_predict``'s ERM; Z is built
+    only for the target, whose head is refit.
     """
 
-    def erm(data: Dataset) -> tuple[np.ndarray, float]:
+    def erm(data: Dataset) -> tuple[HopCache, float]:
         op = PropagationOperator(data.graph, model.prop_mode)
-        Z = aggregate(featurize_hops(model, data, op), model.gamma, model.scale, model.shift)
-        return Z, prediction_accuracy(classify(Z, model)[1], data.labels)
+        cache = featurize_hops(model, data, op)
+        prediction = base_predict(BaseTtaKind(), model, cache, data)
+        return cache, prediction_accuracy(prediction, data.labels)
 
     _, acc_source = erm(source)
-    Z_t, acc_target = erm(target)
+    cache_t, acc_target = erm(target)
+    Z_t = aggregate(cache_t, model.gamma, model.scale, model.shift)
 
     W, b, iterations, grad_norm = fit_linear_head(
         Z_t, target.labels, target.num_classes

@@ -78,6 +78,7 @@ __all__ = [
     "HopCache",
     "HopMoments",
     "SoftPrediction",
+    "StaleCacheError",
     "init_model",
     "featurize_hops",
     "mix_hops",
@@ -87,6 +88,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
+    "prediction_accuracy",
     "backward_ce",
     "gamma_grad_from_dz",
     "save_checkpoint",
@@ -262,7 +264,6 @@ class HopCache:
     hops: np.ndarray  # (K+1)×N×(H+1), Ã^k [X̂ | 1]
     mean: np.ndarray  # H, mean of X W1 + b1 over the graph's nodes
     var: np.ndarray  # H, variance of X W1 + b1 over the graph's nodes
-    used_std: np.ndarray  # H, √(var + eps) of the normalization
     theta: tuple[np.ndarray, ...]  # copies of (W1, b1, row_offsets, neighbor_ids)
 
     @property
@@ -364,7 +365,6 @@ def featurize_hops(
         hops=stack,
         mean=mean,
         var=var,
-        used_std=std,
         theta=tuple(a.copy() for a in _theta(model, dataset.graph)),
     )
 
@@ -521,7 +521,7 @@ def backward_ce(
     mean_dx = (d_pre * xhat).mean(axis=0)
     d_pre -= mean_d
     d_pre -= xhat * mean_dx
-    d_pre /= cache.used_std
+    d_pre /= np.sqrt(cache.var + BN_EPS)
 
     # Xᵀ·∂L/∂pre in the features' dtype and widened, as in featurize_hops.
     # With the features on the right the GEMM reads X in its stored layout,

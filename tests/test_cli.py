@@ -241,9 +241,11 @@ def test_adapt_out_echoes_every_adapt_and_base_setting(workspace, tmp_path):
     # JSON booleans, not the 0/1 a bool-as-int report would carry.
     assert blocks["plain"]["adapt.persist_base_tta"] is False
     assert blocks["persist"]["adapt.persist_base_tta"] is True
-    settings = [k for k in cli._known_keys() if k.startswith(("adapt.", "base."))]
-    echoed = {cli._ADAPT_ECHO_NAMES.get(key, key) for key in settings}
-    assert set(blocks["plain"]) == echoed | {"prop_mode"}
+    # Every setting is echoed under its config key, so it pastes back into --config.
+    settings = {k for k in cli._known_keys() if k.startswith(("adapt.", "base."))}
+    assert set(blocks["plain"]) == settings | {"prop_mode"}
+    assert blocks["plain"]["adapt.ablation"] == "joint"
+    assert blocks["plain"]["adapt.epochs"] == 1
 
 
 def test_adapt_report_trace_and_determinism(workspace, tmp_path):

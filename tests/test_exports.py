@@ -1,15 +1,37 @@
-"""Export lists: every name a module advertises exists."""
+"""Export lists: every name a module advertises exists, and the package
+exports exactly the union of its modules' lists."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
 import adarc
 
 MODULES = ["adarc"] + [f"adarc.{info.name}" for info in pkgutil.iter_modules(adarc.__path__)]
+#: The modules whose ``__all__`` the package re-exports, in order; ``cli`` is
+#: the command line, not library API.
+LIBRARY_MODULES = [importlib.import_module(m) for m in MODULES[1:] if m != "adarc.cli"]
+
+#: The package exports of 0.1.0 before the lists were unified; none may go.
+EARLIER_EXPORTS = (
+    "__version__ AdaptConfig AdaptResult AdaptationDivergedError adapt convergence_report "
+    "CsbmParams PRESETS edge_probs generate preset_params attach_split_masks "
+    "BACKEND Graph Dataset PropagationOperator build_graph node_homophily "
+    "ScenarioSpec ExperimentReport GapDecomposition scenario_seeds "
+    "build_scenario_datasets run_scenario sweep fit_linear_head decompose_gap "
+    "FormatError read_dataset write_dataset write_json_report "
+    "LOSS_KINDS DegenerateRepresentationError surrogate_loss_and_grad_gamma "
+    "EpochRecord GprModel HopCache SoftPrediction StaleCacheError init_model "
+    "featurize_hops aggregate softmax classify prediction_accuracy save_checkpoint "
+    "load_checkpoint TrainConfig TrainDivergedError train_source pretrain_on "
+    "TheoryPoint AttributeShiftAccuracy representation_distribution "
+    "closed_form_accuracy optimal_gamma attribute_shift_accuracy "
+    "monte_carlo_accuracy gap_decomposition BaseTtaKind base_predict"
+).split()
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +39,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
+
+
+def test_package_exports_the_modules_lists_in_order():
+    expected = ["__version__"] + [n for m in LIBRARY_MODULES for n in m.__all__]
+    assert adarc.__all__ == expected
+
+
+def test_no_name_is_declared_by_two_modules():
+    counts = Counter(n for m in LIBRARY_MODULES for n in m.__all__)
+    assert [n for n, c in counts.items() if c > 1] == []
+
+
+def test_each_package_export_is_the_modules_own_object():
+    for module in LIBRARY_MODULES:
+        for name in module.__all__:
+            assert getattr(adarc, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_earlier_export_is_dropped():
+    assert len(EARLIER_EXPORTS) == 61
+    assert [n for n in EARLIER_EXPORTS if n not in adarc.__all__] == []

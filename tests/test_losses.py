@@ -32,7 +32,7 @@ from oracle_utils import (
 def stack_cache(hops):
     """A hop cache over a given (K+1)×N×(H+1) stack; the losses read only its hops."""
     h = hops.shape[2] - 1
-    return HopCache(hops=hops, mean=np.zeros(h), var=np.ones(h), used_std=np.ones(h), theta=())
+    return HopCache(hops=hops, mean=np.zeros(h), var=np.ones(h), theta=())
 
 
 def z_space(Z, num_classes=2):

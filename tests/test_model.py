@@ -85,7 +85,6 @@ def test_featurize_hops_does_not_mutate_the_model(tiny_model, tiny_target, tiny_
     pre = target.features @ tiny_model.W1 + tiny_model.b1[None, :]
     np.testing.assert_allclose(cache.mean, pre.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cache.var, pre.var(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(cache.used_std, np.sqrt(cache.var + 1e-5), rtol=1e-12)
 
 
 def test_hop_cache_matches_manual_propagation(tiny_model, tiny_target):
