@@ -6,10 +6,11 @@ that prediction constant. Hop representations are cached up front, so the
 whole run touches the propagation operator exactly once per hop.
 
 The ``theta`` and ``joint`` ablations and ``persist_base_tta`` (with a
-``tent`` base) also write a norm affine back each epoch, after the γ step.
-Each write-back is ``tta.tent_lite`` under one ``BaseTtaKind``, run in a
-fixed order: first the one-step θ update at ``affine_lr``, then the base
-Tent itself.
+``tent`` base) also write a norm affine back each epoch, after the γ step:
+one ``tta.tent_lite`` call at the base's rate with n steps, one for the θ
+ablation plus the base's ``steps`` for a persisted Tent. ``tent_lite`` stops
+at its first rejected step, so those n steps are the θ step followed by the
+base Tent.
 
 For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch
 computes the cache's per-column hop moments once (``HopCache.moments``),
@@ -21,8 +22,7 @@ and solves the rest in (K+1)-space (see ``losses``).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class AdaptConfig:
     base: BaseTtaKind = field(default_factory=BaseTtaKind)
     ablation: str = "gamma"
     persist_base_tta: bool = False
-    affine_lr: float = 0.01
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -72,8 +71,6 @@ class AdaptConfig:
             raise ValueError(
                 f"ablation must be one of {ABLATION_NAMES}, got {self.ablation!r}"
             )
-        if self.affine_lr <= 0:
-            raise ValueError("affine_lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,6 @@ class AdaptResult:
     model: GprModel
     prediction: SoftPrediction
     trace: tuple[EpochRecord, ...]
-    stage_seconds: dict[str, float]
 
 
 class AdaptationDivergedError(RuntimeError):
@@ -108,31 +104,22 @@ def adapt(
     comes from one final base-predictor call after the last step.
     """
     model = model.copy()
-    stage = {"featurize": 0.0, "base_predict": 0.0, "surrogate": 0.0, "update": 0.0}
-
-    t0 = time.perf_counter()
     cache = featurize_hops(model, dataset, op)
-    stage["featurize"] += time.perf_counter() - t0
 
     trace: list[EpochRecord] = []
     update_gamma = config.ablation in ("gamma", "joint")
-    # Norm-affine write-backs, in order: the θ step, then the persisted Tent.
-    affine_kinds = []
-    if config.ablation in ("theta", "joint"):
-        affine_kinds.append(BaseTtaKind(variant="tent", steps=1, lr=config.affine_lr))
+    # Norm-affine write-back: the θ step, then the persisted Tent, in one call.
+    affine_steps = int(config.ablation in ("theta", "joint"))
     if config.persist_base_tta and config.base.variant == "tent":
-        affine_kinds.append(config.base)
+        affine_steps += config.base.steps
+    affine_kind = replace(config.base, variant="tent", steps=affine_steps)
 
     for epoch in range(config.epochs):
-        t0 = time.perf_counter()
         prediction = base_predict(config.base, model, cache, dataset)
-        stage["base_predict"] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
         loss, grad = surrogate_loss_and_grad_gamma(
             config.loss, model, cache, prediction
         )
-        stage["surrogate"] += time.perf_counter() - t0
 
         if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
             raise AdaptationDivergedError(
@@ -140,12 +127,10 @@ def adapt(
                 tuple(trace),
             )
 
-        t0 = time.perf_counter()
         if update_gamma:
             model.gamma[:] = model.gamma - config.learning_rate * grad
-        for kind in affine_kinds:
-            model.scale[:], model.shift[:] = tent_lite(kind, model, cache)[:2]
-        stage["update"] += time.perf_counter() - t0
+        if affine_steps:
+            model.scale[:], model.shift[:] = tent_lite(affine_kind, model, cache)[:2]
 
         trace.append(
             EpochRecord(
@@ -157,16 +142,9 @@ def adapt(
             )
         )
 
-    t0 = time.perf_counter()
     prediction = base_predict(config.base, model, cache, dataset)
-    stage["base_predict"] += time.perf_counter() - t0
 
-    return AdaptResult(
-        model=model,
-        prediction=prediction,
-        trace=tuple(trace),
-        stage_seconds=stage,
-    )
+    return AdaptResult(model=model, prediction=prediction, trace=tuple(trace))
 
 
 def convergence_report(trace: tuple[EpochRecord, ...]) -> dict:

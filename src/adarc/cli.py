@@ -19,8 +19,8 @@ prediction, whose hop cache it drops at once, and once inside
 ``adapt.adapt``. So it holds the features and one hop stack at a time.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
-All output files are byte-deterministic for a fixed seed; wall-clock
-measurements are printed to stdout/stderr only, never into ``--out`` files.
+All output files are byte-deterministic for a fixed seed. No command
+measures time; ``perfbench`` times the lab.
 
 Reproducibility contract: ``--out`` files (and checkpoints, datasets and
 traces) are byte-identical for a fixed OpenBLAS build, CPU kernel and BLAS
@@ -181,6 +181,11 @@ def _load_model_and_op(
 ) -> tuple[GprModel, PropagationOperator]:
     """The checkpoint's model, and its operator on the graph under its own mode."""
     model = load_checkpoint(args.ckpt)
+    if dataset.num_classes > model.W_cls.shape[1]:
+        raise ValueError(
+            f"the dataset has {dataset.num_classes} classes but the checkpoint "
+            f"predicts only {model.W_cls.shape[1]}"
+        )
     configured = overrides.get("train.prop_mode", model.prop_mode)
     if configured != model.prop_mode:
         raise ValueError(
@@ -285,8 +290,6 @@ def _cmd_adapt(args) -> int:
             ],
         )
         print(f"wrote {trace_path}")
-    stages = " ".join(f"{k}={v:.3f}s" for k, v in result.stage_seconds.items())
-    print(f"stage wall-clock: {stages}", file=sys.stderr)
     return 0
 
 

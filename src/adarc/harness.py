@@ -347,15 +347,13 @@ def fit_linear_head(
     Z: np.ndarray,
     labels: np.ndarray,
     num_classes: int,
-    learning_rate: float = 1.0,
-    max_iterations: int = HEAD_FIT_MAX_ITERATIONS,
-    tolerance: float = HEAD_FIT_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Multinomial logistic regression on frozen representations.
 
-    Plain gradient descent on the mean cross-entropy, run until the gradient
-    norm falls below ``tolerance`` or ``max_iterations`` is reached. A step
-    that increases the objective is rejected and the rate halved.
+    Plain gradient descent on the mean cross-entropy from W = 0 at rate 1,
+    run until the gradient norm falls below ``HEAD_FIT_TOLERANCE`` or
+    ``HEAD_FIT_MAX_ITERATIONS`` is reached. A step that increases the
+    objective is rejected and the rate halved.
     Returns (W, b, iterations_used, final_gradient_norm).
     """
     width = Z.shape[1]
@@ -366,12 +364,12 @@ def fit_linear_head(
         ce, g = cross_entropy(Z @ W + b[None, :], labels)
         return ce, Z.T @ g, g.sum(axis=0)
 
-    lr = learning_rate
+    lr = 1.0
     ce, dW, db = ce_and_grad(W, b)
     grad_norm = float(np.sqrt((dW**2).sum() + (db**2).sum()))
     iterations = 0
-    for _ in range(max_iterations):
-        if grad_norm < tolerance:
+    for _ in range(HEAD_FIT_MAX_ITERATIONS):
+        if grad_norm < HEAD_FIT_TOLERANCE:
             break
         new_W = W - lr * dW
         new_b = b - lr * db

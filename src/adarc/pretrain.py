@@ -68,7 +68,6 @@ class TrainConfig:
     num_hops: int = 9
     gamma_alpha: float = 0.1
     prop_mode: str = "sym"
-    gauge_normalize: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -208,8 +207,7 @@ def train_source(
     for name, value in best_state.items():
         setattr(model, name, value)
     model.prop_mode = config.prop_mode
-    if config.gauge_normalize:
-        gauge_normalize(model, gamma_init_norm)
+    gauge_normalize(model, gamma_init_norm)
     return model, history
 
 

@@ -33,6 +33,7 @@ from adarc import (
 )
 from adarc import harness
 from adarc.harness import METHOD_NAMES, SWEEP_AXES
+from adarc.model import cross_entropy
 
 TINY_SPEC = ScenarioSpec("homo2hetero", n=320, dim=48)
 TINY_TRAIN = TrainConfig(epochs=60, patience=15, hidden=16, num_hops=4)
@@ -481,8 +482,14 @@ def test_fit_linear_head_learns_blobs():
 
 
 def test_fit_linear_head_survives_huge_rate():
+    # At this scale the fixed unit rate is huge: its first step from W = 0
+    # raises the cross-entropy, so the halving branch has to run.
     Z, labels = blob_head_problem(np.random.default_rng(1))
-    W, b, _, _ = fit_linear_head(Z, labels, num_classes=2, learning_rate=1e6)
+    Z = Z * 1e3
+    ce0, g = cross_entropy(np.zeros((Z.shape[0], 2)), labels)
+    ce1, _ = cross_entropy(-Z @ (Z.T @ g) - g.sum(axis=0), labels)
+    assert ce1 > ce0
+    W, b, _, _ = fit_linear_head(Z, labels, num_classes=2)
     assert np.all(np.isfinite(W)) and np.all(np.isfinite(b))
     accuracy = np.mean(np.argmax(Z @ W + b, axis=1) == labels)
     assert accuracy > 0.8

@@ -77,19 +77,22 @@ def test_early_stopping_restores_best_val(tiny_source):
     assert val == pytest.approx(best_in_history, abs=1e-12)
 
 
-def test_gauge_normalization_preserves_predictions(tiny_source):
-    config = replace(TINY_TRAIN, gauge_normalize=False)
-    raw, _ = pretrain_on(tiny_source, config)
-    expected_norm = ppr_norm(config.gamma_alpha, config.num_hops)
-    assert np.linalg.norm(raw.gamma) != pytest.approx(expected_norm, rel=1e-6), (
-        "training should drift the gamma norm; otherwise this test is vacuous"
+def test_gauge_normalization_preserves_predictions(tiny_source, tiny_model):
+    _, history = pretrain_on(tiny_source, TINY_TRAIN)
+    expected_norm = ppr_norm(TINY_TRAIN.gamma_alpha, TINY_TRAIN.num_hops)
+    assert np.linalg.norm(history[-1].gamma) != pytest.approx(expected_norm, rel=1e-6), (
+        "training should drift the gamma norm; otherwise the gauge is vacuous"
     )
-    before = erm_prediction(raw, tiny_source)
-    gauged = raw.copy()
-    gauge_normalize(gauged, expected_norm)
-    assert np.linalg.norm(gauged.gamma) == pytest.approx(expected_norm, rel=1e-12)
-    after = erm_prediction(gauged, tiny_source)
+    drifted = tiny_model.copy()
+    drifted.gamma *= 3.0
+    drifted.W_cls /= 3.0
+    before = erm_prediction(drifted, tiny_source)
+    gauge_normalize(drifted, expected_norm)
+    assert np.linalg.norm(drifted.gamma) == pytest.approx(expected_norm, rel=1e-12)
+    after = erm_prediction(drifted, tiny_source)
     np.testing.assert_allclose(after.probs, before.probs, atol=1e-10)
+    reference = erm_prediction(tiny_model, tiny_source)
+    np.testing.assert_allclose(after.probs, reference.probs, atol=1e-10)
 
 
 def test_pretrain_applies_gauge_by_default(tiny_model):
