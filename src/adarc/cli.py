@@ -60,8 +60,8 @@ from .harness import (
     ScenarioSpec,
     build_scenario_datasets,
     decompose_gap,
-    pretrain_scenario,
     run_scenario,
+    scenario_seeds,
     sweep,
 )
 from .io import (
@@ -358,7 +358,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_decompose(args) -> int:
     spec, train_cfg, _, _ = _settings(args)
-    source, target, model = pretrain_scenario(spec, args.seed, train_cfg)
+    source, target = build_scenario_datasets(spec, args.seed)
+    config = replace(train_cfg, seed=scenario_seeds(args.seed)["model"])
+    model, _ = pretrain_on(source, config)
     decomposition = decompose_gap(model, source, target)
     tolerance = np.format_float_scientific(HEAD_FIT_TOLERANCE, trim="-", exp_digits=1)
     stop = f"gradient norm < {tolerance} or {HEAD_FIT_MAX_ITERATIONS} iterations"

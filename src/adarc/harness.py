@@ -4,13 +4,14 @@ A scenario ties together CSBM generation, source pretraining, and one or
 more adaptation methods evaluated on the target graph. Seeds are expanded
 deterministically: scenario seed ``s`` draws the source graph with ``2s``,
 the target graph with ``2s+1``, the train/val split with ``s+777``, and
-model initialization with ``s+1``. Each graph draw owns its random stream,
-so the source and target graphs are drawn concurrently.
+model initialization with ``s+1``. ``run_scenario`` draws each seed's source,
+pretrains on it and releases it before it draws the target, so a run holds
+one feature matrix at a time.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -137,16 +138,8 @@ def _parse_method(name: str) -> tuple[str, bool]:
     return base, bool(adarc)
 
 
-def build_scenario_datasets(
-    spec: ScenarioSpec, seed: int
-) -> tuple[Dataset, Dataset]:
-    """(source with train/val masks, target) for one scenario seed.
-
-    The two graphs are drawn at the same time on independent random streams:
-    the source on one worker thread, the target on the calling thread (numpy
-    fills the arrays without holding the GIL). The worker is joined before
-    this returns, and its exception, if any, is raised here.
-    """
+def _draw_scenario(spec: ScenarioSpec, seed: int) -> Iterator[Dataset]:
+    """One seed's source with train/val masks, then its target, each drawn when asked for."""
     derived = scenario_seeds(seed)
     source_params = spec.params("source", derived["source_graph"])
     target_params = spec.params("target", derived["target_graph"])
@@ -160,20 +153,30 @@ def build_scenario_datasets(
         # target then share adjacency, labels, and feature noise; the target
         # differs by exactly the attribute translation.
         target_params = replace(target_params, seed=source_params.seed)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        drawn_source = pool.submit(generate, source_params)
-        target = generate(target_params)
-        source = drawn_source.result()
-    return attach_split_masks(source, seed=derived["split"]), target
+    yield attach_split_masks(generate(source_params), seed=derived["split"])
+    yield generate(target_params)
+
+
+def build_scenario_datasets(
+    spec: ScenarioSpec, seed: int
+) -> tuple[Dataset, Dataset]:
+    """(source with train/val masks, target) for one scenario seed, drawn in turn."""
+    source, target = _draw_scenario(spec, seed)
+    return source, target
 
 
 def pretrain_scenario(
     spec: ScenarioSpec, seed: int, train_config: TrainConfig
-) -> tuple[Dataset, Dataset, GprModel]:
-    """One seed's (source, target) and a model pretrained under its ``"model"`` seed."""
-    source, target = build_scenario_datasets(spec, seed)
-    model, _ = pretrain_on(source, replace(train_config, seed=scenario_seeds(seed)["model"]))
-    return source, target, model
+) -> tuple[GprModel, Dataset]:
+    """A model pretrained on one seed's source under its ``"model"`` seed, and the target.
+
+    The source is released before the target is drawn, so at most one of
+    the two feature matrices is held at a time.
+    """
+    draws = _draw_scenario(spec, seed)
+    config = replace(train_config, seed=scenario_seeds(seed)["model"])
+    model, _ = pretrain_on(next(draws), config)
+    return model, next(draws)
 
 
 def _config_echo(
@@ -223,7 +226,7 @@ def run_scenario(
     accs: dict[str, list[float]] = {m: [] for m in methods}
 
     for seed in seeds:
-        source, target, model = pretrain_scenario(spec, seed, train_config)
+        model, target = pretrain_scenario(spec, seed, train_config)
 
         op = PropagationOperator(target.graph, model.prop_mode)
         adapted = {
@@ -245,8 +248,8 @@ def run_scenario(
                 prediction = base_predict(kinds[base], model, plain_cache, target)
                 acc = prediction_accuracy(prediction, target.labels)
             accs[name].append(acc)
-        # Release this seed's graphs, model and caches before the next seed draws.
-        del source, target, model, op, adapted, plain_cache
+        # Release this seed's graph, model and caches before the next seed draws.
+        del target, model, op, adapted, plain_cache
 
     per_seed = {m: tuple(v) for m, v in accs.items()}
     mean = {m: float(np.mean(v)) for m, v in per_seed.items()}

@@ -12,10 +12,9 @@ A = [diag(scale); shiftᵀ], and propagation commutes with it, so
 
     H^(k) = Ã^k [X̂ | 1] A    and    Z = (Σ_k γ_k Ã^k [X̂ | 1]) A.
 
-Every Z is one γ-contraction of the stack followed by one small GEMM, and
-∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩ is one contraction back. Any scale and
-shift reuse the cache, so norm-affine test-time adaptation costs no new
-propagate calls and an entire adaptation run costs exactly K of them.
+Every Z is one γ-contraction of the stack followed by one small GEMM. Any
+scale and shift reuse the cache, so norm-affine test-time adaptation costs
+no new propagate calls and an entire adaptation run costs exactly K of them.
 
 ``HopCache.moments`` (built on first use, two passes over the stack) holds the
 centered per-column cross-moments of the hops. Because A only scales each
@@ -24,21 +23,20 @@ column and adds the ones column, they give the total variance of Z as a
 σ² = γᵀ S_t γ with S_t = ``HopMoments.total_gram(scale, shift)``.
 
 Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
-D=2000) and one f64 hop stack, 13.2 MB at N=5000, H=32, K=9. The two GEMMs
-that read X, X·W1 in ``featurize_hops`` and Xᵀ·∂L/∂pre in ``backward_ce``,
-run in the features' dtype and widen their N×H and D×H results to f64, so X
-is never widened; everything else is f64. Every other N-sized array is
-transient and lives inside one call: ``featurize_hops`` builds X W1 + b1,
-normalizes it into hop 0 in place and copies each hop's propagate output into
-its slot; ``backward_ce`` holds Z until the classifier gradients, then ∂L/∂Z,
-the Horner accumulator with one scratch array and the propagate output, and
-turns the accumulator into ∂L/∂(X W1 + b1) in place. A base prediction and
-the ``entropy``/``pseudo`` surrogates hold the γ-mix of the stack and N×C
-arrays: they score mix·(A·W) + b for an (H+1)×C head A·W and never build Z
-(the surrogates add one N×(H+1) ∂L/∂mix). Callers keep one cache
-at a time: ``train_source`` drops each epoch's stack before it builds the
-next, and ``adarc adapt`` drops its pre-adaptation stack before ``adapt``
-builds its own.
+D=2000) and at most one f64 hop stack, 13.2 MB at N=5000, H=32, K=9. The
+two GEMMs that read X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in
+``backward_ce``, run in the features' dtype and widen their N×H and D×H
+results to f64, so X is never widened; everything else is f64. Every other
+N-sized array is transient and lives inside one call: ``featurize_hops``
+copies X̂ and then each hop's propagate output into its slot. ``backward_ce``
+holds no Z and no stack. It predicts, then propagates (APPNP): with
+head = A·W_cls, the logits are Σ_k γ_k Ã^k ([X̂ | 1]·head) + b_cls, so its
+hops are (K+1)×N×C class scores and its Horner pass runs on N×C arrays; its
+N×H arrays are X̂ and ∂L/∂pre. A base prediction and the
+``entropy``/``pseudo`` surrogates hold the γ-mix of the stack and N×C
+arrays: they score mix·head + b and never build Z (the surrogates add one
+N×(H+1) ∂L/∂mix). ``adarc adapt`` drops its pre-adaptation stack before
+``adapt`` builds its own.
 
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
@@ -90,7 +88,6 @@ __all__ = [
     "cross_entropy",
     "prediction_accuracy",
     "backward_ce",
-    "gamma_grad_from_dz",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -322,6 +319,31 @@ def init_model(
     )
 
 
+def _normalize(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(X̂, mean, var): X W1 + b1 normalized over all nodes, and its statistics.
+
+    X̂ is a C-ordered N×H f64 array; mean and var are those of X W1 + b1.
+    """
+    if features.shape[1] != model.W1.shape[0]:
+        raise ValueError("feature dimension does not match the model")
+    # The GEMM runs in the features' dtype, f32 for every dataset the lab
+    # creates or reads, and its N×H result is widened: everything after it is
+    # f64. With the features on the right the GEMM reads X in its stored
+    # layout. At N=5000, D=2000, H=32 (OpenBLAS 0.3.31) X @ W1 runs faster in
+    # f32 (9.3 against 11.5 ms) but packs X into 7 MB more of BLAS buffer, and
+    # in f64 this form is the faster one. ``xhat`` must be C-ordered, or
+    # mean/var would sum in another order. The N×H array is updated in
+    # place, to the same bits as the out-of-place forms.
+    xhat = (model.W1.astype(features.dtype, copy=False).T @ features.T).T
+    xhat = np.ascontiguousarray(xhat, dtype=np.float64)
+    xhat += model.b1
+    mean = xhat.mean(axis=0)
+    var = xhat.var(axis=0)
+    xhat -= mean
+    xhat /= np.sqrt(var + BN_EPS)
+    return xhat, mean, var
+
+
 def featurize_hops(
     model: GprModel, dataset: Dataset, op: PropagationOperator
 ) -> HopCache:
@@ -331,33 +353,14 @@ def featurize_hops(
     graph (full-batch transductive) and kept on the cache; the model is
     only read.
     """
-    if dataset.features.shape[1] != model.W1.shape[0]:
-        raise ValueError("feature dimension does not match the model")
-    # The GEMM runs in the features' dtype, f32 for every dataset the lab
-    # creates or reads, and its N×H result is widened: everything after it is
-    # f64. With the features on the right the GEMM reads X in its stored
-    # layout. At N=5000, D=2000, H=32 (OpenBLAS 0.3.31) X @ W1 runs faster in
-    # f32 (9.3 against 11.5 ms) but packs X into 7 MB more of BLAS buffer, and
-    # in f64 this form is the faster one. ``pre`` must be C-ordered, or
-    # mean/var would sum in another order. The N×H intermediates are updated
-    # in place, to the same bits as the out-of-place forms.
-    features = dataset.features
-    pre = (model.W1.astype(features.dtype, copy=False).T @ features.T).T
-    pre = np.ascontiguousarray(pre, dtype=np.float64)
-    pre += model.b1
-    mean = pre.mean(axis=0)
-    var = pre.var(axis=0)
-    std = np.sqrt(var + BN_EPS)
-
-    n, h = pre.shape
+    xhat, mean, var = _normalize(model, dataset.features)
+    n, h = xhat.shape
     k = model.num_hops
     # Propagate the normalized features and the all-ones column together so
     # the whole cache costs exactly K propagate calls.
     stack = np.empty((k + 1, n, h + 1))
-    xhat = stack[0, :, :h]
-    np.subtract(pre, mean, out=xhat)
-    del pre
-    xhat /= std
+    stack[0, :, :h] = xhat
+    del xhat
     stack[0, :, h] = 1.0
     for step in range(1, k + 1):
         stack[step] = op.apply(stack[step - 1])
@@ -460,70 +463,64 @@ def prediction_accuracy(
     return float(np.mean(hard == labels))
 
 
-def gamma_grad_from_dz(
-    cache: HopCache, dZ: np.ndarray, scale: np.ndarray, shift: np.ndarray
-) -> np.ndarray:
-    """∇_γ of any loss given ∂L/∂Z: component k is ⟨H^(k), ∂L/∂Z⟩."""
-    d_mix = dZ @ affine_matrix(scale, shift).T
-    return np.tensordot(cache.hops, d_mix, axes=([1, 2], [0, 1]))
-
-
 def backward_ce(
-    model: GprModel,
-    dataset: Dataset,
-    cache: HopCache,
-    mask: np.ndarray,
-    op: PropagationOperator,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Mean cross-entropy over masked nodes, its parameter gradients and the logits.
+    model: GprModel, dataset: Dataset, mask: np.ndarray, op: PropagationOperator
+) -> tuple[float, dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy over masked nodes, its gradients, the logits and X̂'s statistics.
 
     Returns the pure CE loss (no regularization), gradients for W1, b1,
-    scale, shift, gamma, W_cls, b_cls, and the N×C logits of every node
-    (those of ``classify``), so a caller can score any other mask without a
-    second forward pass. Raises StaleCacheError if the cache was built under
-    different featurizer parameters.
+    scale, shift, gamma, W_cls, b_cls, the N×C logits of every node (those
+    of ``classify``), so a caller can score any other mask without a second
+    forward pass, and the mean and variance of X W1 + b1 that the features
+    were normalized with. Makes 2K propagate calls on N×C arrays.
     """
-    if not cache.is_fresh(model, dataset.graph):
-        raise StaleCacheError("hop cache is stale for the current parameters")
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    logits = Z @ model.W_cls + model.b_cls[None, :]
-
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("empty training mask")
+    xhat, mean, var = _normalize(model, dataset.features)
+    n = xhat.shape[0]
+    k = model.num_hops
+
+    # Predict, then propagate: the logits Σ_k γ_k Ã^k [X̂ | 1]·head + b_cls
+    # propagate the C class scores P_0 = [X̂ | 1]·head, not the H features.
+    head = affine_matrix(model.scale, model.shift) @ model.W_cls
+    scores = np.empty((k + 1, n, head.shape[1]))
+    np.matmul(xhat, head[:-1], out=scores[0])
+    scores[0] += head[-1]
+    for step in range(1, k + 1):
+        scores[step] = op.apply(scores[step - 1])
+    logits = np.tensordot(model.gamma, scores, axes=1)
+    logits += model.b_cls
+
     loss, masked_dlogits = cross_entropy(logits[rows], dataset.labels[rows])
     dlogits = np.zeros_like(logits)
     dlogits[rows] = masked_dlogits
+    grad_gamma = np.tensordot(scores, dlogits, axes=([1, 2], [0, 1]))
+    del scores
 
-    grad_W_cls = Z.T @ dlogits
-    del Z
-    grad_b_cls = dlogits.sum(axis=0)
-    dZ = dlogits @ model.W_cls.T
-
-    grad_gamma = gamma_grad_from_dz(cache, dZ, model.scale, model.shift)
-
-    # ∂L/∂H^(0) via Horner: G = Σ_k γ_k (Ãᵀ)^k dZ. The N×H updates below are
-    # in place, to the same bits as the out-of-place forms.
-    k = model.num_hops
-    G = model.gamma[k] * dZ
-    scratch = np.empty_like(dZ)
+    # ∂L/∂P_0 via Horner: G = Σ_k γ_k (Ãᵀ)^k ∂L/∂logits.
+    G = model.gamma[k] * dlogits
     for step in range(k - 1, -1, -1):
         G = op.apply(G, transpose=True)
-        G += np.multiply(model.gamma[step], dZ, out=scratch)
-    del scratch
+        G += model.gamma[step] * dlogits
 
-    xhat = cache.xhat
-    grad_scale = (xhat * G).sum(axis=0)
-    grad_shift = G.sum(axis=0)
-    d_pre = G  # d_xhat first, then ∂L/∂pre
-    d_pre *= model.scale
-    mean_d = d_pre.mean(axis=0)
-    mean_dx = (d_pre * xhat).mean(axis=0)
-    d_pre -= mean_d
-    d_pre -= xhat * mean_dx
-    d_pre /= np.sqrt(cache.var + BN_EPS)
+    # Every head and batch-norm gradient reads G through X̂ᵀG and 1ᵀG.
+    xtg = xhat.T @ G
+    ones_g = G.sum(axis=0)
+    grad_W_cls = model.scale[:, None] * xtg + np.outer(model.shift, ones_g)
+    grad_scale = (xtg * model.W_cls).sum(axis=1)
+    grad_shift = model.W_cls @ ones_g
 
-    # Xᵀ·∂L/∂pre in the features' dtype and widened, as in featurize_hops.
+    # ∂L/∂pre = (∂L/∂X̂ − its mean − X̂ ⊙ mean(∂L/∂X̂ ⊙ X̂)) / std, with
+    # ∂L/∂X̂ = G·head[:H]ᵀ. The N×H updates are in place; X̂ is not needed after.
+    d_pre = G @ head[:-1].T
+    d_pre -= head[:-1] @ ones_g / n
+    xhat *= (xtg * head[:-1]).sum(axis=1) / n
+    d_pre -= xhat
+    del xhat
+    d_pre /= np.sqrt(var + BN_EPS)
+
+    # Xᵀ·∂L/∂pre in the features' dtype and widened, as in ``_normalize``.
     # With the features on the right the GEMM reads X in its stored layout,
     # which OpenBLAS 0.3.31 runs faster in f64, to the same bits as Xᵀ @ d_pre.
     features = dataset.features
@@ -538,9 +535,9 @@ def backward_ce(
         "shift": grad_shift,
         "gamma": grad_gamma,
         "W_cls": grad_W_cls,
-        "b_cls": grad_b_cls,
+        "b_cls": dlogits.sum(axis=0),
     }
-    return loss, grads, logits
+    return loss, grads, logits, mean, var
 
 
 def save_checkpoint(model: GprModel, path) -> None:

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from adarc.model import BN_EPS, affine_matrix, aggregate, cross_entropy, featurize_hops
+
 
 def random_instance(
     rng: np.random.Generator,
@@ -182,3 +184,45 @@ def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np
 
 def row_entropy(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return -(probs * log_probs).sum(axis=1)
+
+
+def stack_backward_ce(model, dataset, mask, op):
+    """``backward_ce``'s (loss, grads, logits, mean, var) by the hop-stack path.
+
+    ``featurize_hops`` builds the (K+1)×N×(H+1) stack, ``aggregate`` builds
+    Z, and the chain rule runs in Z-space: ∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩
+    hop by hop, and ∂L/∂H^(0) = Σ_k γ_k (Ãᵀ)^k ∂L/∂Z with each power applied
+    afresh. The features are read in f64.
+    """
+    cache = featurize_hops(model, dataset, op)
+    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    logits = Z @ model.W_cls + model.b_cls
+    rows = np.flatnonzero(mask)
+    loss, masked_dlogits = cross_entropy(logits[rows], dataset.labels[rows])
+    dlogits = np.zeros_like(logits)
+    dlogits[rows] = masked_dlogits
+    dZ = dlogits @ model.W_cls.T
+
+    d_mix = dZ @ affine_matrix(model.scale, model.shift).T
+    grad_gamma = np.array([float((hop * d_mix).sum()) for hop in cache.hops])
+    d_h0 = np.zeros_like(dZ)
+    for k, weight in enumerate(model.gamma):
+        power = dZ
+        for _ in range(k):
+            power = op.apply(power, transpose=True)
+        d_h0 += weight * power
+
+    xhat = cache.xhat
+    d_xhat = d_h0 * model.scale
+    d_pre = d_xhat - d_xhat.mean(axis=0) - xhat * (d_xhat * xhat).mean(axis=0)
+    d_pre /= np.sqrt(cache.var + BN_EPS)
+    grads = {
+        "W1": dataset.features.astype(np.float64).T @ d_pre,
+        "b1": d_pre.sum(axis=0),
+        "scale": (xhat * d_h0).sum(axis=0),
+        "shift": d_h0.sum(axis=0),
+        "gamma": grad_gamma,
+        "W_cls": Z.T @ dlogits,
+        "b_cls": dlogits.sum(axis=0),
+    }
+    return loss, grads, logits, cache.mean, cache.var

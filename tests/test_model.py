@@ -31,7 +31,6 @@ from adarc.model import (
     affine_matrix,
     backward_ce,
     cross_entropy,
-    gamma_grad_from_dz,
     log_softmax,
     mix_hops,
 )
@@ -43,6 +42,7 @@ from oracle_utils import (
     row_entropy,
     row_log_softmax,
     row_softmax,
+    stack_backward_ce,
     with_f64_features,
 )
 
@@ -242,19 +242,6 @@ def test_cross_entropy_value_and_gradient():
     assert relative_error(dlogits, numeric) < 1e-6
 
 
-def test_gamma_grad_from_dz_is_exact_adjoint(tiny_model, tiny_target):
-    op = PropagationOperator(tiny_target.graph, "sym")
-    cache = featurize_hops(tiny_model, tiny_target, op)
-    scale, shift = tiny_model.scale, tiny_model.shift
-    rng = np.random.default_rng(0)
-    dZ = rng.normal(size=(tiny_target.num_nodes, scale.size))
-    grad = gamma_grad_from_dz(cache, dZ, scale, shift)
-    manual = np.array(
-        [float((hop(cache, k, scale, shift) * dZ).sum()) for k in range(cache.num_hops + 1)]
-    )
-    np.testing.assert_allclose(grad, manual, rtol=1e-12)
-
-
 def test_backward_ce_matches_finite_differences(tiny_source):
     # full-model cross-entropy gradient on a tiny instance, checked by FD
     source = with_f64_features(tiny_source)
@@ -271,14 +258,17 @@ def test_backward_ce_matches_finite_differences(tiny_source):
         rows = np.arange(source.num_nodes)[mask]
         return -float(np.mean(logp[rows, source.labels[mask]]))
 
-    cache = featurize_hops(model, source, op)
-    loss, grads, logits = backward_ce(model, source, cache, mask, op)
+    loss, grads, logits, mean, var = backward_ce(model, source, mask, op)
     assert loss == pytest.approx(loss_at(model), rel=1e-10)
-    # The returned logits are classify's, on every node.
+    # The returned logits are classify's, on every node, and the statistics
+    # are the hop cache's.
+    cache = featurize_hops(model, source, op)
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    np.testing.assert_array_equal(logits, classify(Z, model)[0])
+    np.testing.assert_allclose(logits, classify(Z, model)[0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(mean, cache.mean)
+    np.testing.assert_array_equal(var, cache.var)
 
-    for name in ("gamma", "W_cls", "b_cls", "b1"):
+    for name in ("gamma", "W_cls", "b_cls", "b1", "scale", "shift"):
         def value(arr, _name=name):
             probe = model.copy()
             getattr(probe, _name)[:] = arr
@@ -301,6 +291,47 @@ def test_backward_ce_matches_finite_differences(tiny_source):
             2 * step
         )
         assert grads["W1"][r, c] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+
+
+#: Largest relative difference between ``backward_ce`` and the hop-stack path:
+#: the two reorder the same sums. Measured on the four cases below: at most
+#: 1.1e-15 for every output but ``b1``. ``b1`` cannot move the normalized
+#: features, so its exact gradient is 0 and both paths leave round-off, at
+#: most 1.5e-16 absolute against gradients of order 0.1.
+STACK_PATH_TOLERANCE = 1e-12
+B1_ROUND_OFF = 1e-14
+
+
+@pytest.mark.parametrize("num_hops", [0, 3])
+@pytest.mark.parametrize("mode", ["sym", "row"])
+def test_backward_ce_equals_the_hop_stack_path(tiny_source, mode, num_hops):
+    source = with_f64_features(tiny_source)
+    model = init_model(dim=48, hidden=5, num_classes=2, num_hops=num_hops, seed=3)
+    rng = np.random.default_rng(num_hops)
+    model.b1 = rng.normal(size=5)
+    model.scale = rng.uniform(0.5, 1.5, size=5)
+    model.shift = rng.normal(size=5)
+    model.gamma = rng.normal(size=num_hops + 1)
+    mask = source.masks["train"]
+    op = PropagationOperator(source.graph, mode)
+    loss, grads, logits, mean, var = backward_ce(model, source, mask, op)
+    assert op.calls == 2 * num_hops
+    ref_loss, ref_grads, ref_logits, ref_mean, ref_var = stack_backward_ce(
+        model, source, mask, PropagationOperator(source.graph, mode)
+    )
+
+    def relative(value, reference):
+        return np.abs(value - reference).max() / np.abs(reference).max()
+
+    assert abs(loss - ref_loss) <= STACK_PATH_TOLERANCE * ref_loss
+    assert relative(logits, ref_logits) <= STACK_PATH_TOLERANCE
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_array_equal(var, ref_var)
+    for name, reference in ref_grads.items():
+        if name == "b1":
+            assert np.abs(grads[name] - reference).max() <= B1_ROUND_OFF
+        else:
+            assert relative(grads[name], reference) <= STACK_PATH_TOLERANCE, name
 
 
 #: Largest max|f32 − f64| / max|f64| that the f32 feature GEMMs may leave in
@@ -336,8 +367,8 @@ def test_f32_feature_gemms_match_the_f64_path_to_round_off(
     runs = []
     for data in (dataset, with_f64_features(dataset)):
         op = PropagationOperator(data.graph, model.prop_mode)
-        cache = featurize_hops(model, data, op)
-        runs.append((cache.hops, *backward_ce(model, data, cache, mask, op)))
+        hops = featurize_hops(model, data, op).hops
+        runs.append((hops, *backward_ce(model, data, mask, op)[:3]))
     (hops32, loss32, grads32, logits32), (hops64, loss64, grads64, logits64) = runs
 
     def relative(value, reference, scale):

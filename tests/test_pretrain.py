@@ -20,9 +20,8 @@ from adarc import (
     pretrain_on,
     train_source,
 )
-from adarc import model as model_module
 from adarc import pretrain
-from adarc.model import aggregate, backward_ce, classify
+from adarc.model import SoftPrediction, backward_ce, softmax
 from adarc.pretrain import gauge_normalize
 
 from conftest import TINY_TRAIN
@@ -241,12 +240,11 @@ REJECTING = replace(TINY_TRAIN, learning_rate=20.0, epochs=40, patience=40)
 def measured_at(start, dataset, config):
     """(objective, val accuracy, ‖∂CE/∂γ‖) at the parameters of ``start``."""
     op = PropagationOperator(dataset.graph, config.prop_mode)
-    cache = featurize_hops(start, dataset, op)
-    ce, grads, _ = backward_ce(start, dataset, cache, dataset.masks["train"], op)
+    ce, grads, logits, _, _ = backward_ce(start, dataset, dataset.masks["train"], op)
     decay = float((start.W1**2).sum()) + float((start.W_cls**2).sum())
     objective = ce + 0.5 * config.weight_decay * decay
-    Z = aggregate(cache, start.gamma, start.scale, start.shift)
-    val = prediction_accuracy(classify(Z, start)[1], dataset.labels, dataset.masks["val"])
+    prediction = SoftPrediction(softmax(logits))
+    val = prediction_accuracy(prediction, dataset.labels, dataset.masks["val"])
     return objective, val, float(np.linalg.norm(grads["gamma"]))
 
 
@@ -292,24 +290,26 @@ def test_history_rows_are_measured_where_each_epoch_started(tiny_source, monkeyp
 def test_train_source_runs_one_forward_pass_per_evaluated_epoch(
     tiny_source, monkeypatch
 ):
-    # Every aggregate is one mix_hops contraction, wherever aggregate was
-    # imported. The val accuracy comes from the backward pass's logits, so an
-    # evaluated epoch aggregates once.
-    counts = {"mix_hops": 0, "backward_ce": 0}
+    # An evaluated epoch is one backward_ce call, which propagates K times
+    # forward and K times transposed; the val accuracy comes from its logits,
+    # and the retry after a rejection calls nothing.
+    calls = []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return backward_ce(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        model_module, "mix_hops", counting("mix_hops", model_module.mix_hops)
+    monkeypatch.setattr(pretrain, "backward_ce", counting)
+    model = init_model(
+        dim=tiny_source.num_features,
+        hidden=REJECTING.hidden,
+        num_classes=tiny_source.num_classes,
+        num_hops=REJECTING.num_hops,
+        seed=REJECTING.seed,
     )
-    monkeypatch.setattr(pretrain, "backward_ce", counting("backward_ce", backward_ce))
-    _, history = pretrain_on(tiny_source, REJECTING)
+    op = PropagationOperator(tiny_source.graph)
+    _, history = train_source(model, tiny_source, REJECTING, op)
     retries = retry_rows(history)
     assert retries > 0, "no retry after a rejected epoch"
-    assert counts["backward_ce"] == len(history) - retries
-    assert counts["mix_hops"] == counts["backward_ce"]
+    assert len(calls) == len(history) - retries
+    assert op.calls == 2 * REJECTING.num_hops * len(calls)

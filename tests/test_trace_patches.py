@@ -38,9 +38,9 @@ def test_instrument_finds_every_layer_function():
         pass
 
 
-def test_traced_scenario_counts_both_overlapped_draws():
-    # The source and target graphs are drawn on two threads at once; the
-    # single-threaded tracer must still see two draws under the op.
+def test_traced_scenario_counts_both_draws():
+    # Each seed draws its source, pretrains and then draws its target; the
+    # tracer must see both draws under the op.
     tracer = Tracer()
     spec = ScenarioSpec("homo2hetero", n=200, dim=16)
     with instrument(tracer), tracer.span(OP):
@@ -48,6 +48,8 @@ def test_traced_scenario_counts_both_overlapped_draws():
     metrics = layer_metrics(tracer)
     assert metrics["csbm.generate.calls"] == 2
     assert metrics["csbm.generate.self_ms"] > 0
+    # Pretraining builds no hop stack; only erm+adarc featurizes the target.
+    assert metrics["model.featurize_hops.calls"] == 1
     assert 0 <= metrics["untraced.share"] <= 1
 
 
