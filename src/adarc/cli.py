@@ -17,6 +17,7 @@ even in a section the command does not read.
 ``adapt`` featurizes the target twice: once for the pre-adaptation
 prediction, whose hop cache it drops at once, and once inside
 ``adapt.adapt``. So it holds the features and one hop stack at a time.
+``generate`` draws only the roles it writes, and writes each before the next.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
 All output files are byte-deterministic for a fixed seed. No command
@@ -58,7 +59,6 @@ from .harness import (
     METHOD_NAMES,
     SWEEP_AXES,
     ScenarioSpec,
-    build_scenario_datasets,
     decompose_gap,
     run_scenario,
     scenario_seeds,
@@ -212,13 +212,11 @@ def _emit(args, report: dict) -> None:
 def _cmd_generate(args) -> int:
     spec, _, _, _ = _settings(args)
     out_dir = _require_out(args, "generate")
-    source, target = build_scenario_datasets(spec, args.seed)
     roles = ("source", "target") if args.role == "both" else (args.role,)
     for role in roles:
-        dataset = source if role == "source" else target
         directory = out_dir / role if args.role == "both" else out_dir
         directory.mkdir(parents=True, exist_ok=True)
-        write_dataset(dataset, directory)
+        write_dataset(spec.draw(role, args.seed), directory)
         print(f"wrote {role} dataset to {directory}")
     return 0
 
@@ -358,10 +356,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_decompose(args) -> int:
     spec, train_cfg, _, _ = _settings(args)
-    source, target = build_scenario_datasets(spec, args.seed)
+    source = spec.draw("source", args.seed)
     config = replace(train_cfg, seed=scenario_seeds(args.seed)["model"])
     model, _ = pretrain_on(source, config)
-    decomposition = decompose_gap(model, source, target)
+    decomposition = decompose_gap(model, source, spec.draw("target", args.seed))
     tolerance = np.format_float_scientific(HEAD_FIT_TOLERANCE, trim="-", exp_digits=1)
     stop = f"gradient norm < {tolerance} or {HEAD_FIT_MAX_ITERATIONS} iterations"
     report = {

@@ -4,14 +4,14 @@ A scenario ties together CSBM generation, source pretraining, and one or
 more adaptation methods evaluated on the target graph. Seeds are expanded
 deterministically: scenario seed ``s`` draws the source graph with ``2s``,
 the target graph with ``2s+1``, the train/val split with ``s+777``, and
-model initialization with ``s+1``. ``run_scenario`` draws each seed's source,
-pretrains on it and releases it before it draws the target, so a run holds
-one feature matrix at a time.
+model initialization with ``s+1``. ``ScenarioSpec.draw`` draws one role of
+one seed. ``run_scenario`` and ``adarc generate`` draw role by role, so each
+holds one feature matrix at a time; ``adarc decompose`` holds both graphs,
+because ``decompose_gap`` reads both.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -96,6 +96,23 @@ class ScenarioSpec:
             override_h=self.source_h if source else None,
         )
 
+    def draw(self, role: str, seed: int) -> Dataset:
+        """Scenario seed ``seed``'s ``role`` graph, the source with train/val masks.
+
+        A pure attribute shift draws the target from the source's graph seed
+        (paired design), so the two differ by exactly the attribute translation.
+        """
+        derived = scenario_seeds(seed)
+        source = self.params("source", derived["source_graph"])
+        if role == "source":
+            return attach_split_masks(generate(source), seed=derived["split"])
+        target = self.params(role, derived["target_graph"])
+        if self.attribute_shift and (source.avg_degree, source.homophily) == (
+            target.avg_degree, target.homophily
+        ):
+            target = replace(target, seed=source.seed)
+        return generate(target)
+
     @property
     def scenario_id(self) -> str:
         parts = [self.preset]
@@ -138,31 +155,12 @@ def _parse_method(name: str) -> tuple[str, bool]:
     return base, bool(adarc)
 
 
-def _draw_scenario(spec: ScenarioSpec, seed: int) -> Iterator[Dataset]:
-    """One seed's source with train/val masks, then its target, each drawn when asked for."""
-    derived = scenario_seeds(seed)
-    source_params = spec.params("source", derived["source_graph"])
-    target_params = spec.params("target", derived["target_graph"])
-    if (
-        spec.attribute_shift
-        and source_params.avg_degree == target_params.avg_degree
-        and source_params.homophily == target_params.homophily
-    ):
-        # Structure-equal scenario: the only moving factor is the attribute
-        # shift, so hold the graph draw fixed (paired design). Source and
-        # target then share adjacency, labels, and feature noise; the target
-        # differs by exactly the attribute translation.
-        target_params = replace(target_params, seed=source_params.seed)
-    yield attach_split_masks(generate(source_params), seed=derived["split"])
-    yield generate(target_params)
+def build_scenario_datasets(spec: ScenarioSpec, seed: int) -> tuple[Dataset, Dataset]:
+    """(source with train/val masks, target) for one scenario seed, drawn in turn.
 
-
-def build_scenario_datasets(
-    spec: ScenarioSpec, seed: int
-) -> tuple[Dataset, Dataset]:
-    """(source with train/val masks, target) for one scenario seed, drawn in turn."""
-    source, target = _draw_scenario(spec, seed)
-    return source, target
+    Kept as an 0.1.0 export; ``src`` draws through ``ScenarioSpec.draw``.
+    """
+    return spec.draw("source", seed), spec.draw("target", seed)
 
 
 def pretrain_scenario(
@@ -170,13 +168,11 @@ def pretrain_scenario(
 ) -> tuple[GprModel, Dataset]:
     """A model pretrained on one seed's source under its ``"model"`` seed, and the target.
 
-    The source is released before the target is drawn, so at most one of
-    the two feature matrices is held at a time.
+    The source is released before the target is drawn: one feature matrix at a time.
     """
-    draws = _draw_scenario(spec, seed)
     config = replace(train_config, seed=scenario_seeds(seed)["model"])
-    model, _ = pretrain_on(next(draws), config)
-    return model, next(draws)
+    model, _ = pretrain_on(spec.draw("source", seed), config)
+    return model, spec.draw("target", seed)
 
 
 def _config_echo(

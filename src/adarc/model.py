@@ -319,6 +319,16 @@ def init_model(
     )
 
 
+def _check_operator(model: GprModel, dataset: Dataset, op: PropagationOperator) -> None:
+    """``op`` must apply the model's ``prop_mode`` to the dataset's own graph."""
+    ours, theirs = op.graph, dataset.graph
+    if op.mode != model.prop_mode or ours is not theirs and not (
+        np.array_equal(ours.row_offsets, theirs.row_offsets)
+        and np.array_equal(ours.neighbor_ids, theirs.neighbor_ids)
+    ):
+        raise ValueError(f"op ({op.mode!r}) must apply {model.prop_mode!r} to this graph")
+
+
 def _normalize(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, ...]:
     """(X̂, mean, var): X W1 + b1 normalized over all nodes, and its statistics.
 
@@ -353,6 +363,7 @@ def featurize_hops(
     graph (full-batch transductive) and kept on the cache; the model is
     only read.
     """
+    _check_operator(model, dataset, op)
     xhat, mean, var = _normalize(model, dataset.features)
     n, h = xhat.shape
     k = model.num_hops
@@ -477,6 +488,7 @@ def backward_ce(
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("empty training mask")
+    _check_operator(model, dataset, op)
     xhat, mean, var = _normalize(model, dataset.features)
     n = xhat.shape[0]
     k = model.num_hops

@@ -127,6 +127,7 @@ def train_source(
         raise ValueError("train_source requires 'train' and 'val' masks")
     if op is None:
         op = PropagationOperator(dataset.graph, config.prop_mode)
+    model.prop_mode = config.prop_mode
     train_mask = dataset.masks["train"]
     val_mask = dataset.masks["val"]
 
@@ -203,7 +204,6 @@ def train_source(
 
     for name, value in best_state.items():
         setattr(model, name, value)
-    model.prop_mode = config.prop_mode
     gauge_normalize(model, gamma_init_norm)
     return model, history
 

@@ -102,6 +102,25 @@ def test_generate_single_role_writes_flat_directory(tmp_path):
     assert not (out / "source").exists()
 
 
+@pytest.mark.parametrize(
+    "role, graph_seeds", [("source", [4]), ("target", [5]), ("both", [4, 5])]
+)
+def test_generate_draws_only_the_roles_it_writes(tmp_path, monkeypatch, role, graph_seeds):
+    from adarc import cli, generate, harness
+
+    drawn = []
+
+    def counting_generate(params):
+        drawn.append(params.seed)
+        return generate(params)
+
+    monkeypatch.setattr(harness, "generate", counting_generate)
+    argv = ["generate", "--role", role, "--n", "120", "--dim", "16", "--seed", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    # Scenario seed 2 draws the source graph with seed 4 and the target with 5.
+    assert drawn == graph_seeds
+
+
 def test_pretrain_is_byte_deterministic(workspace, tmp_path):
     second = tmp_path / "again.ckpt"
     result = run_cli(
@@ -644,7 +663,7 @@ class _Captured(Exception):
 def test_flag_beats_the_config_file(
     workspace, tmp_path, monkeypatch, key, in_file, flag, expected
 ):
-    from adarc import cli
+    from adarc import cli, harness
 
     seen = []
 
@@ -656,7 +675,7 @@ def test_flag_beats_the_config_file(
     config.write_text(f"{key}={in_file}\n")
     section, name = key.split(".")
     if section == "scenario":
-        monkeypatch.setattr(cli, "build_scenario_datasets", capture)
+        monkeypatch.setattr(harness.ScenarioSpec, "draw", capture)
         argv = ["generate", "--out", str(tmp_path / "data")]
     elif section == "train":
         monkeypatch.setattr(cli, "pretrain_on", capture)
@@ -669,9 +688,9 @@ def test_flag_beats_the_config_file(
         ]
     with pytest.raises(_Captured):
         cli.main([*argv, "--config", str(config), *flag])
-    # build_scenario_datasets(spec, seed), pretrain_on(dataset, config) or
+    # spec.draw(role, seed), pretrain_on(dataset, config) or
     # adapt(model, dataset, op, config): the configuration is the last argument
-    # but for build_scenario_datasets.
+    # but for spec.draw, whose first argument is the spec itself.
     built = seen[0] if section == "scenario" else seen[-1]
     if section == "base":
         built = built.base

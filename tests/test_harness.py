@@ -149,7 +149,7 @@ def test_scenario_draws_equal_direct_generate(spec, target_seed, override_h):
 
 
 @pytest.mark.parametrize("failing_role", ["source_graph", "target_graph"])
-def test_a_failed_draw_raises_and_leaves_no_thread(monkeypatch, failing_role):
+def test_a_failed_draw_raises(monkeypatch, failing_role):
     failing_seed = scenario_seeds(3)[failing_role]
 
     def generate_or_fail(params):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adarc import (
     BaseTtaKind,
+    Graph,
     PropagationOperator,
     ScenarioSpec,
     StaleCacheError,
@@ -195,6 +196,22 @@ def test_cache_freshness_fingerprint(tiny_model, tiny_target):
     )
 
 
+def test_an_operator_of_another_graph_is_rejected(tiny_model, tiny_source, tiny_target):
+    # Both graphs have 320 nodes, so the source's operator applies to the
+    # target's rows; its cache would pass is_fresh for the target graph, and
+    # base_predict and adapt would then run on the source's edges.
+    other = PropagationOperator(tiny_source.graph, tiny_model.prop_mode)
+    everyone = np.ones(tiny_target.num_nodes, dtype=bool)
+    with pytest.raises(ValueError, match="to this graph"):
+        featurize_hops(tiny_model, tiny_target, other)
+    with pytest.raises(ValueError, match="to this graph"):
+        backward_ce(tiny_model, tiny_target, everyone, other)
+    # The same CSR arrays in another Graph object are the same graph.
+    g = tiny_target.graph
+    same = Graph(g.num_nodes, g.row_offsets.copy(), g.neighbor_ids.copy())
+    featurize_hops(tiny_model, tiny_target, PropagationOperator(same, tiny_model.prop_mode))
+
+
 def test_classify_and_predict_agree(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
@@ -307,6 +324,7 @@ B1_ROUND_OFF = 1e-14
 def test_backward_ce_equals_the_hop_stack_path(tiny_source, mode, num_hops):
     source = with_f64_features(tiny_source)
     model = init_model(dim=48, hidden=5, num_classes=2, num_hops=num_hops, seed=3)
+    model.prop_mode = mode
     rng = np.random.default_rng(num_hops)
     model.b1 = rng.normal(size=5)
     model.scale = rng.uniform(0.5, 1.5, size=5)

@@ -1,6 +1,7 @@
 """Peak-memory budgets: a run holds its f32 feature matrices plus one hop stack.
 
-Pretraining holds no stack, and ``run_scenario`` one feature matrix at a time.
+Pretraining holds no stack, and ``run_scenario`` and ``adarc generate`` one
+feature matrix at a time.
 
 Each bound is in units of the run's own arrays: the f32 feature matrix, the
 (K+1)×N×(H+1) f64 hop stack and "columns", N×(H+1) f64 arrays. The slack
@@ -129,6 +130,20 @@ def test_run_scenario_holds_one_feature_matrix():
     # Measured: 2.96 MB, the 1.6 MB matrix and generate's f64 noise block.
     # Drawing the target while the source was held read 5.54 MB.
     assert peak <= 2 * spec.n * spec.dim * 4
+
+
+@pytest.mark.parametrize("role", ["source", "target", "both"])
+def test_cli_generate_holds_one_feature_matrix(tmp_path, role):
+    n, dim = 200, 2000
+    argv = ["generate", "--role", role, "--n", str(n), "--dim", str(dim)]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code, peak = traced_peak(lambda: cli.main([*argv, "--out", str(tmp_path)]))
+    assert code == 0, sink.getvalue()
+    # Measured: 2.85 (source), 2.90 (target) and 2.88 MB (both), a 1.6 MB
+    # f32 matrix and generate's f64 noise block. Drawing both graphs for any
+    # role, and holding the source while the target drew, read 4.51 MB.
+    assert peak <= 2 * n * dim * 4
 
 
 def test_generate_holds_one_f32_matrix():

@@ -232,6 +232,15 @@ def test_train_source_stamps_the_configured_prop_mode(tiny_source):
         assert pretrain_on(tiny_source, config)[0].prop_mode == mode
 
 
+def test_train_source_rejects_an_operator_of_another_mode(tiny_source):
+    # Training under the row operator would stamp the model "sym" after it.
+    model = init_model(tiny_source.num_features, 8, 2, 3, seed=0)
+    config = replace(TINY_TRAIN, epochs=2, prop_mode="sym")
+    op = PropagationOperator(tiny_source.graph, "row")
+    with pytest.raises(ValueError, match="'row'.*must apply 'sym'"):
+        train_source(model, tiny_source, config, op)
+
+
 #: At this rate the tiny source rejects some steps, so a run has rejected
 #: rows and the retries that follow them.
 REJECTING = replace(TINY_TRAIN, learning_rate=20.0, epochs=40, patience=40)
