@@ -2,8 +2,14 @@
 
 Each epoch obtains a soft prediction from the base predictor, then takes one
 descent step on γ through the chosen unsupervised surrogate while holding
-that prediction constant. Hop representations are cached up front, so the
-whole run touches the propagation operator exactly once per hop.
+that prediction constant. No hop stack is built: ``featurize_hops`` caches
+[X̂ | 1] and the per-hop class scores of the model's head (K propagate calls),
+and each reader predicts, then propagates. With an ``erm`` base and ``pic``, a
+run of T epochs makes K(1 + B + T) propagate calls: the cache's K, K per
+column block for the hop moments (B blocks, once per run) and K per epoch to
+propagate Ŷ for σ²_inter. ``tent`` adds 2K and ``t3a`` 2K per base
+prediction (see ``tta``), and a norm-affine write-back K more per epoch, to
+rebuild the class scores of the new head.
 
 The ``theta`` and ``joint`` ablations and ``persist_base_tta`` (with a
 ``tent`` base) also write a norm affine back each epoch, after the γ step:
@@ -16,8 +22,8 @@ For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch
 computes the cache's per-column hop moments once (``HopCache.moments``),
 which give σ² = γᵀS_tγ under whatever scale and shift the epoch holds, so
 the ``theta`` and ``joint`` ablations and ``persist_base_tta`` take the same
-path as ``gamma``. Each epoch then makes one Ŷᵀ·hops contraction for σ²_inter
-and solves the rest in (K+1)-space (see ``losses``).
+path as ``gamma``. Each epoch then takes Ŷᵀ·hops for σ²_inter as
+((Ãᵀ)^k Ŷ)ᵀ [X̂ | 1] and solves the rest in (K+1)-space (see ``losses``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ even in a section the command does not read.
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
 ``adapt`` featurizes the target twice: once for the pre-adaptation
 prediction, whose hop cache it drops at once, and once inside
-``adapt.adapt``. So it holds the features and one hop stack at a time.
+``adapt.adapt``. A hop cache holds no hop stack, only a few N×(H+1) arrays,
+so the run holds the features and one such cache at a time.
 ``generate`` draws only the roles it writes, and writes each before the next.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
@@ -250,7 +251,7 @@ def _cmd_adapt(args) -> int:
     model, op = _load_model_and_op(args, overrides, dataset)
 
     # The pre-adaptation cache is dropped before ``adapt`` builds its own, so
-    # the run holds one hop stack at a time.
+    # the run holds one hop cache at a time.
     before = base_predict(config.base, model, featurize_hops(model, dataset, op), dataset)
 
     try:

@@ -13,10 +13,11 @@ hold it.
 ``surrogate_loss_and_grad_gamma`` is the one loss entry point, and each kind
 takes one path:
 
-- ``entropy`` and ``pseudo`` never build Z. Their logits are
-  mix·head + b_cls, with mix = ``mix_hops(cache, γ)`` and head = A·W_cls, the
-  form every base predictor reads, so component k of the γ-gradient is
-  ⟨Ã^k [X̂ | 1], ∂L/∂logits·headᵀ⟩. ``entropy``'s two halves,
+- ``entropy`` and ``pseudo`` never build Z. Their logits are the cache's
+  Σ_k γ_k P_k + b_cls, from the per-hop class scores
+  P_k = Ã^k [X̂ | 1]·A·W_cls that every base predictor reads, so component k
+  of the γ-gradient is ⟨P_k, ∂L/∂logits⟩ and no propagate call is made while
+  the head is unchanged. ``entropy``'s two halves,
   ``_entropy_terms`` and ``_entropy_grad_logits``, are also Tent's objective:
   ``tta.tent_lite`` descends them over the norm affine, and a trial step
   computes no gradient.
@@ -28,8 +29,9 @@ takes one path:
     depend on Ŷ and comes from the hop cache's per-run moments
     (``HopCache.moments``) under any scale and shift.
   - σ²_inter = Σ_c ‖Σ_k γ_k (Ŷ_cᵀ B_k − W_c b̄_k)‖² / W_c, with W_c = Σ_i Ŷ_ic.
-    Ŷᵀ·hops is the one C×(K+1)×(H+1) contraction over N per call; classes
-    with W_c = 0 are skipped.
+    Ŷᵀ·hops is taken as ((Ãᵀ)^k Ŷ)ᵀ [X̂ | 1] (``HopCache.hops_tdot``): K
+    transpose propagations of the N×C prediction, then one GEMM against
+    [X̂ | 1], per call. Classes with W_c = 0 are skipped.
   - σ²_intra = σ² − σ²_inter, because the rows of Ŷ sum to 1 (checked at
     entry).
 
@@ -44,11 +46,9 @@ from .model import (
     GprModel,
     HopCache,
     SoftPrediction,
-    affine_matrix,
     class_sum,
     cross_entropy,
     log_softmax,
-    mix_hops,
 )
 
 __all__ = [
@@ -86,7 +86,7 @@ def _hop_space_loss_and_grad(
     moments = cache.moments
     total_grad = moments.total_gram(scale, shift) @ gamma  # S_t γ
     sigma_sq = float(gamma @ total_grad)
-    n, h = cache.hops.shape[1], scale.shape[0]
+    n, h = cache.hop0.shape[0], scale.shape[0]
     eps = 1e-12 * n * h
     if sigma_sq < eps:
         raise DegenerateRepresentationError(
@@ -97,7 +97,7 @@ def _hop_space_loss_and_grad(
     occupied = np.flatnonzero(weights > 0.0)
     # Ŷ_cᵀ Ã^k [X̂|1] − W_c·mean_k per occupied class c and hop k, then A applied:
     # moved[c, k] @ A = Ŷ_cᵀ B_k − W_c b̄_k.
-    moved = np.matmul(probs.T[occupied], cache.hops).transpose(1, 0, 2)
+    moved = cache.hops_tdot(probs[:, occupied]).transpose(1, 0, 2)
     moved -= weights[occupied, None, None] * moments.mean[None, :, :]
     between = moved[:, :, :-1] * scale + moved[:, :, -1:] * shift  # C'×(K+1)×H
     offsets = np.tensordot(gamma, between, axes=([0], [1]))  # C'×H, W_c(μ_c − z̄)
@@ -125,7 +125,7 @@ def surrogate_loss_and_grad_gamma(
     """Loss at Z = aggregate(cache, γ, scale, shift) and its analytic γ-gradient.
 
     ``pic`` and ``diff`` are computed from hop moments, ``entropy`` and
-    ``pseudo`` from the logits mix·(A·W_cls) + b_cls (see the module
+    ``pseudo`` from the logits Σ_k γ_k P_k + b_cls (see the module
     docstring). An array ``prediction`` must pass ``SoftPrediction``'s
     checks: rows that do not sum to 1 are a ValueError.
     """
@@ -135,11 +135,11 @@ def surrogate_loss_and_grad_gamma(
         return _hop_space_loss_and_grad(kind, model, cache, prediction.probs)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
-    head = affine_matrix(model.scale, model.shift) @ model.W_cls
-    logits = mix_hops(cache, model.gamma) @ head + model.b_cls
+    logits = cache.logits(model)
     if kind == "entropy":
         loss, terms = _entropy_terms(logits)
         dlogits = _entropy_grad_logits(terms)
     else:
         loss, dlogits = cross_entropy(logits, prediction.hard)
-    return loss, np.tensordot(cache.hops, dlogits @ head.T, axes=([1, 2], [0, 1]))
+    scores = cache.class_scores(model)
+    return loss, np.tensordot(scores, dlogits, axes=([1, 2], [0, 1]))

@@ -5,38 +5,38 @@ normalization (no nonlinearity), K-hop propagation H^(k) = Ã^k H^(0),
 aggregation Z = Σ_k γ_k H^(k) with trainable per-hop weights γ, and a
 linear classifier.
 
-The hop cache is one array: the hops of the *pre-affine* normalized
-features with an all-ones column appended, Ã^k [X̂ | 1], of shape
-(K+1)×N×(H+1). The normalization affine is the (H+1)×H matrix
-A = [diag(scale); shiftᵀ], and propagation commutes with it, so
+The normalization affine is the (H+1)×H matrix A = [diag(scale); shiftᵀ],
+applied to the *pre-affine* normalized features with an all-ones column
+appended, [X̂ | 1]. Propagation commutes with it, so with
+mix = Σ_k γ_k Ã^k [X̂ | 1],
 
-    H^(k) = Ã^k [X̂ | 1] A    and    Z = (Σ_k γ_k Ã^k [X̂ | 1]) A.
+    H^(k) = Ã^k [X̂ | 1] A    and    Z = mix·A.
 
-Every Z is one γ-contraction of the stack followed by one small GEMM. Any
-scale and shift reuse the cache, so norm-affine test-time adaptation costs
-no new propagate calls and an entire adaptation run costs exactly K of them.
+No hop stack is held. The hop cache keeps [X̂ | 1] (N×(H+1)), its operator
+and the per-hop class scores P_k = Ã^k ([X̂ | 1]·A·W_cls), (K+1)×N×C. Every
+reader predicts, then propagates (APPNP): the logits are Σ_k γ_k P_k + b_cls,
+and any other linear head W on Z, or any N×C array G read back through mixᵀ,
+takes one Horner pass on N×C arrays (``HopCache.mix_dot``/``mix_tdot``, K
+propagate calls). P is rebuilt, with K calls, only when scale, shift or W_cls
+change, so γ steps reuse it.
 
-``HopCache.moments`` (built on first use, two passes over the stack) holds the
-centered per-column cross-moments of the hops. Because A only scales each
-column and adds the ones column, they give the total variance of Z as a
-(K+1)×(K+1) quadratic form in γ under any (scale, shift):
-σ² = γᵀ S_t γ with S_t = ``HopMoments.total_gram(scale, shift)``.
+``HopCache.moments`` (built on first use) holds the centered per-column
+cross-moments of the hops. Because A only scales each column and adds the
+ones column, they give the total variance of Z as a (K+1)×(K+1) quadratic
+form in γ under any (scale, shift): σ² = γᵀ S_t γ with
+S_t = ``HopMoments.total_gram(scale, shift)``. They are built from column
+blocks of [X̂ | 1], each with the ones column: each block's hops fill a
+transient (K+1)×N×(w+1) stack of constant width w+1 (K propagate calls per
+block) that ``hop_moments`` reduces.
 
 Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
-D=2000) and at most one f64 hop stack, 13.2 MB at N=5000, H=32, K=9. The
-two GEMMs that read X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in
-``backward_ce``, run in the features' dtype and widen their N×H and D×H
-results to f64, so X is never widened; everything else is f64. Every other
-N-sized array is transient and lives inside one call: ``featurize_hops``
-copies X̂ and then each hop's propagate output into its slot. ``backward_ce``
-holds no Z and no stack. It predicts, then propagates (APPNP): with
-head = A·W_cls, the logits are Σ_k γ_k Ã^k ([X̂ | 1]·head) + b_cls, so its
-hops are (K+1)×N×C class scores and its Horner pass runs on N×C arrays; its
-N×H arrays are X̂ and ∂L/∂pre. A base prediction and the
-``entropy``/``pseudo`` surrogates hold the γ-mix of the stack and N×C
-arrays: they score mix·head + b and never build Z (the surrogates add one
-N×(H+1) ∂L/∂mix). ``adarc adapt`` drops its pre-adaptation stack before
-``adapt`` builds its own.
+D=2000) and a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class scores
+and, while the moments are built, one block stack. The two GEMMs that read
+X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
+features' dtype and widen their N×H and D×H results to f64, so X is never
+widened; everything else is f64. ``backward_ce`` holds no Z: with
+head = A·W_cls it propagates the C class scores [X̂ | 1]·head and its Horner
+pass runs on N×C arrays; its N×H arrays are X̂ and ∂L/∂pre.
 
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,6 @@ __all__ = [
     "StaleCacheError",
     "init_model",
     "featurize_hops",
-    "mix_hops",
     "affine_matrix",
     "aggregate",
     "classify",
@@ -95,6 +94,8 @@ __all__ = [
 BN_EPS = 1e-5
 #: Rows per block when ``hop_moments`` centers and transposes the stack.
 _MOMENT_BLOCK_ROWS = 256
+#: Columns of X̂ per block stack that ``HopCache.moments`` builds and reduces.
+_MOMENT_BLOCK_COLS = 8
 
 _CHECKPOINT_MAGIC = b"ADRCM"
 _CHECKPOINT_VERSION = 2
@@ -256,26 +257,78 @@ def hop_moments(hops: np.ndarray) -> HopMoments:
 
 @dataclass
 class HopCache:
-    """Hops of the pre-affine normalized features and the all-ones column."""
+    """[X̂ | 1] of one graph, its operator and the per-hop class scores of one head.
 
-    hops: np.ndarray  # (K+1)×N×(H+1), Ã^k [X̂ | 1]
+    mix = Σ_k γ_k Ã^k [X̂ | 1] is never built; ``mix_dot`` and ``mix_tdot``
+    read it through one Horner pass each.
+    """
+
+    hop0: np.ndarray  # N×(H+1), [X̂ | 1]
     mean: np.ndarray  # H, mean of X W1 + b1 over the graph's nodes
     var: np.ndarray  # H, variance of X W1 + b1 over the graph's nodes
     theta: tuple[np.ndarray, ...]  # copies of (W1, b1, row_offsets, neighbor_ids)
+    op: PropagationOperator  # Ã of the graph, under the model's prop_mode
+    num_hops: int
+    _head: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+    _scores: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    @property
-    def num_hops(self) -> int:
-        return self.hops.shape[0] - 1
+    def class_scores(self, model: GprModel) -> np.ndarray:
+        """P_k = Ã^k ([X̂ | 1]·A·W_cls), (K+1)×N×C, for the model's scale, shift and W_cls.
 
-    @property
-    def xhat(self) -> np.ndarray:
-        """N×H normalized pre-affine features (a view of hop 0)."""
-        return self.hops[0, :, :-1]
+        Built with K propagate calls, and rebuilt only when those change.
+        """
+        head = (model.scale, model.shift, model.W_cls)
+        if self._scores is None or not all(map(np.array_equal, head, self._head)):
+            p0 = self.hop0 @ (affine_matrix(model.scale, model.shift) @ model.W_cls)
+            self._scores = None  # release the old scores before building the new
+            self._scores = _hop_powers(self.op, p0, self.num_hops)
+            self._head = tuple(a.copy() for a in head)
+        return self._scores
+
+    def logits(self, model: GprModel) -> np.ndarray:
+        """The classifier's N×C logits Σ_k γ_k P_k + b_cls."""
+        self._check_gamma(model.gamma)
+        return np.tensordot(model.gamma, self.class_scores(model), axes=1) + model.b_cls
+
+    def mix_dot(self, gamma: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """mix·head for an (H+1)×C ``head``: one Horner pass on [X̂ | 1]·head, K calls."""
+        self._check_gamma(gamma)
+        return _horner(self.op, gamma, self.hop0 @ head)
+
+    def mix_tdot(self, gamma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """mixᵀ·rows for an N×C ``rows``: [X̂ | 1]ᵀ Σ_k γ_k (Ãᵀ)^k rows, K calls."""
+        self._check_gamma(gamma)
+        return self.hop0.T @ _horner(self.op, gamma, rows, transpose=True)
+
+    def hops_tdot(self, rows: np.ndarray) -> np.ndarray:
+        """rowsᵀ·Ã^k [X̂ | 1] for every k, (K+1)×C×(H+1), as ((Ãᵀ)^k rows)ᵀ [X̂ | 1].
+
+        K propagate calls on N×C arrays, then one GEMM against [X̂ | 1].
+        """
+        spread = _hop_powers(self.op, rows, self.num_hops, transpose=True)
+        k1, n, c = spread.shape
+        flat = spread.transpose(0, 2, 1).reshape(k1 * c, n)
+        return (flat @ self.hop0).reshape(k1, c, -1)
 
     @functools.cached_property
     def moments(self) -> HopMoments:
-        """Per-column cross-moments of ``hops``, computed once on first use."""
-        return hop_moments(self.hops)
+        """Per-column cross-moments of the hops Ã^k [X̂ | 1], computed once on first use.
+
+        Each block of up to ``_MOMENT_BLOCK_COLS`` columns of X̂, with the ones
+        column appended, is propagated into a transient block stack (K calls)
+        and reduced by ``hop_moments``; the ones column's moments come from
+        the first block.
+        """
+        h = self.hop0.shape[1] - 1
+        parts = []
+        for start in range(0, h, _MOMENT_BLOCK_COLS):
+            columns = np.r_[start : min(start + _MOMENT_BLOCK_COLS, h), h]
+            parts.append(hop_moments(_hop_powers(self.op, self.hop0[:, columns], self.num_hops)))
+        return HopMoments(
+            mean=np.concatenate([p.mean[:, :-1] for p in parts] + [parts[0].mean[:, -1:]], 1),
+            diag=np.concatenate([p.diag[:-1] for p in parts] + [parts[0].diag[-1:]]),
+            cross=np.concatenate([p.cross for p in parts]),
+        )
 
     def is_fresh(self, model: GprModel, graph) -> bool:
         """Whether W1, b1 and the graph still equal those the cache was built from."""
@@ -284,6 +337,10 @@ class HopCache:
             np.array_equal(built, now) or np.array_equal(built, now, equal_nan=True)
             for built, now in zip(self.theta, _theta(model, graph))
         )
+
+    def _check_gamma(self, gamma: np.ndarray) -> None:
+        if gamma.shape != (self.num_hops + 1,):
+            raise ValueError("gamma length must equal K+1")
 
 
 class StaleCacheError(RuntimeError):
@@ -361,33 +418,47 @@ def featurize_hops(
 
     Normalization statistics are computed over all nodes of the current
     graph (full-batch transductive) and kept on the cache; the model is
-    only read.
+    only read. The K calls build the class scores of the model's head.
     """
     _check_operator(model, dataset, op)
     xhat, mean, var = _normalize(model, dataset.features)
     n, h = xhat.shape
-    k = model.num_hops
-    # Propagate the normalized features and the all-ones column together so
-    # the whole cache costs exactly K propagate calls.
-    stack = np.empty((k + 1, n, h + 1))
-    stack[0, :, :h] = xhat
+    hop0 = np.empty((n, h + 1))
+    hop0[:, :h] = xhat
     del xhat
-    stack[0, :, h] = 1.0
-    for step in range(1, k + 1):
-        stack[step] = op.apply(stack[step - 1])
-    return HopCache(
-        hops=stack,
+    hop0[:, h] = 1.0
+    cache = HopCache(
+        hop0=hop0,
         mean=mean,
         var=var,
         theta=tuple(a.copy() for a in _theta(model, dataset.graph)),
+        op=op,
+        num_hops=model.num_hops,
     )
+    cache.class_scores(model)
+    return cache
 
 
-def mix_hops(cache: HopCache, gamma: np.ndarray) -> np.ndarray:
-    """Σ_k γ_k Ã^k [X̂ | 1], the N×(H+1) block [S_B | t_o] that Z is built from."""
-    if gamma.shape[0] != cache.hops.shape[0]:
-        raise ValueError("gamma length must equal K+1")
-    return np.tensordot(gamma, cache.hops, axes=1)
+def _hop_powers(
+    op: PropagationOperator, x: np.ndarray, k: int, transpose: bool = False
+) -> np.ndarray:
+    """The (K+1)×N×C stack x, Ãx, …, Ã^K x (Ãᵀ with ``transpose``): K propagate calls."""
+    powers = np.empty((k + 1, *x.shape))
+    powers[0] = x
+    for step in range(1, k + 1):
+        powers[step] = op.apply(powers[step - 1], transpose=transpose)
+    return powers
+
+
+def _horner(
+    op: PropagationOperator, gamma: np.ndarray, x: np.ndarray, transpose: bool = False
+) -> np.ndarray:
+    """Σ_k γ_k Ã^k x (Ãᵀ with ``transpose``) by Horner's rule: K propagate calls."""
+    out = gamma[-1] * x
+    for weight in gamma[-2::-1]:
+        out = op.apply(out, transpose=transpose)
+        out += weight * x
+    return out
 
 
 def affine_matrix(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -398,8 +469,8 @@ def affine_matrix(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def aggregate(
     cache: HopCache, gamma: np.ndarray, scale: np.ndarray, shift: np.ndarray
 ) -> np.ndarray:
-    """Z = Σ_k γ_k H^(k) under the norm affine (scale, shift)."""
-    return mix_hops(cache, gamma) @ affine_matrix(scale, shift)
+    """Z = Σ_k γ_k H^(k) under the norm affine (scale, shift): one Horner pass, K calls."""
+    return cache.mix_dot(gamma, affine_matrix(scale, shift))
 
 
 def class_sum(values: np.ndarray) -> np.ndarray:
@@ -496,11 +567,10 @@ def backward_ce(
     # Predict, then propagate: the logits Σ_k γ_k Ã^k [X̂ | 1]·head + b_cls
     # propagate the C class scores P_0 = [X̂ | 1]·head, not the H features.
     head = affine_matrix(model.scale, model.shift) @ model.W_cls
-    scores = np.empty((k + 1, n, head.shape[1]))
-    np.matmul(xhat, head[:-1], out=scores[0])
-    scores[0] += head[-1]
-    for step in range(1, k + 1):
-        scores[step] = op.apply(scores[step - 1])
+    p0 = xhat @ head[:-1]
+    p0 += head[-1]
+    scores = _hop_powers(op, p0, k)
+    del p0
     logits = np.tensordot(model.gamma, scores, axes=1)
     logits += model.b_cls
 
@@ -511,10 +581,7 @@ def backward_ce(
     del scores
 
     # ∂L/∂P_0 via Horner: G = Σ_k γ_k (Ãᵀ)^k ∂L/∂logits.
-    G = model.gamma[k] * dlogits
-    for step in range(k - 1, -1, -1):
-        G = op.apply(G, transpose=True)
-        G += model.gamma[step] * dlogits
+    G = _horner(op, model.gamma, dlogits, transpose=True)
 
     # Every head and batch-norm gradient reads G through X̂ᵀG and 1ᵀG.
     xtg = xhat.T @ G

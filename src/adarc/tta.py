@@ -1,8 +1,11 @@
 """Base test-time-adaptation predictors, interchangeable inside the outer loop.
 
-No variant builds Z = mix·A. With mix = ``mix_hops(cache, γ)`` and
-A = ``affine_matrix(scale, shift)``, each scores a linear head (W, b) on Z as
-mix·(A·W) + b: two products with an (H+1)×C array.
+No variant builds Z = mix·A (mix = Σ_k γ_k Ã^k [X̂ | 1], A =
+``affine_matrix(scale, shift)``) or a hop stack. The classifier's logits come
+from the hop cache's per-hop class scores (``HopCache.logits``); any other
+linear head (W, b) on Z is scored as mix·(A·W) + b by one Horner pass on N×C
+arrays (``HopCache.mix_dot``), and mixᵀ·G by one transpose pass
+(``HopCache.mix_tdot``).
 
 ``tent_lite`` takes a few steps on the mean entropy of the classifier's logits
 over cloned scale/shift (Tent's norm-affine-only update); the entropy is
@@ -14,8 +17,10 @@ prototype p_c as the mean of its most confident mix rows times A (W_cls[:, c]
 for an empty class) and predicts softmax(−‖z_i − p_c‖²). ‖z_i‖² is the same
 for every class, so that is softmax(2 z_i·p_c − ‖p_c‖²): a linear head.
 
-None of the variants mutates γ, and none triggers new propagate calls:
-every prediction is rebuilt from the cache's pre-affine hop stack.
+None of the variants mutates γ. Propagate calls, for K hops and a cache whose
+class scores match the model's head: ``erm`` makes none; ``tent`` makes 2K per
+step it tries (the gradient's transpose pass and the trial logits' pass);
+``t3a`` makes 2K (the prototypes' transpose pass and the scores' pass).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .model import (
     affine_matrix,
     class_sum,
     log_softmax,
-    mix_hops,
     softmax,
 )
 
@@ -66,15 +70,16 @@ class BaseTtaKind:
 
 
 def _entropy_grad_affine(
-    mix: np.ndarray, terms: tuple, model: GprModel
+    cache: HopCache, terms: tuple, model: GprModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """(∂H̄/∂scale, ∂H̄/∂shift) at the logits ``terms`` came from.
 
     logits(s, t) = mix·(A(s, t)·W_cls) + b_cls is linear in A, so with
-    G = mixᵀ·∂H̄/∂logits, an (H+1)×C array, ∂H̄/∂scale = Σ_c G[:H] ⊙ W_cls
-    and ∂H̄/∂shift = W_cls·G[H]; no N×H array is built.
+    G = mixᵀ·∂H̄/∂logits, an (H+1)×C array from one transpose Horner pass,
+    ∂H̄/∂scale = Σ_c G[:H] ⊙ W_cls and ∂H̄/∂shift = W_cls·G[H]; no N×H array
+    is built.
     """
-    G = mix.T @ _entropy_grad_logits(terms)
+    G = cache.mix_tdot(model.gamma, _entropy_grad_logits(terms))
     return (G[:-1] * model.W_cls).sum(axis=1), model.W_cls @ G[-1]
 
 
@@ -83,30 +88,26 @@ def tent_lite(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entropy-minimized (scale, shift) and the N×C logits they give.
 
-    The logits are mix·(A(scale, shift)·W_cls) + b_cls with
-    mix = ``mix_hops(cache, γ)``, so no step builds Z. Takes ``kind.steps``
-    descent steps on the mean entropy of ``_entropy_terms``, with
-    ``_entropy_grad_affine``'s gradient, over clones of the model's affine; a
-    step that fails to strictly decrease the mean entropy is reverted and
-    iteration stops early. A trial reads only the entropy: a gradient is built
-    only for a step taken.
+    The logits at the model's own affine are the cache's (``HopCache.logits``);
+    a trial affine's are mix·(A(scale, shift)·W_cls) + b_cls by one Horner
+    pass, so no step builds Z. Takes ``kind.steps`` descent steps on the mean
+    entropy of ``_entropy_terms``, with ``_entropy_grad_affine``'s gradient,
+    over clones of the model's affine; a step that fails to strictly decrease
+    the mean entropy is reverted and iteration stops early. A trial reads only
+    the entropy: a gradient is built only for a step taken.
     """
     scale = model.scale.copy()
     shift = model.shift.copy()
-    mix = mix_hops(cache, model.gamma)
-
-    def logits_at(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        return mix @ (affine_matrix(scale, shift) @ model.W_cls) + model.b_cls
-
-    logits = logits_at(scale, shift)
+    logits = cache.logits(model)
     if kind.steps == 0:
         return scale, shift, logits
     entropy, terms = _entropy_terms(logits)
     for _ in range(kind.steps):
-        d_scale, d_shift = _entropy_grad_affine(mix, terms, model)
+        d_scale, d_shift = _entropy_grad_affine(cache, terms, model)
         new_scale = scale - kind.lr * d_scale
         new_shift = shift - kind.lr * d_shift
-        new_logits = logits_at(new_scale, new_shift)
+        head = affine_matrix(new_scale, new_shift) @ model.W_cls
+        new_logits = cache.mix_dot(model.gamma, head) + model.b_cls
         new_entropy, terms = _entropy_terms(new_logits)
         if not new_entropy < entropy:
             break
@@ -115,21 +116,26 @@ def tent_lite(
 
 
 def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPrediction:
-    mix = mix_hops(cache, model.gamma)
-    affine = affine_matrix(model.scale, model.shift)
-    logits = mix @ (affine @ model.W_cls) + model.b_cls
+    logits = cache.logits(model)
     probs = softmax(logits)
     hard = SoftPrediction(probs).hard
     node_entropy = -class_sum(probs * log_softmax(logits))
 
-    prototypes = model.W_cls.T.copy()  # an empty class keeps W_cls[:, c]
-    for c in range(prototypes.shape[0]):
+    # Column c of ``weights`` averages the kept nodes of class c, so
+    # mixᵀ·weights holds each class's mean mix row.
+    weights = np.zeros_like(probs)
+    for c in range(weights.shape[1]):
         members = np.flatnonzero(hard == c)
-        if members.size:
-            order = members[np.argsort(node_entropy[members], kind="stable")]
-            prototypes[c] = mix[order[: kind.keep_per_class]].mean(axis=0) @ affine
+        order = members[np.argsort(node_entropy[members], kind="stable")]
+        kept = order[: kind.keep_per_class]
+        weights[kept, c] = 1.0 / max(kept.size, 1)
+    affine = affine_matrix(model.scale, model.shift)
+    prototypes = cache.mix_tdot(model.gamma, weights).T @ affine
+    empty = ~weights.any(axis=0)
+    prototypes[empty] = model.W_cls.T[empty]  # an empty class keeps W_cls[:, c]
     # −‖z − p_c‖² but for the per-node constant −‖z‖², which softmax drops.
-    scores = mix @ (affine @ (2.0 * prototypes.T)) - (prototypes * prototypes).sum(axis=1)
+    scores = cache.mix_dot(model.gamma, affine @ (2.0 * prototypes.T))
+    scores -= (prototypes * prototypes).sum(axis=1)
     return SoftPrediction(softmax(scores))
 
 

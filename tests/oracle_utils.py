@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from adarc.model import BN_EPS, affine_matrix, aggregate, cross_entropy, featurize_hops
+from adarc.model import BN_EPS, affine_matrix, cross_entropy, featurize_hops
 
 
 def random_instance(
@@ -186,16 +186,87 @@ def row_entropy(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
     return -(probs * log_probs).sum(axis=1)
 
 
+def dense_hops(model, dataset) -> np.ndarray:
+    """The hop stack Ã^k [X̂ | 1], k = 0..K, built explicitly: (K+1)×N×(H+1).
+
+    X̂ is X W1 + b1 normalized over all nodes, computed here in f64 whatever
+    the features' dtype; Ã is ``dense_propagation`` under the model's
+    ``prop_mode``, multiplied into the whole previous hop K times.
+    """
+    pre = dataset.features.astype(np.float64) @ model.W1 + model.b1
+    xhat = (pre - pre.mean(axis=0)) / np.sqrt(pre.var(axis=0) + BN_EPS)
+    hops = [np.concatenate([xhat, np.ones((xhat.shape[0], 1))], axis=1)]
+    propagation = dense_propagation(dataset.graph, model.prop_mode)
+    for _ in range(model.num_hops):
+        hops.append(propagation @ hops[-1])
+    return np.stack(hops)
+
+
+def dense_moments(hops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, diag, cross) of ``HopMoments`` by their defining sums over the stack."""
+    mean = hops.mean(axis=1)
+    centered = hops - mean[:, None, :]
+    diag = np.einsum("kia,lia->akl", centered, centered)
+    ones = centered[:, :, -1]
+    half = np.einsum("kia,li->akl", centered[:, :, :-1], ones)
+    return mean, diag, half + half.transpose(0, 2, 1)
+
+
+def dense_tent(model, hops, steps: int, lr: float) -> np.ndarray:
+    """Tent's accepted logits on the dense mix: the lab's steps, every sum row-wise.
+
+    Each step moves (scale, shift) along −∂H̄ (mixᵀ·∂H̄/∂logits through W_cls)
+    and is kept only if the mean entropy strictly falls.
+    """
+    mix = np.tensordot(model.gamma, hops, axes=1)
+
+    def at(scale, shift):
+        logits = mix @ affine_matrix(scale, shift) @ model.W_cls + model.b_cls
+        probs = row_softmax(logits)
+        log_probs = row_log_softmax(logits)
+        entropy = row_entropy(probs, log_probs)
+        d_logits = -probs * (log_probs + entropy[:, None]) / probs.shape[0]
+        return logits, float(entropy.mean()), mix.T @ d_logits
+
+    scale, shift = model.scale.copy(), model.shift.copy()
+    logits, entropy, G = at(scale, shift)
+    for _ in range(steps):
+        new_scale = scale - lr * (G[:-1] * model.W_cls).sum(axis=1)
+        new_shift = shift - lr * model.W_cls @ G[-1]
+        new_logits, new_entropy, new_G = at(new_scale, new_shift)
+        if not new_entropy < entropy:
+            break
+        scale, shift, logits, entropy, G = new_scale, new_shift, new_logits, new_entropy, new_G
+    return logits
+
+
+def dense_t3a(model, hops, keep_per_class: int) -> np.ndarray:
+    """T3A's probabilities on Z = mix·A: softmax(−‖Z − p_c‖²), node by node."""
+    Z = np.tensordot(model.gamma, hops, axes=1) @ affine_matrix(model.scale, model.shift)
+    logits = Z @ model.W_cls + model.b_cls
+    probs = row_softmax(logits)
+    hard = probs.argmax(axis=1)
+    node_entropy = row_entropy(probs, row_log_softmax(logits))
+    prototypes = model.W_cls.T.copy()
+    for c in range(prototypes.shape[0]):
+        members = np.flatnonzero(hard == c)
+        if members.size:
+            order = members[np.argsort(node_entropy[members], kind="stable")]
+            prototypes[c] = Z[order[:keep_per_class]].mean(axis=0)
+    return row_softmax(-((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2))
+
+
 def stack_backward_ce(model, dataset, mask, op):
     """``backward_ce``'s (loss, grads, logits, mean, var) by the hop-stack path.
 
-    ``featurize_hops`` builds the (K+1)×N×(H+1) stack, ``aggregate`` builds
-    Z, and the chain rule runs in Z-space: ∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩
+    ``dense_hops`` builds the (K+1)×N×(H+1) stack, Z is its γ-mix times A,
+    and the chain rule runs in Z-space: ∂L/∂γ_k = ⟨Ã^k [X̂ | 1], ∂L/∂Z Aᵀ⟩
     hop by hop, and ∂L/∂H^(0) = Σ_k γ_k (Ãᵀ)^k ∂L/∂Z with each power applied
-    afresh. The features are read in f64.
+    afresh. The features are read in f64; the statistics are the hop cache's.
     """
     cache = featurize_hops(model, dataset, op)
-    Z = aggregate(cache, model.gamma, model.scale, model.shift)
+    hops = dense_hops(model, dataset)
+    Z = np.tensordot(model.gamma, hops, axes=1) @ affine_matrix(model.scale, model.shift)
     logits = Z @ model.W_cls + model.b_cls
     rows = np.flatnonzero(mask)
     loss, masked_dlogits = cross_entropy(logits[rows], dataset.labels[rows])
@@ -204,7 +275,7 @@ def stack_backward_ce(model, dataset, mask, op):
     dZ = dlogits @ model.W_cls.T
 
     d_mix = dZ @ affine_matrix(model.scale, model.shift).T
-    grad_gamma = np.array([float((hop * d_mix).sum()) for hop in cache.hops])
+    grad_gamma = np.array([float((hop * d_mix).sum()) for hop in hops])
     d_h0 = np.zeros_like(dZ)
     for k, weight in enumerate(model.gamma):
         power = dZ
@@ -212,7 +283,7 @@ def stack_backward_ce(model, dataset, mask, op):
             power = op.apply(power, transpose=True)
         d_h0 += weight * power
 
-    xhat = cache.xhat
+    xhat = hops[0, :, :-1]
     d_xhat = d_h0 * model.scale
     d_pre = d_xhat - d_xhat.mean(axis=0) - xhat * (d_xhat * xhat).mean(axis=0)
     d_pre /= np.sqrt(cache.var + BN_EPS)

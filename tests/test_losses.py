@@ -12,8 +12,10 @@ from adarc import (
     BaseTtaKind,
     DegenerateRepresentationError,
     HopCache,
+    PropagationOperator,
     aggregate,
     base_predict,
+    build_graph,
     featurize_hops,
     init_model,
     softmax,
@@ -22,17 +24,30 @@ from adarc import (
 
 from oracle_utils import (
     brute_variances,
+    dense_hops,
     extended_variance_ratio,
     fd_grad,
     random_instance,
     relative_error,
+    with_f64_features,
 )
 
 
-def stack_cache(hops):
-    """A hop cache over a given (K+1)×N×(H+1) stack; the losses read only its hops."""
-    h = hops.shape[2] - 1
-    return HopCache(hops=hops, mean=np.zeros(h), var=np.ones(h), theta=())
+def given_cache(features, num_hops=0, graph=None, mode="sym"):
+    """A hop cache whose hop 0 is [features | 1] on ``graph`` (edgeless by default).
+
+    The losses read only hop 0, the operator and K.
+    """
+    n, h = features.shape
+    graph = graph if graph is not None else build_graph([], n)
+    return HopCache(
+        hop0=np.concatenate([features, np.ones((n, 1))], axis=1),
+        mean=np.zeros(h),
+        var=np.ones(h),
+        theta=(),
+        op=PropagationOperator(graph, mode),
+        num_hops=num_hops,
+    )
 
 
 def z_space(Z, num_classes=2):
@@ -44,7 +59,7 @@ def z_space(Z, num_classes=2):
     Z = np.asarray(Z, dtype=np.float64)
     model = init_model(1, Z.shape[1], num_classes, 0, seed=0)
     model.gamma[:] = 1.0
-    return model, stack_cache(np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)[None])
+    return model, given_cache(Z)
 
 
 def z_space_losses(Z, probs):
@@ -57,13 +72,16 @@ def z_space_losses(Z, probs):
 
 
 def random_stack_problem(rng):
-    """(model, cache, probs): a random stack, γ and affine, and soft predictions."""
+    """(model, cache, probs): random features on a random graph and operator, a
+    random γ and affine, and soft predictions."""
     n, h, c, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 13), (1, 5), (2, 5), (1, 4)))
     model = init_model(1, h, c, k, seed=int(rng.integers(1 << 30)))
     model.gamma[:] = rng.normal(size=k + 1)
     model.scale[:] = rng.uniform(0.5, 1.5, size=h)
     model.shift[:] = rng.normal(scale=0.5, size=h)
-    cache = stack_cache(rng.normal(size=(k + 1, n, h + 1)))
+    graph = build_graph(rng.integers(0, n, size=(2 * n, 2)), n)
+    mode = str(rng.choice(["row", "sym"]))
+    cache = given_cache(rng.normal(size=(n, h)), k, graph, mode)
     probs = rng.dirichlet(np.full(c, rng.uniform(0.3, 3.0)), size=n)
     return model, cache, probs
 
@@ -224,10 +242,10 @@ def hop_space_predictions(model, cache, target):
     return {"erm": erm, "soft": soft, "empty-class": empty}
 
 
-def extended_reference(kind, model, cache, probs):
-    """Loss and γ-gradient of ``kind`` from ``extended_variance_ratio``."""
+def extended_reference(kind, model, target, probs):
+    """Loss and γ-gradient of ``kind`` from ``extended_variance_ratio`` on the dense stack."""
     total, inter, d_total, d_inter = extended_variance_ratio(
-        cache.hops, model.gamma, model.scale, model.shift, probs
+        dense_hops(model, target), model.gamma, model.scale, model.shift, probs
     )
     if kind == "pic":
         loss = (total - inter) / total
@@ -243,10 +261,11 @@ def test_hop_space_surrogate_matches_references(kind, tiny_model, tiny_target, t
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("the extended-precision oracle needs an 80-bit long double")
     model = shifted_affine_model(tiny_model)
-    cache = featurize_hops(model, tiny_target, tiny_op)
-    for name, probs in hop_space_predictions(model, cache, tiny_target).items():
+    target = with_f64_features(tiny_target)
+    cache = featurize_hops(model, target, tiny_op)
+    for name, probs in hop_space_predictions(model, cache, target).items():
         loss, grad = surrogate_loss_and_grad_gamma(kind, model, cache, probs)
-        true_loss, true_grad = extended_reference(kind, model, cache, probs)
+        true_loss, true_grad = extended_reference(kind, model, target, probs)
         assert abs(loss - true_loss) <= 1e-12 * abs(true_loss), name
         assert relative_error(grad, true_grad) <= 1e-12, name
 

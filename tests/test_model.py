@@ -31,12 +31,13 @@ from adarc.model import (
     SoftPrediction,
     affine_matrix,
     backward_ce,
+    _MOMENT_BLOCK_COLS,
     cross_entropy,
     log_softmax,
-    mix_hops,
 )
 
 from oracle_utils import (
+    dense_hops,
     fd_grad,
     relative_error,
     row_cross_entropy,
@@ -138,45 +139,68 @@ def test_aggregate_splits_into_scale_and_shift_parts(tiny_model, tiny_target):
     gamma = tiny_model.gamma
     Z = aggregate(cache, gamma, tiny_model.scale, tiny_model.shift)
     # Z decomposes as scale⊙(Σγ_k B_k) + (Σγ_k o_k)·shiftᵀ
-    mix = mix_hops(cache, gamma)
+    mix = cache.mix_dot(gamma, np.eye(cache.hop0.shape[1]))
     s_b, t_o = mix[:, :-1], mix[:, -1]
     rebuilt = tiny_model.scale[None, :] * s_b + np.outer(t_o, tiny_model.shift)
     np.testing.assert_allclose(Z, rebuilt, atol=1e-12)
 
 
-def test_hop_cache_holds_one_stack(tiny_model, tiny_target):
+def test_hop_cache_holds_no_hop_stack(tiny_model, tiny_target):
+    # Its N-sized arrays are [X̂ | 1] and the (K+1)×N×C class scores.
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
     n, k, h = tiny_target.num_nodes, tiny_model.num_hops, tiny_model.W1.shape[1]
-    arrays = [
-        value
+    c = tiny_model.W_cls.shape[1]
+    shapes = sorted(
+        value.shape
         for value in vars(cache).values()
         if isinstance(value, np.ndarray) and value.size >= n
-    ]
-    assert len(arrays) == 1
-    assert arrays[0] is cache.hops
-    assert cache.hops.shape == (k + 1, n, h + 1)
-    assert cache.hops.dtype == np.float64
-    assert np.shares_memory(cache.xhat, cache.hops)
-    np.testing.assert_array_equal(cache.hops[0, :, -1], 1.0)
+    )
+    assert shapes == sorted([(n, h + 1), (k + 1, n, c)])
+    assert cache.hop0.dtype == np.float64
+    np.testing.assert_array_equal(cache.hop0[:, -1], 1.0)
+
+
+def test_class_scores_are_rebuilt_only_for_a_new_head(tiny_model, tiny_target):
+    op = PropagationOperator(tiny_target.graph, "sym")
+    cache = featurize_hops(tiny_model, tiny_target, op)
+    scores, k = cache.class_scores(tiny_model), tiny_model.num_hops
+    stepped = tiny_model.copy()
+    stepped.gamma[:] = 2.0 * stepped.gamma  # γ is not part of the head
+    assert cache.class_scores(stepped) is scores and op.calls == k
+    for name in ("scale", "shift", "W_cls"):
+        moved = tiny_model.copy()
+        getattr(moved, name)[0] += 0.25
+        rebuilt = cache.class_scores(moved)
+        assert op.calls == k + k, name
+        head = affine_matrix(moved.scale, moved.shift) @ moved.W_cls
+        expected = featurize_hops(moved, tiny_target, op).class_scores(moved)
+        np.testing.assert_allclose(rebuilt, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rebuilt[0], cache.hop0 @ head)
+        op.calls = k
 
 
 def test_hop_moments_give_the_centered_gram(tiny_model, tiny_target):
-    # 320 nodes span a full and a partial block of hop_moments' row blocks.
-    op = PropagationOperator(tiny_target.graph, "sym")
-    cache = featurize_hops(tiny_model, tiny_target, op)
+    # 320 nodes span a full and a partial block of hop_moments' row blocks,
+    # and H=16 two column blocks of HopCache.moments.
+    target = with_f64_features(tiny_target)
+    op = PropagationOperator(target.graph, "sym")
+    cache = featurize_hops(tiny_model, target, op)
+    hops = dense_hops(tiny_model, target)
     rng = np.random.default_rng(7)
     scale = rng.uniform(0.5, 1.5, size=tiny_model.scale.shape)
     shift = rng.normal(size=tiny_model.shift.shape)
     affine = np.vstack([np.diag(scale), shift[None, :]])
-    centered = [hop @ affine - (hop @ affine).mean(axis=0) for hop in cache.hops]
+    centered = [hop @ affine - (hop @ affine).mean(axis=0) for hop in hops]
     expected = np.array([[(a * b).sum() for b in centered] for a in centered])
     gram = cache.moments.total_gram(scale, shift)
     np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * abs(expected).max())
-    np.testing.assert_array_equal(cache.moments.mean, cache.hops.mean(axis=1))
-    # The moments are built once and hold nothing N-sized beside the stack.
+    np.testing.assert_allclose(cache.moments.mean, hops.mean(axis=1), rtol=0, atol=1e-12)
+    # The moments are built once, with K propagate calls per column block.
+    blocks = -(-tiny_model.W1.shape[1] // _MOMENT_BLOCK_COLS)
     assert cache.moments is cache.moments
-    k1, _, h1 = cache.hops.shape
+    assert op.calls == tiny_model.num_hops * (1 + blocks)
+    k1, _, h1 = hops.shape
     assert cache.moments.mean.shape == (k1, h1)
     assert cache.moments.diag.shape == (h1, k1, k1)
     assert cache.moments.cross.shape == (h1 - 1, k1, k1)
@@ -353,7 +377,7 @@ def test_backward_ce_equals_the_hop_stack_path(tiny_source, mode, num_hops):
 
 
 #: Largest max|f32 − f64| / max|f64| that the f32 feature GEMMs may leave in
-#: the hops, the loss and each gradient of ``backward_ce``. Measured on the
+#: [X̂ | 1], the loss and each gradient of ``backward_ce``. Measured on the
 #: four cases below: at most 5.0e-7 for the hops, 3.0e-8 for the loss and
 #: 9.2e-7 for a gradient, except 2.7e-6 for ``b_cls`` of the initial model on
 #: the target, a sum over nodes that nearly cancels (4.4e-4, against 1e-2 and
@@ -385,7 +409,7 @@ def test_f32_feature_gemms_match_the_f64_path_to_round_off(
     runs = []
     for data in (dataset, with_f64_features(dataset)):
         op = PropagationOperator(data.graph, model.prop_mode)
-        hops = featurize_hops(model, data, op).hops
+        hops = featurize_hops(model, data, op).hop0
         runs.append((hops, *backward_ce(model, data, mask, op)[:3]))
     (hops32, loss32, grads32, logits32), (hops64, loss64, grads64, logits64) = runs
 
@@ -454,25 +478,25 @@ def test_class_major_reductions_agree_to_round_off_from_eight_classes(c):
 def row_wise_prediction(variant, model, cache, keep_per_class=20):
     """erm or t3a with every class reduction taken row by row, as a reference.
 
-    Both score linear heads on Z = mix·A without building Z: the classifier,
-    and T3A's 2Pᵀ with bias −‖p_c‖² (softmax(−‖z − p_c‖²) without ‖z‖²).
+    Both score linear heads on Z = mix·A through the cache, as the lab does:
+    the classifier from its class scores, and T3A's 2Pᵀ with bias −‖p_c‖²
+    (softmax(−‖z − p_c‖²) without ‖z‖²) by Horner passes.
     """
-    mix = mix_hops(cache, model.gamma)
-    affine = affine_matrix(model.scale, model.shift)
-    logits = mix @ (affine @ model.W_cls) + model.b_cls
+    logits = cache.logits(model)
     probs = row_softmax(logits)
     if variant == "erm":
         return probs
     hard = probs.argmax(axis=1)
     node_entropy = row_entropy(probs, row_log_softmax(logits))
-    prototypes = []
+    weights = np.zeros_like(probs)
     for c in range(model.W_cls.shape[1]):
         members = np.flatnonzero(hard == c)
-        order = members[np.argsort(node_entropy[members], kind="stable")]
-        prototypes.append(mix[order[:keep_per_class]].mean(axis=0) @ affine)
-    prototypes = np.stack(prototypes)
+        kept = members[np.argsort(node_entropy[members], kind="stable")][:keep_per_class]
+        weights[kept, c] = 1.0 / kept.size
+    affine = affine_matrix(model.scale, model.shift)
+    prototypes = cache.mix_tdot(model.gamma, weights).T @ affine
     norms = (prototypes**2).sum(axis=1)
-    return row_softmax(mix @ (affine @ (2.0 * prototypes.T)) - norms)
+    return row_softmax(cache.mix_dot(model.gamma, affine @ (2.0 * prototypes.T)) - norms)
 
 
 @pytest.mark.parametrize("variant", ["erm", "t3a"])

@@ -1,13 +1,14 @@
-"""Peak-memory budgets: a run holds its f32 feature matrices plus one hop stack.
+"""Peak-memory budgets: a run holds its f32 feature matrices plus a few columns.
 
-Pretraining holds no stack, and ``run_scenario`` and ``adarc generate`` one
-feature matrix at a time.
+No run holds a (K+1)×N×(H+1) hop stack: featurization, adaptation and
+pretraining predict, then propagate. ``run_scenario`` and ``adarc generate``
+hold one feature matrix at a time.
 
-Each bound is in units of the run's own arrays: the f32 feature matrix, the
-(K+1)×N×(H+1) f64 hop stack and "columns", N×(H+1) f64 arrays. The slack
+Each bound is in units of the run's own arrays: the f32 feature matrix and
+"columns", N×(H+1) f64 arrays; a hop stack is K+1 = 10 columns. The slack
 above the budget comes from the traced peaks measured at these sizes (numpy
 2.4.6), written next to each bound; each bound is below the peak of a run that
-holds a second stack, a second seed's data or an f64 copy of its features.
+holds a hop stack, a second seed's data or an f64 copy of its features.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import pytest
 from adarc import (
     ScenarioSpec,
     TrainConfig,
+    PropagationOperator,
     build_scenario_datasets,
     cli,
+    featurize_hops,
     generate,
     init_model,
     preset_params,
@@ -36,7 +39,6 @@ from adarc import (
 
 N, D, H, K = 2000, 16, 32, 9
 COLUMN = N * (H + 1) * 8
-STACK = (K + 1) * COLUMN
 FEATURES = N * D * 4
 TRAIN = TrainConfig(epochs=5, patience=5, hidden=H, num_hops=K, learning_rate=2.0, seed=1)
 
@@ -68,17 +70,27 @@ def adapt_inputs(high2low, tmp_path_factory):
     return root
 
 
-# Measured above f32 features + one stack: 2.43 (erm), 2.28 (tent) and 2.26
-# (t3a) columns, each bound 0.4 above. While erm and t3a built Z = mix·A they
-# read 2.87 and 3.13 (3.11 and 3.37 with f64 features), and t3a 4.07 while it
-# built the N×C×H distance array. Before tent stepped in logit space it read
-# 4.10, and 4.92 while its affine step held a product array beside ∂H̄/∂Z.
-# Every variant read 13.0 to 15.0 while the pre-adaptation stack was held.
-ADAPT_COLUMNS = {"erm": 2.83, "tent": 2.7, "t3a": 2.66}
+def test_featurize_hops_holds_no_stack(high2low):
+    _, target = high2low
+    model = init_model(D, H, target.num_classes, K, seed=TRAIN.seed)
+    op = PropagationOperator(target.graph, model.prop_mode)
+    cache, peak = traced_peak(lambda: featurize_hops(model, target, op))
+    assert cache.hop0.shape == (N, H + 1)
+    # Measured: 2.07 columns, [X̂ | 1], X̂ and the (K+1)×N×C class scores.
+    # 11.0 while the cache was a hop stack.
+    assert peak <= 2.5 * COLUMN
+
+
+# Measured above the f32 features: 5.85 (erm), 5.70 (tent) and 5.68 (t3a)
+# columns, each bound 0.4 above; the peak is the hop moments' (K+1)×N×9 block
+# stack beside [X̂ | 1] and the class scores. With a hop stack the run read
+# 12.43, 12.28 and 12.26 (one stack), and 23.0 to 25.0 while the
+# pre-adaptation stack was still held.
+ADAPT_COLUMNS = {"erm": 6.25, "tent": 6.1, "t3a": 6.08}
 
 
 @pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
-def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
+def test_cli_adapt_holds_the_features_and_a_few_columns(adapt_inputs, variant):
     argv = [
         "adapt", "--ckpt", str(adapt_inputs / "model.ckpt"),
         "--data", str(adapt_inputs / "target"), "--base-tta", variant,
@@ -88,7 +100,7 @@ def test_cli_adapt_holds_the_features_and_one_stack(adapt_inputs, variant):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code, peak = traced_peak(lambda: cli.main(argv))
     assert code == 0, sink.getvalue()
-    assert peak <= FEATURES + STACK + ADAPT_COLUMNS[variant] * COLUMN
+    assert peak <= FEATURES + ADAPT_COLUMNS[variant] * COLUMN
 
 
 def test_train_source_holds_no_stack(high2low):

@@ -20,7 +20,7 @@ from adarc import (
 )
 from adarc import tta
 from adarc.losses import _entropy_grad_logits, _entropy_terms
-from adarc.model import affine_matrix, log_softmax, mix_hops, softmax
+from adarc.model import affine_matrix, log_softmax, softmax
 from adarc.tta import BASE_TTA_NAMES, _entropy_grad_affine, tent_lite
 
 from oracle_utils import fd_grad, relative_error, tent_affine_grad_z
@@ -117,9 +117,14 @@ def test_tent_never_returns_a_worse_affine(tiny_model, cache_and_op, lr):
 
 
 def affine_logits(cache, model, scale, shift):
-    """Tent's logits at (scale, shift): mix·(A·W_cls) + b_cls."""
-    mix = mix_hops(cache, model.gamma)
-    return mix @ (affine_matrix(scale, shift) @ model.W_cls) + model.b_cls
+    """Tent's logits at (scale, shift): mix·(A·W_cls) + b_cls.
+
+    At the model's own affine they are the cache's class-score logits; at any
+    other, one Horner pass on [X̂ | 1]·A·W_cls.
+    """
+    if np.array_equal(scale, model.scale) and np.array_equal(shift, model.shift):
+        return cache.logits(model)
+    return cache.mix_dot(model.gamma, affine_matrix(scale, shift) @ model.W_cls) + model.b_cls
 
 
 @pytest.mark.parametrize("steps, lr", [(0, 0.05), (3, 0.05), (3, 1e3)])
@@ -148,18 +153,17 @@ def test_tent_builds_a_gradient_only_for_a_step_it_tries(
     # return the same bits while building one gradient per step it tries and
     # none after the last trial.
     cache, _ = cache_and_op
-    mix = mix_hops(cache, tiny_model.gamma)
     scale, shift = tiny_model.scale, tiny_model.shift
     logits = affine_logits(cache, tiny_model, scale, shift)
     entropy, terms = _entropy_terms(logits)
-    grad = _entropy_grad_affine(mix, terms, tiny_model)
+    grad = _entropy_grad_affine(cache, terms, tiny_model)
     tried = 0
     for _ in range(steps):
         tried += 1
         new_scale, new_shift = scale - lr * grad[0], shift - lr * grad[1]
         new_logits = affine_logits(cache, tiny_model, new_scale, new_shift)
         new_entropy, terms = _entropy_terms(new_logits)
-        grad = _entropy_grad_affine(mix, terms, tiny_model)
+        grad = _entropy_grad_affine(cache, terms, tiny_model)
         if not new_entropy < entropy:
             break
         scale, shift, logits, entropy = new_scale, new_shift, new_logits, new_entropy
@@ -185,9 +189,9 @@ def test_tent_affine_gradient_is_the_z_space_gradient(tiny_model, cache_and_op, 
     direction = np.random.default_rng(5).normal(size=2 * h)
     scale = tiny_model.scale + offset * direction[:h]
     shift = tiny_model.shift + offset * direction[h:]
-    mix = mix_hops(cache, tiny_model.gamma)
+    mix = cache.mix_dot(tiny_model.gamma, np.eye(h + 1))
     _, terms = _entropy_terms(affine_logits(cache, tiny_model, scale, shift))
-    d_scale, d_shift = _entropy_grad_affine(mix, terms, tiny_model)
+    d_scale, d_shift = _entropy_grad_affine(cache, terms, tiny_model)
 
     dZ = _entropy_grad_logits(terms) @ tiny_model.W_cls.T
     z_scale, z_shift = tent_affine_grad_z(mix, dZ)
@@ -275,13 +279,38 @@ def test_base_predict_rejects_stale_cache(tiny_model, tiny_target, cache_and_op)
         base_predict(BaseTtaKind("erm"), changed, cache, tiny_target)
 
 
-def test_base_predict_uses_no_propagate_calls(tiny_model, tiny_target):
+def test_base_predict_uses_no_propagate_calls(tiny_model, tiny_target, monkeypatch):
+    """Exact propagate calls of each base prediction on a cache of the model's head.
+
+    erm reads the class scores and makes none; tent makes 2K per step it
+    tries (a transpose pass for the gradient, a pass for the trial logits);
+    t3a makes 2K (the prototypes' transpose pass and the scores' pass).
+    """
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
-    calls_after_featurize = op.calls
-    for variant in BASE_TTA_NAMES:
-        base_predict(BaseTtaKind(variant), tiny_model, cache, tiny_target)
-    assert op.calls == calls_after_featurize
+    k = tiny_model.num_hops
+    assert op.calls == k
+    tried = []
+    grad_logits = tta._entropy_grad_logits
+    monkeypatch.setattr(
+        tta, "_entropy_grad_logits", lambda *a: tried.append(a) or grad_logits(*a)
+    )
+    # Three steps that each lower the entropy, then at lr=1e6 a first step
+    # that nearly zeroes it and a second that is reverted: 3 and 2 tried.
+    for kind, steps_tried in [
+        (BaseTtaKind("erm"), 0),
+        (BaseTtaKind("tent"), 1),
+        (BaseTtaKind("tent", steps=3, lr=0.05), 3),
+        (BaseTtaKind("tent", steps=3, lr=1e6), 2),
+    ]:
+        tried.clear()
+        before = op.calls
+        base_predict(kind, tiny_model, cache, tiny_target)
+        assert len(tried) == steps_tried, kind
+        assert op.calls - before == 2 * k * steps_tried, kind
+    before = op.calls
+    base_predict(BaseTtaKind("t3a"), tiny_model, cache, tiny_target)
+    assert op.calls - before == 2 * k
 
 def relabelled(dataset, order):
     """``dataset`` with node ``order[i]`` renamed i."""
