@@ -303,12 +303,10 @@ class HopCache:
     def hops_tdot(self, rows: np.ndarray) -> np.ndarray:
         """rowsᵀ·Ã^k [X̂ | 1] for every k, (K+1)×C×(H+1), as ((Ãᵀ)^k rows)ᵀ [X̂ | 1].
 
-        K propagate calls on N×C arrays, then one GEMM against [X̂ | 1].
+        K propagate calls on N×C arrays, then one product with [X̂ | 1] per hop.
         """
         spread = _hop_powers(self.op, rows, self.num_hops, transpose=True)
-        k1, n, c = spread.shape
-        flat = spread.transpose(0, 2, 1).reshape(k1 * c, n)
-        return (flat @ self.hop0).reshape(k1, c, -1)
+        return spread.transpose(0, 2, 1) @ self.hop0
 
     @functools.cached_property
     def moments(self) -> HopMoments:

@@ -72,8 +72,7 @@ def z_space_losses(Z, probs):
 
 
 def random_stack_problem(rng):
-    """(model, cache, probs): random features on a random graph and operator, a
-    random γ and affine, and soft predictions."""
+    """(model, cache, probs): random features, graph, operator, γ and affine, and soft predictions."""
     n, h, c, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 13), (1, 5), (2, 5), (1, 4)))
     model = init_model(1, h, c, k, seed=int(rng.integers(1 << 30)))
     model.gamma[:] = rng.normal(size=k + 1)
@@ -324,3 +323,15 @@ def test_surrogate_rejects_rows_that_do_not_sum_to_one(
     probs = np.full((tiny_target.num_nodes, 2), 0.55)
     with pytest.raises(ValueError, match="sum to 1"):
         surrogate_loss_and_grad_gamma(kind, tiny_model, cache, probs)
+
+
+def test_surrogate_propagate_calls(tiny_model, tiny_target, tiny_op):
+    # On a cache of the model's head whose moments are built: pic and diff
+    # propagate Ŷ, K calls per call; entropy and pseudo read the class scores.
+    cache = featurize_hops(tiny_model, tiny_target, tiny_op)
+    prediction = base_predict(BaseTtaKind(), tiny_model, cache, tiny_target)
+    cache.moments
+    for kind, calls in [("pic", 1), ("diff", 1), ("entropy", 0), ("pseudo", 0)]:
+        before = tiny_op.calls
+        surrogate_loss_and_grad_gamma(kind, tiny_model, cache, prediction)
+        assert tiny_op.calls - before == calls * tiny_model.num_hops, kind
