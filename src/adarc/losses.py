@@ -30,8 +30,9 @@ takes one path:
     (``HopCache.moments``) under any scale and shift.
   - σ²_inter = Σ_c ‖Σ_k γ_k (Ŷ_cᵀ B_k − W_c b̄_k)‖² / W_c, with W_c = Σ_i Ŷ_ic.
     Ŷᵀ·hops is taken as ((Ãᵀ)^k Ŷ)ᵀ [X̂ | 1] (``HopCache.hops_tdot``): K
-    transpose propagations of the N×C prediction, then one GEMM against
-    [X̂ | 1], per call. Classes with W_c = 0 are skipped.
+    transpose propagations of Ŷ per call, each hop then multiplied into
+    [X̂ | 1]. Classes with W_c = 0 are skipped, and the heaviest class is
+    not propagated: the centered Ŷ_cᵀ·hops sum to 0 over classes.
   - σ²_intra = σ² − σ²_inter, because the rows of Ŷ sum to 1 (checked at
     entry).
 
@@ -96,12 +97,18 @@ def _hop_space_loss_and_grad(
     weights = probs.sum(axis=0)
     occupied = np.flatnonzero(weights > 0.0)
     # Ŷ_cᵀ Ã^k [X̂|1] − W_c·mean_k per occupied class c and hop k, then A applied:
-    # moved[c, k] @ A = Ŷ_cᵀ B_k − W_c b̄_k.
-    moved = cache.hops_tdot(probs[:, occupied]).transpose(1, 0, 2)
-    moved -= weights[occupied, None, None] * moments.mean[None, :, :]
+    # moved[c, k] @ A = Ŷ_cᵀ B_k − W_c b̄_k. The rows of Ŷ sum to 1, so the rows
+    # of moved sum to 0: the heaviest class's is minus the others', and only the
+    # others' predictions are propagated.
+    heaviest = occupied[np.argmax(weights[occupied])]
+    others = occupied[occupied != heaviest]
+    moved = cache.hops_tdot(probs[:, others]).transpose(1, 0, 2)
+    moved -= weights[others, None, None] * moments.mean[None, :, :]
+    moved = np.concatenate([moved, -moved.sum(axis=0, keepdims=True)])
+    mass = weights[np.r_[others, heaviest]]
     between = moved[:, :, :-1] * scale + moved[:, :, -1:] * shift  # C'×(K+1)×H
     offsets = np.tensordot(gamma, between, axes=([0], [1]))  # C'×H, W_c(μ_c − z̄)
-    per_mass = offsets / weights[occupied, None]
+    per_mass = offsets / mass[:, None]
     sigma_inter_sq = float((offsets * per_mass).sum())
     inter_grad = np.tensordot(between, per_mass, axes=([0, 2], [0, 1]))  # S_b γ
 

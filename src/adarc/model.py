@@ -26,12 +26,12 @@ ones column, they give the total variance of Z as a (K+1)×(K+1) quadratic
 form in γ under any (scale, shift): σ² = γᵀ S_t γ with
 S_t = ``HopMoments.total_gram(scale, shift)``. They are built from column
 blocks of [X̂ | 1], each with the ones column: each block's hops fill a
-transient (K+1)×N×(w+1) stack of constant width w+1 (K propagate calls per
+transient (w+1)×(K+1)×N array of constant width w+1 (K propagate calls per
 block) that ``hop_moments`` reduces.
 
 Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
 D=2000) and a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class scores
-and, while the moments are built, one block stack. The two GEMMs that read
+and, while the moments are built, one block of hops. The two GEMMs that read
 X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
 features' dtype and widen their N×H and D×H results to f64, so X is never
 widened; everything else is f64. ``backward_ce`` holds no Z: with
@@ -92,10 +92,8 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
-#: Rows per block when ``hop_moments`` centers and transposes the stack.
-_MOMENT_BLOCK_ROWS = 256
-#: Columns of X̂ per block stack that ``HopCache.moments`` builds and reduces.
-_MOMENT_BLOCK_COLS = 8
+#: Columns of X̂ per block that ``HopCache.moments`` hands to ``hop_moments``.
+_MOMENT_BLOCK_COLS = 4
 
 _CHECKPOINT_MAGIC = b"ADRCM"
 _CHECKPOINT_VERSION = 2
@@ -235,24 +233,24 @@ class HopMoments:
         )
 
 
-def hop_moments(hops: np.ndarray) -> HopMoments:
-    """``HopMoments`` of a (K+1)×N×(H+1) stack: one pass for the means, one for the rest.
+def hop_moments(op: PropagationOperator, x: np.ndarray, k: int) -> HopMoments:
+    """``HopMoments`` of the hops Ã^k x, k = 0..K, of an N×(w+1) ``x`` whose last column is ones.
 
-    Each block of rows is centered into a small (H+1)×(K+1)×rows buffer, so
-    the per-column Grams are batched GEMMs and no second N-sized array is held.
+    Makes K propagate calls. The hops are laid out by column, (w+1)×(K+1)×N,
+    so once centered each column's Gram over the hops is one GEMM along N.
     """
-    k1, n, h1 = hops.shape
-    mean = hops.mean(axis=1)
-    diag = np.zeros((h1, k1, k1))
-    cross = np.zeros((h1 - 1, k1, k1))
-    block = np.empty((h1, k1, min(n, _MOMENT_BLOCK_ROWS)))
-    for start in range(0, n, block.shape[2]):
-        rows = hops[:, start : start + block.shape[2], :]
-        centered = block[:, :, : rows.shape[1]]
-        np.subtract(rows.transpose(2, 0, 1), mean.T[:, :, None], out=centered)
-        diag += centered @ centered.transpose(0, 2, 1)
-        cross += centered[:-1] @ centered[-1].T
-    return HopMoments(mean=mean, diag=diag, cross=cross + cross.transpose(0, 2, 1))
+    n, width = x.shape
+    columns = np.empty((width, k + 1, n))
+    columns[:, 0] = x.T
+    for step in range(1, k + 1):
+        x = op.apply(x)
+        columns[:, step] = x.T
+    mean = columns.mean(axis=2)
+    columns -= mean[:, :, None]
+    ones = columns[-1].T
+    diag = np.stack([c @ c.T for c in columns])
+    half = np.stack([c @ ones for c in columns[:-1]])
+    return HopMoments(mean=mean.T, diag=diag, cross=half + half.transpose(0, 2, 1))
 
 
 @dataclass
@@ -312,16 +310,13 @@ class HopCache:
     def moments(self) -> HopMoments:
         """Per-column cross-moments of the hops Ã^k [X̂ | 1], computed once on first use.
 
-        Each block of up to ``_MOMENT_BLOCK_COLS`` columns of X̂, with the ones
-        column appended, is propagated into a transient block stack (K calls)
-        and reduced by ``hop_moments``; the ones column's moments come from
-        the first block.
+        ``hop_moments`` takes each block of up to ``_MOMENT_BLOCK_COLS`` columns
+        of X̂ with the ones column appended (K propagate calls per block), one
+        block at a time; the ones column's moments come from the first block.
         """
-        h = self.hop0.shape[1] - 1
-        parts = []
-        for start in range(0, h, _MOMENT_BLOCK_COLS):
-            columns = np.r_[start : min(start + _MOMENT_BLOCK_COLS, h), h]
-            parts.append(hop_moments(_hop_powers(self.op, self.hop0[:, columns], self.num_hops)))
+        h, width = self.hop0.shape[1] - 1, _MOMENT_BLOCK_COLS
+        blocks = (np.r_[a : min(a + width, h), h] for a in range(0, h, width))
+        parts = [hop_moments(self.op, self.hop0[:, cols], self.num_hops) for cols in blocks]
         return HopMoments(
             mean=np.concatenate([p.mean[:, :-1] for p in parts] + [parts[0].mean[:, -1:]], 1),
             diag=np.concatenate([p.diag[:-1] for p in parts] + [parts[0].diag[-1:]]),

@@ -77,9 +77,11 @@ def _entropy_grad_affine(
     logits(s, t) = mix·(A(s, t)·W_cls) + b_cls is linear in A, so with
     G = mixᵀ·∂H̄/∂logits, an (H+1)×C array from one transpose Horner pass,
     ∂H̄/∂scale = Σ_c G[:H] ⊙ W_cls and ∂H̄/∂shift = W_cls·G[H]; no N×H array
-    is built.
+    is built. Each row of ∂H̄/∂logits sums to 0, so the pass skips the last
+    class: its column of G is minus the others'.
     """
-    G = cache.mix_tdot(model.gamma, _entropy_grad_logits(terms))
+    G = cache.mix_tdot(model.gamma, _entropy_grad_logits(terms)[:, :-1])
+    G = np.column_stack([G, -G.sum(axis=1)])
     return (G[:-1] * model.W_cls).sum(axis=1), model.W_cls @ G[-1]
 
 
@@ -133,9 +135,13 @@ def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPre
     prototypes = cache.mix_tdot(model.gamma, weights).T @ affine
     empty = ~weights.any(axis=0)
     prototypes[empty] = model.W_cls.T[empty]  # an empty class keeps W_cls[:, c]
-    # −‖z − p_c‖² but for the per-node constant −‖z‖², which softmax drops.
-    scores = cache.mix_dot(model.gamma, affine @ (2.0 * prototypes.T))
-    scores -= (prototypes * prototypes).sum(axis=1)
+    # −‖z − p_c‖² but for per-node constants, which softmax drops: −‖z‖² and
+    # the last class's score, so the last class scores 0 and is not propagated.
+    head = affine @ (2.0 * prototypes.T)
+    bias = -(prototypes * prototypes).sum(axis=1)
+    scores = np.zeros_like(probs)
+    scores[:, :-1] = cache.mix_dot(model.gamma, head[:, :-1] - head[:, -1:])
+    scores[:, :-1] += bias[:-1] - bias[-1]
     return SoftPrediction(softmax(scores))
 
 

@@ -72,7 +72,7 @@ def z_space_losses(Z, probs):
 
 
 def random_stack_problem(rng):
-    """(model, cache, probs): random features, graph, operator, γ and affine, and soft predictions."""
+    """(model, cache, probs): random features, graph, operator, γ, affine and predictions."""
     n, h, c, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 13), (1, 5), (2, 5), (1, 4)))
     model = init_model(1, h, c, k, seed=int(rng.integers(1 << 30)))
     model.gamma[:] = rng.normal(size=k + 1)

@@ -81,12 +81,12 @@ def test_featurize_hops_holds_no_stack(high2low):
     assert peak <= 2.5 * COLUMN
 
 
-# Measured above the f32 features: 5.85 (erm), 5.70 (tent) and 5.68 (t3a)
-# columns, each bound 0.4 above; the peak is the hop moments' (K+1)×N×9 block
-# stack beside [X̂ | 1] and the class scores. With a hop stack the run read
-# 12.43, 12.28 and 12.26 (one stack), and 23.0 to 25.0 while the
-# pre-adaptation stack was still held.
-ADAPT_COLUMNS = {"erm": 6.25, "tent": 6.1, "t3a": 6.08}
+# Measured above the f32 features: 4.46 (erm), 4.30 (tent) and 4.28 (t3a)
+# columns, each bound 0.4 above; the peak is the hop moments' 5×(K+1)×N block
+# beside [X̂ | 1] and the class scores. With a hop stack the run read 12.43,
+# 12.28 and 12.26 (one stack), and 23.0 to 25.0 while the pre-adaptation
+# stack was still held.
+ADAPT_COLUMNS = {"erm": 4.86, "tent": 4.7, "t3a": 4.68}
 
 
 @pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
