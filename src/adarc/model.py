@@ -93,7 +93,7 @@ __all__ = [
 
 BN_EPS = 1e-5
 #: Columns of X̂ per block that ``HopCache.moments`` hands to ``hop_moments``.
-_MOMENT_BLOCK_COLS = 4
+_MOMENT_BLOCK_COLS = 3
 
 _CHECKPOINT_MAGIC = b"ADRCM"
 _CHECKPOINT_VERSION = 2

@@ -335,3 +335,18 @@ def test_surrogate_propagate_calls(tiny_model, tiny_target, tiny_op):
         before = tiny_op.calls
         surrogate_loss_and_grad_gamma(kind, tiny_model, cache, prediction)
         assert tiny_op.calls - before == calls * tiny_model.num_hops, kind
+
+
+def test_one_occupied_class_has_no_between_class_variance():
+    # Every node in one class: σ²_inter = 0, so PIC is 1 with a zero gradient
+    # and diff is σ²; no class is left to propagate.
+    rng = np.random.default_rng(4)
+    model, cache, probs = random_stack_problem(rng)
+    one = np.zeros_like(probs)
+    one[:, -1] = 1.0
+    pic, pic_grad = surrogate_loss_and_grad_gamma("pic", model, cache, one)
+    diff, _ = surrogate_loss_and_grad_gamma("diff", model, cache, one)
+    assert pic == 1.0
+    np.testing.assert_array_equal(pic_grad, 0.0)
+    total_gram = cache.moments.total_gram(model.scale, model.shift)
+    assert diff == pytest.approx(float(model.gamma @ total_gram @ model.gamma), rel=1e-12)

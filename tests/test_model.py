@@ -181,7 +181,7 @@ def test_class_scores_are_rebuilt_only_for_a_new_head(tiny_model, tiny_target):
 
 
 def test_hop_moments_give_the_centered_gram(tiny_model, tiny_target):
-    # H=16 spans four column blocks of HopCache.moments.
+    # H=16 spans six column blocks of HopCache.moments, the last of one column.
     target = with_f64_features(tiny_target)
     op = PropagationOperator(target.graph, "sym")
     cache = featurize_hops(tiny_model, target, op)
