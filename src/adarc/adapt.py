@@ -5,8 +5,8 @@ descent step on γ through the chosen unsupervised surrogate while holding
 that prediction constant. No hop stack is built: ``featurize_hops`` caches
 [X̂ | 1] and the per-hop class scores of the model's head (K propagate calls),
 and each reader predicts, then propagates. With an ``erm`` base and ``pic``, a
-run of T epochs makes K(1 + B + T) propagate calls: the cache's K, K per
-column block for the hop moments (B blocks, once per run) and K per epoch to
+run of T epochs makes K(1 + (H+1) + T) propagate calls: the cache's K, K per
+column of [X̂ | 1] for the hop moments (once per run) and K per epoch to
 propagate Ŷ for σ²_inter. ``tent`` adds 2K and ``t3a`` 2K per base
 prediction (see ``tta``), and a norm-affine write-back K more per epoch, to
 rebuild the class scores of the new head.

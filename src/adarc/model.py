@@ -24,14 +24,14 @@ change, so γ steps reuse it.
 cross-moments of the hops. Because A only scales each column and adds the
 ones column, they give the total variance of Z as a (K+1)×(K+1) quadratic
 form in γ under any (scale, shift): σ² = γᵀ S_t γ with
-S_t = ``HopMoments.total_gram(scale, shift)``. They are built from column
-blocks of [X̂ | 1], each with the ones column: each block's hops fill a
-transient (w+1)×(K+1)×N array of constant width w+1 (K propagate calls per
-block) that ``hop_moments`` reduces.
+S_t = ``HopMoments.total_gram(scale, shift)``. ``hop_moments`` builds them
+one column of [X̂ | 1] at a time, the same way under ``row`` and ``sym``:
+each column's hops (K propagate calls on an N-vector) fill a transient
+(K+1)×N array that is centered and reduced by one GEMM.
 
 Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
 D=2000) and a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class scores
-and, while the moments are built, one block of hops. The two GEMMs that read
+and, while the moments are built, two (K+1)×N arrays. The two GEMMs that read
 X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
 features' dtype and widen their N×H and D×H results to f64, so X is never
 widened; everything else is f64. ``backward_ce`` holds no Z: with
@@ -92,8 +92,6 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
-#: Columns of X̂ per block that ``HopCache.moments`` hands to ``hop_moments``.
-_MOMENT_BLOCK_COLS = 3
 
 _CHECKPOINT_MAGIC = b"ADRCM"
 _CHECKPOINT_VERSION = 2
@@ -233,24 +231,37 @@ class HopMoments:
         )
 
 
-def hop_moments(op: PropagationOperator, x: np.ndarray, k: int) -> HopMoments:
-    """``HopMoments`` of the hops Ã^k x, k = 0..K, of an N×(w+1) ``x`` whose last column is ones.
+def hop_moments(op: PropagationOperator, hop0: np.ndarray, k: int) -> HopMoments:
+    """``HopMoments`` of the hops Ã^k [X̂ | 1], k = 0..K, one column of ``hop0`` at a time.
 
-    Makes K propagate calls. The hops are laid out by column, (w+1)×(K+1)×N,
-    so once centered each column's Gram over the hops is one GEMM along N.
+    Each column's K+1 hops are propagated (K calls on one N-vector), centered
+    and reduced to their Gram over the hops by one GEMM along N; the ones
+    column's centered hops are kept for the cross terms. So it makes
+    K(H+1) propagate calls and holds two (K+1)×N arrays.
     """
-    n, width = x.shape
-    columns = np.empty((width, k + 1, n))
-    columns[:, 0] = x.T
-    for step in range(1, k + 1):
-        x = op.apply(x)
-        columns[:, step] = x.T
-    mean = columns.mean(axis=2)
-    columns -= mean[:, :, None]
-    ones = columns[-1].T
-    diag = np.stack([c @ c.T for c in columns])
-    half = np.stack([c @ ones for c in columns[:-1]])
-    return HopMoments(mean=mean.T, diag=diag, cross=half + half.transpose(0, 2, 1))
+
+    def centered_hops(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hops = np.empty((k + 1, column.shape[0]))
+        hops[0] = column
+        for step in range(1, k + 1):
+            hops[step] = op.apply(hops[step - 1])
+        mean = hops.mean(axis=1)
+        hops -= mean[:, None]
+        return hops, mean
+
+    ones, ones_mean = centered_hops(hop0[:, -1])
+    means, diag, cross = [], [], []
+    for a in range(hop0.shape[1] - 1):
+        hops, mean = centered_hops(hop0[:, a])
+        half = hops @ ones.T
+        means.append(mean)
+        diag.append(hops @ hops.T)
+        cross.append(half + half.T)
+    return HopMoments(
+        mean=np.column_stack([*means, ones_mean]),
+        diag=np.stack([*diag, ones @ ones.T]),
+        cross=np.stack(cross),
+    )
 
 
 @dataclass
@@ -308,20 +319,8 @@ class HopCache:
 
     @functools.cached_property
     def moments(self) -> HopMoments:
-        """Per-column cross-moments of the hops Ã^k [X̂ | 1], computed once on first use.
-
-        ``hop_moments`` takes each block of up to ``_MOMENT_BLOCK_COLS`` columns
-        of X̂ with the ones column appended (K propagate calls per block), one
-        block at a time; the ones column's moments come from the first block.
-        """
-        h, width = self.hop0.shape[1] - 1, _MOMENT_BLOCK_COLS
-        blocks = (np.r_[a : min(a + width, h), h] for a in range(0, h, width))
-        parts = [hop_moments(self.op, self.hop0[:, cols], self.num_hops) for cols in blocks]
-        return HopMoments(
-            mean=np.concatenate([p.mean[:, :-1] for p in parts] + [parts[0].mean[:, -1:]], 1),
-            diag=np.concatenate([p.diag[:-1] for p in parts] + [parts[0].diag[-1:]]),
-            cross=np.concatenate([p.cross for p in parts]),
-        )
+        """Per-column cross-moments of the hops Ã^k [X̂ | 1], computed once on first use."""
+        return hop_moments(self.op, self.hop0, self.num_hops)
 
     def is_fresh(self, model: GprModel, graph) -> bool:
         """Whether W1, b1 and the graph still equal those the cache was built from."""

@@ -20,7 +20,6 @@ from adarc import (
     surrogate_loss_and_grad_gamma,
 )
 from adarc.adapt import ABLATION_NAMES
-from adarc.model import _MOMENT_BLOCK_COLS
 from adarc.tta import tent_lite
 
 STATIC_PARAMS = ("W1", "b1", "scale", "shift", "W_cls", "b_cls")
@@ -70,17 +69,16 @@ def test_input_model_is_never_mutated(tiny_model, tiny_target):
 
 
 def test_propagate_counter_equals_num_hops(tiny_model, tiny_target):
-    """An erm+pic run of T epochs makes exactly K(1 + B + T) propagate calls.
+    """An erm+pic run of T epochs makes exactly K(1 + (H+1) + T) propagate calls.
 
-    K to featurize (the class scores), K per column block of X̂ for the hop
-    moments (B blocks, once per run) and K per epoch to propagate Ŷ; the erm
-    predictions and the γ steps make none.
+    K to featurize (the class scores), K per column of [X̂ | 1] for the hop
+    moments (once per run) and K per epoch to propagate Ŷ; the erm predictions
+    and the γ steps make none.
     """
     k, h = tiny_model.num_hops, tiny_model.W1.shape[1]
-    blocks = -(-h // _MOMENT_BLOCK_COLS)
     for epochs in (1, 7):
         _, op = run(tiny_model, tiny_target, epochs=epochs)
-        assert op.calls == k * (1 + blocks + epochs)
+        assert op.calls == k * (1 + (h + 1) + epochs)
 
 
 def test_trace_contents(tiny_model, tiny_target):

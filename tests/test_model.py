@@ -31,7 +31,6 @@ from adarc.model import (
     SoftPrediction,
     affine_matrix,
     backward_ce,
-    _MOMENT_BLOCK_COLS,
     cross_entropy,
     log_softmax,
 )
@@ -181,7 +180,6 @@ def test_class_scores_are_rebuilt_only_for_a_new_head(tiny_model, tiny_target):
 
 
 def test_hop_moments_give_the_centered_gram(tiny_model, tiny_target):
-    # H=16 spans six column blocks of HopCache.moments, the last of one column.
     target = with_f64_features(tiny_target)
     op = PropagationOperator(target.graph, "sym")
     cache = featurize_hops(tiny_model, target, op)
@@ -195,10 +193,9 @@ def test_hop_moments_give_the_centered_gram(tiny_model, tiny_target):
     gram = cache.moments.total_gram(scale, shift)
     np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=1e-12 * abs(expected).max())
     np.testing.assert_allclose(cache.moments.mean, hops.mean(axis=1), rtol=0, atol=1e-12)
-    # The moments are built once, with K propagate calls per column block.
-    blocks = -(-tiny_model.W1.shape[1] // _MOMENT_BLOCK_COLS)
+    # The moments are built once, with K propagate calls per column of [X̂ | 1].
     assert cache.moments is cache.moments
-    assert op.calls == tiny_model.num_hops * (1 + blocks)
+    assert op.calls == tiny_model.num_hops * (1 + tiny_model.W1.shape[1] + 1)
     k1, _, h1 = hops.shape
     assert cache.moments.mean.shape == (k1, h1)
     assert cache.moments.diag.shape == (h1, k1, k1)
