@@ -241,10 +241,7 @@ def hop_moments(op: PropagationOperator, hop0: np.ndarray, k: int) -> HopMoments
     """
 
     def centered_hops(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hops = np.empty((k + 1, column.shape[0]))
-        hops[0] = column
-        for step in range(1, k + 1):
-            hops[step] = op.apply(hops[step - 1])
+        hops = _hop_powers(op, column, k)
         mean = hops.mean(axis=1)
         hops -= mean[:, None]
         return hops, mean
