@@ -6,7 +6,9 @@ Usage::
 
 The script runs in one subprocess whose environment pins the BLAS thread
 count to 1 before numpy loads. It generates a high2low scenario, pretrains
-on its source, adapts the checkpoint to its target for erm, tent and t3a,
+on its source, pretrains it again at ``HALVING_LR`` (``halving.cfg``, written
+to ``model-halving.bin``), where some steps raise the objective and are
+rejected, adapts the first checkpoint to its target for erm, tent and t3a,
 each by default and with ``--ablation joint --persist-base-tta``, evaluates
 the checkpoint, runs a one-seed ``loss_kind`` sweep and a gap decomposition
 on the same scenario, and evaluates the closed-form theory with a Monte Carlo
@@ -45,6 +47,9 @@ SIZES = {
 }
 BASES = ("erm", "tent", "t3a")
 ARMS = {"default": [], "joint": ["--ablation", "joint", "--persist-base-tta"]}
+#: A pretraining rate at which both sizes reject some steps (the rate of
+#: perfbench's ``pretrain_desk``), so the halving path reaches a checkpoint.
+HALVING_LR = "2"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Runs each argv through ``cli.main`` in one process; stops at the first failure.
@@ -61,13 +66,17 @@ for argv in json.load(sys.stdin):
 def commands(workdir: Path, size: str) -> list[list[str]]:
     """The script: every ``adarc`` argv, in order, writing under ``workdir``."""
     scenario, config_lines, adapt_epochs = SIZES[size]
-    config = workdir / "run.cfg"
+    config, halving = workdir / "run.cfg", workdir / "halving.cfg"
     config.write_text("".join(f"{line}\n" for line in config_lines))
+    halving_lines = [f"train.learning_rate={HALVING_LR}", *config_lines]
+    halving.write_text("".join(f"{line}\n" for line in halving_lines))
     data, ckpt = workdir / "data", str(workdir / "model.bin")
     script = [
         ["generate", "--preset", "high2low", *scenario, "--out", str(data)],
         ["pretrain", "--data", str(data / "source"), "--config", str(config),
          "--out", ckpt],
+        ["pretrain", "--data", str(data / "source"), "--config", str(halving),
+         "--out", str(workdir / "model-halving.bin")],
     ]
     for base in BASES:
         for arm, flags in ARMS.items():

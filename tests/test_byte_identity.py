@@ -7,6 +7,8 @@ import byte_identity
 EXPECTED_FILES = {
     "run.cfg",
     "model.bin",
+    "halving.cfg",
+    "model-halving.bin",
     "eval.json",
     "sweep.json",
     "sweep.csv",
