@@ -163,6 +163,7 @@ class EpochRecord:
 
     ``loss``, ``accuracy`` and ``grad_norm`` are measured at the parameters
     the epoch started from; ``gamma`` is the γ the epoch leaves in the model.
+    A rejected pretraining row instead repeats the restored point and its γ.
     """
 
     epoch: int

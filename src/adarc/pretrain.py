@@ -1,21 +1,21 @@
 """Source-graph training: full-batch gradient descent with early stopping.
 
 Plain gradient descent (no momentum) on mean cross-entropy plus L2 weight
-decay on W1 and W_cls only. A halve-on-increase safeguard rejects any step
-that raises the training objective and retries at half the learning rate,
-so the recorded loss history is non-increasing. Early stopping restores
-the best-validation-accuracy checkpoint.
+decay on W1 and W_cls only. The loop keeps one accepted point: objective,
+val accuracy, gradients and a parameter copy (with the feature statistics
+taken under it) of the last evaluation that did not raise the objective.
+An evaluation that raises it is rejected: the model gets copies of the
+accepted parameters back and the rate halves, so the loss history is
+non-increasing. Early stopping restores the accepted point with the best
+val accuracy.
 
-Each epoch is one ``EpochRecord``: the objective, the val accuracy and
-‖∂CE/∂γ‖ (γ is not decayed, so also ‖∂objective/∂γ‖), all from the epoch's
-one forward and backward pass. A rejected row repeats the restored point's
-record with the restored γ.
-
-A rejected step restores exactly the last accepted parameters, so the
-epoch after it would recompute that epoch's featurization, objective,
-gradients and val accuracy bit for bit. It reuses them instead: the retry
-costs no propagate call and no pass over the features, and it still
-records its own history row and counts toward patience.
+Each epoch's ``EpochRecord`` holds the accepted point's objective, val
+accuracy and ‖∂CE/∂γ‖ (γ is not decayed, so also ‖∂objective/∂γ‖), and the
+γ the epoch leaves. An accepted row is the epoch's own forward and backward
+pass, then a step. A rejected row keeps the restored γ. The retry after it
+steps from the accepted point without evaluating, since the restored
+parameters would reproduce that point bit for bit: it costs no propagate
+call. Rejected and retry rows count toward patience.
 
 An epoch builds no hop stack: ``backward_ce`` propagates the C class scores
 instead of the H features (see ``model``) and returns the normalization mean
@@ -32,7 +32,7 @@ pretraining happened to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +118,12 @@ def train_source(
     """Train in place; returns (model, one ``EpochRecord`` per epoch run).
 
     Requires ``train`` and ``val`` masks on the dataset. Deterministic for
-    a fixed config and dataset. The returned model holds the best-validation
-    parameters, ``running_mean``/``running_var`` hold the source feature
-    statistics at those parameters, taken from that epoch's backward pass, and
-    ``prop_mode`` is ``config.prop_mode``.
+    a fixed config and dataset. The returned model holds the accepted point
+    with the best val accuracy: its parameters, and as ``running_mean``/
+    ``running_var`` the source statistics of its backward pass. Its
+    ``prop_mode`` is ``config.prop_mode``. Each row records the accepted
+    point: a rejected row the one it restored, a retry row the one it
+    stepped from.
     """
     if "train" not in dataset.masks or "val" not in dataset.masks:
         raise ValueError("train_source requires 'train' and 'val' masks")
@@ -134,71 +136,50 @@ def train_source(
     gamma_init_norm = float(np.linalg.norm(model.gamma))
     lr = config.learning_rate
     history: list[EpochRecord] = []
-    best_val = -1.0
-    # Epoch 0 is always accepted, so this is filled before the loop ends.
-    best_state: dict[str, np.ndarray] = {}
+    # The accepted point: (objective, val accuracy, gradients, parameters plus
+    # their statistics). Epoch 0 is always accepted, so it is set when read.
+    accepted = None
+    best_val, best_state = -1.0, {}
     epochs_since_best = 0
-    prev_state: list[np.ndarray] = []
-    prev_grads: dict[str, np.ndarray] = {}
-    retry = False
+    rejected = False
 
     for epoch in range(config.epochs):
-        if retry:
-            # The parameters are the last accepted ones again: reuse that
-            # epoch's objective, gradients and val accuracy.
-            retry = False
-            objective, val_acc = history[-1].loss, history[-1].accuracy
-            grads = prev_grads
+        epochs_since_best += 1
+        if rejected:
+            # The retry: the model holds the accepted point again; step from it.
+            rejected = False
         else:
             ce, grads, logits, mean, var = backward_ce(model, dataset, train_mask, op)
-            stats = {"running_mean": mean, "running_var": var}
             objective = _objective(ce, model, config.weight_decay)
             if not np.isfinite(objective):
                 raise TrainDivergedError(
                     f"training objective became non-finite at epoch {epoch}"
                 )
-
-            if history and objective > history[-1].loss:
-                # Reject the step that produced this higher objective; halve
-                # the rate and continue from the previous parameters.
-                for name, value in zip(_PARAM_NAMES, prev_state):
-                    setattr(model, name, value.copy())
+            rejected = accepted is not None and objective > accepted[0]
+            if rejected:
+                for name in _PARAM_NAMES:
+                    setattr(model, name, accepted[3][name].copy())
                 lr *= 0.5
-                restored = replace(history[-1], epoch=epoch, gamma=model.gamma.copy())
-                history.append(restored)
-                retry = True
-                epochs_since_best += 1
-                if epochs_since_best > config.patience:
-                    break
-                continue
+            else:
+                prediction = SoftPrediction(softmax(logits))
+                val_acc = prediction_accuracy(prediction, dataset.labels, val_mask)
+                snapshot = {n: getattr(model, n).copy() for n in _PARAM_NAMES}
+                snapshot.update(running_mean=mean, running_var=var)
+                accepted = (objective, val_acc, grads, snapshot)
+                if val_acc > best_val:
+                    best_val, best_state, epochs_since_best = val_acc, snapshot, 0
 
-            prediction = SoftPrediction(softmax(logits))
-            val_acc = prediction_accuracy(prediction, dataset.labels, val_mask)
-
-        # Accepted: track the best epoch, step, and record the γ the step leaves.
-        if val_acc > best_val:
-            best_val = val_acc
-            # The statistics were taken under these W1 and b1, so they are
-            # the source statistics that belong with them.
-            best_state = {n: getattr(model, n).copy() for n in _PARAM_NAMES}
-            best_state.update(stats)
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-
-        prev_state = [getattr(model, n).copy() for n in _PARAM_NAMES]
-        prev_grads = grads
-
-        for name in _PARAM_NAMES:
-            grad = grads[name]
-            if name in _DECAYED:
-                grad = grad + config.weight_decay * getattr(model, name)
-            setattr(model, name, getattr(model, name) - lr * grad)
+        objective, val_acc, grads, _ = accepted
+        if not rejected:
+            for name in _PARAM_NAMES:
+                grad = grads[name]
+                if name in _DECAYED:
+                    grad = grad + config.weight_decay * getattr(model, name)
+                setattr(model, name, getattr(model, name) - lr * grad)
         grad_norm = float(np.linalg.norm(grads["gamma"]))
         history.append(
             EpochRecord(epoch, objective, val_acc, grad_norm, model.gamma.copy())
         )
-
         if epochs_since_best > config.patience:
             break
 

@@ -322,3 +322,42 @@ def test_train_source_runs_one_forward_pass_per_evaluated_epoch(
     assert retries > 0, "no retry after a rejected epoch"
     assert len(calls) == len(history) - retries
     assert op.calls == 2 * REJECTING.num_hops * len(calls)
+
+
+def test_patience_running_out_on_a_rejected_row_restores_the_best_epoch(
+    tiny_source, monkeypatch
+):
+    evaluated = []  # (W1, b1, mean, var) of each evaluated epoch
+
+    def recording(model, *args):
+        result = backward_ce(model, *args)
+        evaluated.append((model.W1.copy(), model.b1.copy(), *result[3:]))
+        return result
+
+    monkeypatch.setattr(pretrain, "backward_ce", recording)
+    # At this rate and patience the tiny source's best epoch is followed by
+    # rejection, retry, rejection, retry, rejection.
+    config = replace(TINY_TRAIN, learning_rate=20.0, epochs=200, patience=4)
+    model, history = pretrain_on(tiny_source, config)
+
+    objectives = [r.loss for r in history]
+    best = int(np.argmax([r.accuracy for r in history]))
+    assert best > 0 and len(history) == best + config.patience + 2
+    # Every row after the best repeats it; in such a run the rows after the
+    # evaluated one alternate rejection and retry, so an odd count ends on a
+    # rejection. A rejected row carries the restored γ, the one the best
+    # epoch started from; a retry row carries the γ of its own step.
+    assert objectives[best:] == [objectives[best]] * (config.patience + 2)
+    assert (len(history) - 1 - best) % 2 == 1
+    np.testing.assert_array_equal(history[-1].gamma, history[best - 1].gamma)
+    assert not np.array_equal(history[-2].gamma, history[best - 1].gamma)
+
+    val = accuracy(model, tiny_source, tiny_source.masks["val"])
+    assert val == pytest.approx(history[best].accuracy, abs=1e-12)
+    matches = [
+        e for e in evaluated
+        if np.array_equal(e[0], model.W1) and np.array_equal(e[1], model.b1)
+    ]
+    assert matches, "the returned W1 and b1 were never evaluated"
+    np.testing.assert_array_equal(model.running_mean, matches[0][2])
+    np.testing.assert_array_equal(model.running_var, matches[0][3])
