@@ -12,7 +12,7 @@ exports their union, module by module. ``adarc.adapt`` is the function
 
 from . import adapt, csbm, graph, harness, io, losses, model, pretrain, theory, tta
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Read the lists before the star imports rebind ``adapt`` to the function.
 __all__ = ["__version__"] + [

@@ -104,12 +104,14 @@ def adapt(
 ) -> AdaptResult:
     """Adapt ``model`` to ``dataset`` and return a copy with the result.
 
-    The input model is never mutated. Each trace record holds the surrogate
-    loss, the all-node accuracy of that epoch's base prediction and ‖∇γL‖,
-    all before the epoch's step, and the γ after it; the returned prediction
-    comes from one final base-predictor call after the last step.
+    The input model is never mutated: the copy owns its γ, scale and shift,
+    the only arrays adaptation writes, and shares the rest. Each trace record
+    holds the surrogate loss, the all-node accuracy of that epoch's base
+    prediction and ‖∇γL‖, all before the epoch's step, and the γ after it;
+    the returned prediction comes from one final base-predictor call after
+    the last step.
     """
-    model = model.copy()
+    model = replace(model, **{n: getattr(model, n).copy() for n in ("gamma", "scale", "shift")})
     cache = featurize_hops(model, dataset, op)
 
     trace: list[EpochRecord] = []

@@ -14,7 +14,6 @@ __all__ = [
     "Dataset",
     "PropagationOperator",
     "build_graph",
-    "node_homophily",
 ]
 
 #: The library that applies Ã: a pre-normalized ``scipy.sparse`` CSR matrix.
@@ -40,14 +39,6 @@ class Graph:
     def row_ids(self) -> np.ndarray:
         """Source node of each CSR entry, aligned with ``neighbor_ids``."""
         return np.repeat(np.arange(self.num_nodes), self.degrees)
-
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count."""
-        return int(self.row_offsets[-1]) // 2
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.neighbor_ids[self.row_offsets[node] : self.row_offsets[node + 1]]
 
     def edge_list(self) -> np.ndarray:
         """Undirected edges as an E×2 array with u < v, lexicographically sorted."""
@@ -162,24 +153,3 @@ def build_graph(edges: np.ndarray | list, num_nodes: int) -> Graph:
         neighbor_ids = np.zeros(0, dtype=np.int64)
     return Graph(num_nodes, row_offsets, neighbor_ids)
 
-
-def node_homophily(
-    graph: Graph, labels: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Per-node fraction of same-label neighbors, and its mean.
-
-    Degree-0 nodes carry NaN (undefined) and are excluded from the mean;
-    the mean of an edgeless graph is NaN.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != graph.num_nodes:
-        raise ValueError("labels length != num_nodes")
-    deg = graph.degrees.astype(np.float64)
-    rows = graph.row_ids
-    same = labels[rows] == labels[graph.neighbor_ids]
-    counts = np.bincount(rows[same], minlength=graph.num_nodes)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_node = np.where(deg > 0, counts / deg, np.nan)
-    positive = deg > 0
-    mean = float(per_node[positive].mean()) if positive.any() else float("nan")
-    return per_node, mean

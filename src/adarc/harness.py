@@ -47,7 +47,6 @@ __all__ = [
     "ExperimentReport",
     "GapDecomposition",
     "scenario_seeds",
-    "build_scenario_datasets",
     "pretrain_scenario",
     "run_scenario",
     "sweep",
@@ -153,14 +152,6 @@ def _parse_method(name: str) -> tuple[str, bool]:
         raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
     base, _, adarc = name.partition("+")
     return base, bool(adarc)
-
-
-def build_scenario_datasets(spec: ScenarioSpec, seed: int) -> tuple[Dataset, Dataset]:
-    """(source with train/val masks, target) for one scenario seed, drawn in turn.
-
-    Kept as an 0.1.0 export; ``src`` draws through ``ScenarioSpec.draw``.
-    """
-    return spec.draw("source", seed), spec.draw("target", seed)
 
 
 def pretrain_scenario(

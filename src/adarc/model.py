@@ -81,7 +81,6 @@ __all__ = [
     "featurize_hops",
     "affine_matrix",
     "aggregate",
-    "classify",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -515,14 +514,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits
 
 
-def classify(Z: np.ndarray, model: GprModel) -> tuple[np.ndarray, SoftPrediction]:
-    """Linear classifier logits and their softmax prediction."""
-    if Z.shape[1] != model.W_cls.shape[0]:
-        raise ValueError("representation width does not match the classifier")
-    logits = Z @ model.W_cls + model.b_cls[None, :]
-    return logits, SoftPrediction(softmax(logits))
-
-
 def prediction_accuracy(
     prediction: SoftPrediction, labels: np.ndarray, mask: np.ndarray | None = None
 ) -> float:
@@ -541,8 +532,8 @@ def backward_ce(
     """Mean cross-entropy over masked nodes, its gradients, the logits and X̂'s statistics.
 
     Returns the pure CE loss (no regularization), gradients for W1, b1,
-    scale, shift, gamma, W_cls, b_cls, the N×C logits of every node (those
-    of ``classify``), so a caller can score any other mask without a second
+    scale, shift, gamma, W_cls, b_cls, the N×C logits Z·W_cls + b_cls of
+    every node, so a caller can score any other mask without a second
     forward pass, and the mean and variance of X W1 + b1 that the features
     were normalized with. Makes 2K propagate calls on N×C arrays.
     """

@@ -23,12 +23,10 @@ __all__ = [
     "TheoryPoint",
     "AttributeShiftAccuracy",
     "std_normal_cdf",
-    "representation_distribution",
     "closed_form_accuracy",
     "optimal_gamma",
     "attribute_shift_accuracy",
     "monte_carlo_accuracy",
-    "gap_decomposition",
 ]
 
 
@@ -65,7 +63,7 @@ def _signal_coefficient(point: TheoryPoint) -> float:
     return 1.0 + point.gamma * (2.0 * point.h - 1.0)
 
 
-def representation_distribution(
+def _representation_distribution(
     point: TheoryPoint, class_sign: int, mu: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Mean vector and isotropic variance scale of one class's representation.
@@ -152,7 +150,7 @@ def monte_carlo_accuracy(
     for sign, count in ((1, n_pos), (-1, n_neg)):
         if count == 0:
             continue
-        mean, variance_scale = representation_distribution(point, sign, mu)
+        mean, variance_scale = _representation_distribution(point, sign, mu)
         z = mean[None, :] + math.sqrt(variance_scale) * rng.standard_normal(
             (count, mu.shape[0])
         )
@@ -160,36 +158,3 @@ def monte_carlo_accuracy(
         correct += int(np.count_nonzero(sign * scores > 0))
     return correct / trials
 
-
-def gap_decomposition(
-    point_source: TheoryPoint,
-    point_target: TheoryPoint,
-    attribute_shift: tuple[float, float] | None = None,
-) -> tuple[float, float]:
-    """Closed-form (Δ_f, Δ_g) for a pure attribute or pure structure shift.
-
-    Pure attribute shift (same d, h): the featurizer stays optimal, so
-    Δ_f = 0 and Δ_g = Acc_S − attribute-shifted accuracy. Pure structure
-    shift: the stale-featurizer representation already determines the loss,
-    so Δ_g = 0 and Δ_f = Acc_S − accuracy of the target under the source γ.
-    Mixed shifts are unsupported.
-    """
-    acc_source = closed_form_accuracy(point_source)
-    structure_changed = (
-        point_source.d != point_target.d or point_source.h != point_target.h
-    )
-    if attribute_shift is not None and structure_changed:
-        raise ValueError("mixed attribute+structure shift is not supported")
-    if attribute_shift is not None:
-        cos_sim, delta_mu_norm = attribute_shift
-        shifted = attribute_shift_accuracy(point_source, cos_sim, delta_mu_norm)
-        return 0.0, acc_source - shifted.accuracy
-    if not structure_changed:
-        return 0.0, 0.0
-    target_with_source_gamma = TheoryPoint(
-        mu_norm=point_source.mu_norm,
-        d=point_target.d,
-        h=point_target.h,
-        gamma=point_source.gamma,
-    )
-    return acc_source - closed_form_accuracy(target_with_source_gamma), 0.0

@@ -799,7 +799,6 @@ def test_sweep_runs_each_base_with_the_configured_options(tmp_path):
         ScenarioSpec,
         TrainConfig,
         base_predict,
-        build_scenario_datasets,
         cli,
         featurize_hops,
         prediction_accuracy,
@@ -820,9 +819,8 @@ def test_sweep_runs_each_base_with_the_configured_options(tmp_path):
     # The echo holds the base options; each method's name gives its variant.
     assert report["config"]["adapt"]["base"] == {"steps": 3, "lr": 0.5, "keep_per_class": 3}
 
-    source, target = build_scenario_datasets(
-        ScenarioSpec("high2low", n=160, dim=24), 0
-    )
+    spec = ScenarioSpec("high2low", n=160, dim=24)
+    source, target = spec.draw("source", 0), spec.draw("target", 0)
     train = TrainConfig(epochs=40, patience=10, hidden=16, num_hops=3)
     model, _ = pretrain_on(source, replace(train, seed=scenario_seeds(0)["model"]))
     cache = featurize_hops(model, target, PropagationOperator(target.graph, "sym"))

@@ -20,7 +20,7 @@ from adarc.csbm import (
     _sample_within_pairs,
     _scatter_rows_in_place,
 )
-from adarc.graph import build_graph, node_homophily
+from adarc.graph import build_graph
 
 from conftest import tiny_params
 
@@ -121,20 +121,24 @@ def test_within_pairs_decode_every_flat_index_once(m):
 
 
 def test_generated_degree_and_homophily_match_parameters():
-    params = CsbmParams(
-        n=4000,
-        dim=4,
-        mu=np.full(4, 0.1),
-        delta_mu=np.zeros(4),
-        avg_degree=7.0,
-        homophily=0.3,
-        seed=2,
-    )
-    dataset = generate(params)
-    avg_degree = dataset.graph.degrees.mean()
-    assert avg_degree == pytest.approx(7.0, rel=0.08)
-    _, mean_homophily = node_homophily(dataset.graph, dataset.labels)
-    assert mean_homophily == pytest.approx(0.3, abs=0.03)
+    # (7, 0.3) plus each preset graph's (d, h); the CSBM's h is the expected
+    # share of edges that join two nodes of the same class (edge homophily).
+    for avg_degree, homophily in ((7.0, 0.3), (5.0, 0.8), (5.0, 0.2), (10.0, 0.8), (2.0, 0.8)):
+        params = CsbmParams(
+            n=4000,
+            dim=4,
+            mu=np.full(4, 0.1),
+            delta_mu=np.zeros(4),
+            avg_degree=avg_degree,
+            homophily=homophily,
+            seed=2,
+        )
+        dataset = generate(params)
+        graph, labels = dataset.graph, dataset.labels
+        case = f"d={avg_degree}, h={homophily}"
+        assert graph.degrees.mean() == pytest.approx(avg_degree, rel=0.08), case
+        edge_homophily = np.mean(labels[graph.row_ids] == labels[graph.neighbor_ids])
+        assert edge_homophily == pytest.approx(homophily, abs=0.03), case
 
 
 def test_feature_class_means():

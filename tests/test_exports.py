@@ -1,11 +1,14 @@
-"""Export lists: every name a module advertises exists, and the package
-exports exactly the union of its modules' lists."""
+"""Export lists: every name a module advertises exists, the package exports
+exactly the union of its modules' lists, and the package or the benchmark
+reads each one."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,21 +19,23 @@ MODULES = ["adarc"] + [f"adarc.{info.name}" for info in pkgutil.iter_modules(ada
 #: the command line, not library API.
 LIBRARY_MODULES = [importlib.import_module(m) for m in MODULES[1:] if m != "adarc.cli"]
 
-#: The package exports of 0.1.0 before the lists were unified; none may go.
+#: The package exports of 0.2.0: those of 0.1.0 less ``node_homophily``,
+#: ``build_scenario_datasets``, ``classify``, ``gap_decomposition`` and
+#: ``representation_distribution``, which only tests read. None may go.
 EARLIER_EXPORTS = (
     "__version__ AdaptConfig AdaptResult AdaptationDivergedError adapt convergence_report "
     "CsbmParams PRESETS edge_probs generate preset_params attach_split_masks "
-    "BACKEND Graph Dataset PropagationOperator build_graph node_homophily "
+    "BACKEND Graph Dataset PropagationOperator build_graph "
     "ScenarioSpec ExperimentReport GapDecomposition scenario_seeds "
-    "build_scenario_datasets run_scenario sweep fit_linear_head decompose_gap "
+    "run_scenario sweep fit_linear_head decompose_gap "
     "FormatError read_dataset write_dataset write_json_report "
     "LOSS_KINDS DegenerateRepresentationError surrogate_loss_and_grad_gamma "
     "EpochRecord GprModel HopCache SoftPrediction StaleCacheError init_model "
-    "featurize_hops aggregate softmax classify prediction_accuracy save_checkpoint "
+    "featurize_hops aggregate softmax prediction_accuracy save_checkpoint "
     "load_checkpoint TrainConfig TrainDivergedError train_source pretrain_on "
-    "TheoryPoint AttributeShiftAccuracy representation_distribution "
+    "TheoryPoint AttributeShiftAccuracy "
     "closed_form_accuracy optimal_gamma attribute_shift_accuracy "
-    "monte_carlo_accuracy gap_decomposition BaseTtaKind base_predict"
+    "monte_carlo_accuracy BaseTtaKind base_predict"
 ).split()
 
 
@@ -58,5 +63,22 @@ def test_each_package_export_is_the_modules_own_object():
 
 
 def test_no_earlier_export_is_dropped():
-    assert len(EARLIER_EXPORTS) == 61
+    assert len(EARLIER_EXPORTS) == 56
     assert [n for n in EARLIER_EXPORTS if n not in adarc.__all__] == []
+
+
+def test_every_export_is_read_by_the_package_or_perfbench():
+    # An export that only tests read is dead API: each name must appear as a
+    # name, an attribute or an import in the package or the benchmark.
+    bench = sorted(Path(__file__).resolve().parents[1].joinpath("perfbench").glob("*.py"))
+    assert bench, "perfbench/*.py not found"
+    seen = set()
+    for path in [*Path(adarc.__file__).parent.glob("*.py"), *bench]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                seen.update(alias.name for alias in node.names)
+    assert [n for n in adarc.__all__ if n not in seen] == []

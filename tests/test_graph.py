@@ -1,4 +1,4 @@
-"""Graph container, normalized propagation, and homophily measurement."""
+"""Graph container and normalized propagation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from adarc import (
     Graph,
     PropagationOperator,
     build_graph,
-    node_homophily,
 )
 
 from oracle_utils import dense_adjacency, dense_propagation
@@ -50,7 +49,7 @@ def test_build_graph_csr_matches_dense():
         expected[u, v] = expected[v, u] = 1.0
     np.testing.assert_array_equal(A, expected)
     np.testing.assert_array_equal(g.degrees, [1, 2, 2, 1, 0])
-    assert g.num_edges == 3
+    assert len(g.edge_list()) == 3
 
 
 def test_build_graph_deduplicates_and_ignores_self_loops():
@@ -64,7 +63,8 @@ def test_build_graph_deduplicates_and_ignores_self_loops():
 
 def test_neighbors_sorted_and_edge_list_roundtrip():
     g = build_graph([(3, 1), (0, 3), (3, 2)], num_nodes=4)
-    np.testing.assert_array_equal(g.neighbors(3), [0, 1, 2])
+    start, stop = g.row_offsets[3:5]
+    np.testing.assert_array_equal(g.neighbor_ids[start:stop], [0, 1, 2])
     rebuilt = build_graph(g.edge_list(), num_nodes=4)
     np.testing.assert_array_equal(rebuilt.row_offsets, g.row_offsets)
     np.testing.assert_array_equal(rebuilt.neighbor_ids, g.neighbor_ids)
@@ -127,8 +127,6 @@ def test_propagate_edgeless_graph_is_zero(mode):
     for transpose in (False, True):
         out = op.apply(np.ones((4, 3)), transpose=transpose)
         np.testing.assert_array_equal(out, np.zeros((4, 3)))
-    per_node, mean = node_homophily(g, np.array([0, 1, 0, 1]))
-    assert np.isnan(per_node).all() and np.isnan(mean)
 
 
 def test_propagate_isolated_node_row_is_zero():
@@ -187,41 +185,6 @@ def test_propagate_is_linear(seed, mode):
         a * op.apply(X) + b * op.apply(Y),
         atol=1e-10,
     )
-
-
-def test_node_homophily_hand_case():
-    # path 0-1-2-3 labeled [0, 0, 1, 1]: ends agree with their one neighbor,
-    # middles agree with one of two; isolated node 4 is excluded from the mean.
-    labels = np.array([0, 0, 1, 1, 0])
-    per_node, mean = node_homophily(path_graph(), labels)
-    np.testing.assert_allclose(per_node[:4], [1.0, 0.5, 0.5, 1.0])
-    assert mean == pytest.approx(0.75)
-
-
-def test_homophily_against_brute_force():
-    rng = np.random.default_rng(8)
-    g = random_graph(rng, 60, 0.1)
-    labels = rng.integers(0, 3, size=60)
-    per_node, _ = node_homophily(g, labels)
-    for u in range(60):
-        nbrs = g.neighbors(u)
-        if len(nbrs):
-            assert per_node[u] == pytest.approx(
-                np.mean(labels[nbrs] == labels[u])
-            )
-
-
-def test_homophily_equals_neighbor_loop_exactly():
-    rng = np.random.default_rng(7)
-    n = 40
-    g = random_pairs_graph(rng, n, num_pairs=60)
-    labels = rng.integers(0, 3, size=n).astype(np.int64)
-    deg = g.degrees
-    assert (deg == 0).any() and (deg > 0).any()
-    agree = [sum(1.0 for v in g.neighbors(u) if labels[v] == labels[u]) for u in range(n)]
-    expected = [agree[u] / deg[u] if deg[u] > 0 else np.nan for u in range(n)]
-    per_node, _ = node_homophily(g, labels)
-    np.testing.assert_array_equal(per_node, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -20,7 +20,6 @@ from adarc import (
     ScenarioSpec,
     TrainConfig,
     attach_split_masks,
-    build_scenario_datasets,
     decompose_gap,
     fit_linear_head,
     generate,
@@ -85,10 +84,10 @@ def test_scenario_spec_params_override_the_source_only():
 
 
 def test_build_datasets_masks_and_determinism():
-    source, target = build_scenario_datasets(TINY_SPEC, seed=3)
+    source, target = TINY_SPEC.draw("source", 3), TINY_SPEC.draw("target", 3)
     assert set(source.masks) == {"train", "val"}
     assert not target.masks
-    again_source, again_target = build_scenario_datasets(TINY_SPEC, seed=3)
+    again_source, again_target = TINY_SPEC.draw("source", 3), TINY_SPEC.draw("target", 3)
     np.testing.assert_array_equal(source.features, again_source.features)
     np.testing.assert_array_equal(target.labels, again_target.labels)
     np.testing.assert_array_equal(
@@ -97,7 +96,7 @@ def test_build_datasets_masks_and_determinism():
 
 
 def test_build_datasets_structure_shift_uses_independent_draws():
-    source, target = build_scenario_datasets(TINY_SPEC, seed=0)
+    source, target = TINY_SPEC.draw("source", 0), TINY_SPEC.draw("target", 0)
     assert not np.array_equal(source.labels, target.labels)
 
 
@@ -105,7 +104,7 @@ def test_build_datasets_pure_attribute_shift_is_paired():
     spec = ScenarioSpec(
         "hetero2homo", attribute_shift=True, source_h=0.8, n=320, dim=48
     )
-    source, target = build_scenario_datasets(spec, seed=0)
+    source, target = spec.draw("source", 0), spec.draw("target", 0)
     np.testing.assert_array_equal(source.labels, target.labels)
     np.testing.assert_array_equal(source.graph.edge_list(), target.graph.edge_list())
     shift = target.features.astype(np.float64) - source.features.astype(np.float64)
@@ -115,7 +114,7 @@ def test_build_datasets_pure_attribute_shift_is_paired():
 
 def test_build_datasets_attribute_plus_structure_shift_not_paired():
     spec = ScenarioSpec("homo2hetero", attribute_shift=True, n=320, dim=48)
-    source, target = build_scenario_datasets(spec, seed=0)
+    source, target = spec.draw("source", 0), spec.draw("target", 0)
     assert not np.array_equal(source.labels, target.labels)
 
 
@@ -132,7 +131,7 @@ PAIRED_SPEC = ScenarioSpec(
 def test_scenario_draws_equal_direct_generate(spec, target_seed, override_h):
     # Scenario seed 2 draws the source with seed 4; the paired spec draws
     # that same seed again for its target.
-    source, target = build_scenario_datasets(spec, seed=2)
+    source, target = spec.draw("source", 2), spec.draw("target", 2)
     shape = dict(attribute_shift=spec.attribute_shift, n=spec.n, dim=spec.dim)
     expected_source = attach_split_masks(
         generate(preset_params(spec.preset, "source", 4, override_h=override_h, **shape)),
@@ -159,7 +158,8 @@ def test_a_failed_draw_raises(monkeypatch, failing_role):
 
     monkeypatch.setattr(harness, "generate", generate_or_fail)
     with pytest.raises(RuntimeError, match=f"draw {failing_seed} failed"):
-        build_scenario_datasets(TINY_SPEC, seed=3)
+        for role in ("source", "target"):
+            TINY_SPEC.draw(role, 3)
 
 
 def test_run_scenario_report_statistics():
@@ -274,7 +274,7 @@ def test_run_scenario_runs_each_base_with_the_configured_options():
         train_config=TINY_TRAIN,
         adapt_config=adapt_config,
     )
-    source, target = build_scenario_datasets(TINY_SPEC, 0)
+    source, target = TINY_SPEC.draw("source", 0), TINY_SPEC.draw("target", 0)
     model, _ = pretrain_on(source, replace(TINY_TRAIN, seed=scenario_seeds(0)["model"]))
     op = PropagationOperator(target.graph, model.prop_mode)
     cache = featurize_hops(model, target, op)
@@ -515,7 +515,7 @@ def test_decompose_gap_paired_attribute_shift_cancels():
     spec = ScenarioSpec(
         "hetero2homo", attribute_shift=True, source_h=0.8, n=480, dim=64
     )
-    source, target = build_scenario_datasets(spec, seed=0)
+    source, target = spec.draw("source", 0), spec.draw("target", 0)
     model = init_model(dim=64, hidden=16, num_classes=2, num_hops=4, seed=1)
     op = PropagationOperator(source.graph, "sym")
     z = aggregate(featurize_hops(model, source, op), model.gamma, model.scale, model.shift)

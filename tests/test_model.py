@@ -18,8 +18,6 @@ from adarc import (
     TrainConfig,
     aggregate,
     base_predict,
-    build_scenario_datasets,
-    classify,
     featurize_hops,
     init_model,
     prediction_accuracy,
@@ -236,14 +234,13 @@ def test_classify_and_predict_agree(tiny_model, tiny_target):
     op = PropagationOperator(tiny_target.graph, "sym")
     cache = featurize_hops(tiny_model, tiny_target, op)
     Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
-    logits, soft = classify(Z, tiny_model)
+    probs = softmax(Z @ tiny_model.W_cls + tiny_model.b_cls)
     np.testing.assert_allclose(
-        soft.probs.sum(axis=1), 1.0, atol=1e-12
+        probs.sum(axis=1), 1.0, atol=1e-12
     )
-    np.testing.assert_allclose(softmax(logits), soft.probs, atol=1e-15)
     fresh = featurize_hops(tiny_model, tiny_target, op)
     direct = base_predict(BaseTtaKind(), tiny_model, fresh, tiny_target)
-    np.testing.assert_allclose(direct.probs, soft.probs, atol=1e-12)
+    np.testing.assert_allclose(direct.probs, probs, atol=1e-12)
 
 
 def test_prediction_accuracy_and_evaluate(tiny_model, tiny_target):
@@ -289,7 +286,7 @@ def test_backward_ce_matches_finite_differences(tiny_source):
     def loss_at(model_in):
         cache = featurize_hops(model_in, source, PropagationOperator(source.graph))
         Z = aggregate(cache, model_in.gamma, model_in.scale, model_in.shift)
-        logits, _ = classify(Z, model_in)
+        logits = Z @ model_in.W_cls + model_in.b_cls
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         rows = np.arange(source.num_nodes)[mask]
@@ -297,11 +294,11 @@ def test_backward_ce_matches_finite_differences(tiny_source):
 
     loss, grads, logits, mean, var = backward_ce(model, source, mask, op)
     assert loss == pytest.approx(loss_at(model), rel=1e-10)
-    # The returned logits are classify's, on every node, and the statistics
-    # are the hop cache's.
+    # The returned logits are Z·W_cls + b_cls, on every node, and the
+    # statistics are the hop cache's.
     cache = featurize_hops(model, source, op)
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    np.testing.assert_allclose(logits, classify(Z, model)[0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(logits, Z @ model.W_cls + model.b_cls, rtol=1e-12, atol=1e-15)
     np.testing.assert_array_equal(mean, cache.mean)
     np.testing.assert_array_equal(var, cache.var)
 
@@ -385,7 +382,7 @@ F32_GEMM_TOLERANCE = 5e-6
 def desk_width_models():
     """(initial model, 10-epoch model, source, target) of homo2hetero at D=2000."""
     spec = ScenarioSpec("homo2hetero", n=600, dim=2000)
-    source, target = build_scenario_datasets(spec, 0)
+    source, target = spec.draw("source", 0), spec.draw("target", 0)
     train = TrainConfig(epochs=10, patience=10, learning_rate=2.0)
     trained, _ = pretrain_on(source, train)
     initial = init_model(2000, train.hidden, 2, train.num_hops, seed=train.seed)

@@ -24,7 +24,6 @@ from adarc import (
     ScenarioSpec,
     TrainConfig,
     PropagationOperator,
-    build_scenario_datasets,
     cli,
     featurize_hops,
     generate,
@@ -56,7 +55,8 @@ def traced_peak(fn):
 @pytest.fixture(scope="module")
 def high2low():
     """(source with masks, target) of one high2low seed at N=2000, D=16."""
-    return build_scenario_datasets(ScenarioSpec("high2low", n=N, dim=D), 0)
+    spec = ScenarioSpec("high2low", n=N, dim=D)
+    return spec.draw("source", 0), spec.draw("target", 0)
 
 
 @pytest.fixture(scope="module")

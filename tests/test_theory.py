@@ -11,12 +11,10 @@ from adarc import (
     TheoryPoint,
     attribute_shift_accuracy,
     closed_form_accuracy,
-    gap_decomposition,
     monte_carlo_accuracy,
     optimal_gamma,
-    representation_distribution,
 )
-from adarc.theory import std_normal_cdf
+from adarc.theory import _representation_distribution, std_normal_cdf
 
 
 def phi(x: float) -> float:
@@ -41,14 +39,14 @@ def test_gamma_zero_reduces_to_raw_feature_bayes():
 def test_representation_distribution_moments():
     mu = np.array([0.6, -0.2, 0.1])
     point = TheoryPoint(mu_norm=float(np.linalg.norm(mu)), d=4.0, h=0.7, gamma=1.5)
-    mean_pos, var = representation_distribution(point, 1, mu)
-    mean_neg, var_neg = representation_distribution(point, -1, mu)
+    mean_pos, var = _representation_distribution(point, 1, mu)
+    mean_neg, var_neg = _representation_distribution(point, -1, mu)
     coeff = 1.0 + 1.5 * (2 * 0.7 - 1.0)
     np.testing.assert_allclose(mean_pos, coeff * mu, atol=1e-12)
     np.testing.assert_allclose(mean_neg, -coeff * mu, atol=1e-12)
     assert var == var_neg == pytest.approx(1.0 + 1.5**2 / 4.0)
     with pytest.raises(ValueError):
-        representation_distribution(point, 0, mu)
+        _representation_distribution(point, 0, mu)
 
 
 def test_optimal_gamma_is_grid_argmax():
@@ -164,36 +162,6 @@ def test_attribute_shift_always_hurts_within_regime():
     for delta in (0.1, 0.3, 0.5):
         shifted = attribute_shift_accuracy(point, 1.0, delta)
         assert shifted.accuracy < base  # Φ is concave right of the mean
-
-
-def test_gap_decomposition_pure_structure():
-    src = TheoryPoint(mu_norm=1.0, d=5.0, h=0.8, gamma=optimal_gamma(5.0, 0.8))
-    tgt = TheoryPoint(mu_norm=1.0, d=5.0, h=0.2, gamma=src.gamma)
-    delta_f, delta_g = gap_decomposition(src, tgt)
-    assert delta_g == 0.0
-    stale = TheoryPoint(mu_norm=1.0, d=5.0, h=0.2, gamma=src.gamma)
-    assert delta_f == pytest.approx(
-        closed_form_accuracy(src) - closed_form_accuracy(stale)
-    )
-    assert delta_f > 0.05, "homophily flip under a stale γ must cost accuracy"
-
-
-def test_gap_decomposition_pure_attribute():
-    src = TheoryPoint(mu_norm=1.0, d=5.0, h=0.8, gamma=1.0)
-    tgt = TheoryPoint(mu_norm=1.0, d=5.0, h=0.8, gamma=1.0)
-    delta_f, delta_g = gap_decomposition(src, tgt, attribute_shift=(1.0, 0.4))
-    assert delta_f == 0.0
-    expected = closed_form_accuracy(src) - attribute_shift_accuracy(src, 1.0, 0.4).accuracy
-    assert delta_g == pytest.approx(expected)
-    assert delta_g > 0.0
-
-
-def test_gap_decomposition_rejects_mixed_shift():
-    src = TheoryPoint(mu_norm=1.0, d=5.0, h=0.8, gamma=1.0)
-    tgt = TheoryPoint(mu_norm=1.0, d=5.0, h=0.2, gamma=1.0)
-    with pytest.raises(ValueError):
-        gap_decomposition(src, tgt, attribute_shift=(1.0, 0.2))
-    assert gap_decomposition(src, src) == (0.0, 0.0)
 
 
 def test_theory_point_validation():

@@ -15,12 +15,11 @@ from adarc import (
     aggregate,
     base_predict,
     build_graph,
-    classify,
     featurize_hops,
 )
 from adarc import tta
 from adarc.losses import _entropy_grad_logits, _entropy_terms
-from adarc.model import affine_matrix, log_softmax, softmax
+from adarc.model import SoftPrediction, affine_matrix, log_softmax, softmax
 from adarc.tta import BASE_TTA_NAMES, _entropy_grad_affine, tent_lite
 
 from oracle_utils import fd_grad, relative_error, tent_affine_grad_z
@@ -54,14 +53,14 @@ def test_kind_validation():
 
 def test_erm_is_plain_classifier(tiny_model, tiny_target, cache_and_op):
     # The bits are the softmax of the logit form mix·(A·W_cls) + b_cls; the
-    # classifier on Z = aggregate(…) sums in another order, so it agrees to
-    # round-off with the same hard labels.
+    # classifier Z·W_cls + b_cls on Z = aggregate(…) sums in another order, so
+    # it agrees to round-off with the same hard labels.
     cache, _ = cache_and_op
     pred = base_predict(BaseTtaKind("erm"), tiny_model, cache, tiny_target)
     logits = affine_logits(cache, tiny_model, tiny_model.scale, tiny_model.shift)
     np.testing.assert_array_equal(pred.probs, softmax(logits))
     Z = aggregate(cache, tiny_model.gamma, tiny_model.scale, tiny_model.shift)
-    _, direct = classify(Z, tiny_model)
+    direct = SoftPrediction(softmax(Z @ tiny_model.W_cls + tiny_model.b_cls))
     np.testing.assert_allclose(pred.probs, direct.probs, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(pred.hard, direct.hard)
 
@@ -96,8 +95,8 @@ def test_tent_entropy_monotone_in_steps(tiny_model, tiny_target, cache_and_op):
 
 
 def z_space_entropy(cache, model, scale, shift) -> float:
-    """Mean entropy at (scale, shift), through Z = aggregate(…) and classify."""
-    logits, _ = classify(aggregate(cache, model.gamma, scale, shift), model)
+    """Mean entropy at (scale, shift), through Z = aggregate(…) and the classifier."""
+    logits = aggregate(cache, model.gamma, scale, shift) @ model.W_cls + model.b_cls
     return _entropy_terms(logits)[0]
 
 
@@ -132,15 +131,16 @@ def test_tent_prediction_is_classify_of_the_accepted_affine(
     tiny_model, tiny_target, cache_and_op, steps, lr
 ):
     # The prediction is the softmax of the logits tent accepted: the very bits
-    # a rebuild from the returned affine gives, and classify's probabilities
-    # of that affine's Z to round-off.
+    # a rebuild from the returned affine gives, and the classifier's
+    # probabilities softmax(Z·W_cls + b_cls) of that affine's Z to round-off.
     cache, _ = cache_and_op
     kind = BaseTtaKind("tent", steps=steps, lr=lr)
     scale, shift, logits = tent_lite(kind, tiny_model, cache)
     np.testing.assert_array_equal(logits, affine_logits(cache, tiny_model, scale, shift))
     tent = base_predict(kind, tiny_model, cache, tiny_target)
     np.testing.assert_array_equal(tent.probs, softmax(logits))
-    _, expected = classify(aggregate(cache, tiny_model.gamma, scale, shift), tiny_model)
+    Z = aggregate(cache, tiny_model.gamma, scale, shift)
+    expected = SoftPrediction(softmax(Z @ tiny_model.W_cls + tiny_model.b_cls))
     np.testing.assert_allclose(tent.probs, expected.probs, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(tent.hard, expected.hard)
 
@@ -219,7 +219,8 @@ def test_tent_does_not_mutate_the_model(tiny_model, tiny_target, cache_and_op):
 def z_space_t3a(model, cache, keep_per_class, empty_class_expected=False):
     """T3A's probabilities from Z = aggregate(…): softmax(−‖Z − p_c‖²), as a reference."""
     Z = aggregate(cache, model.gamma, model.scale, model.shift)
-    logits, base = classify(Z, model)
+    logits = Z @ model.W_cls + model.b_cls
+    base = SoftPrediction(softmax(logits))
     node_entropy = -(base.probs * log_softmax(logits)).sum(axis=1)
     prototypes = []
     for c in range(model.W_cls.shape[1]):
