@@ -119,13 +119,21 @@ class PropagationOperator:
         self.matrix_t = self.matrix.T.tocsr() if mode == "row" else self.matrix
 
     def apply(self, dense: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Ã·H (or Ãᵀ·H with ``transpose``); counts one propagate call."""
+        """Ã·H (or Ãᵀ·H with ``transpose``); counts one propagate call.
+
+        An N×2 array goes one column at a time, to the bits of ``matrix @
+        dense``: 39–56 µs against 54–77 µs at N=5000 and 10k nonzeros. From
+        N×3 on, the multi-vector product is the faster (4–6× at N×33).
+        """
         if dense.shape[0] != self.graph.num_nodes:
             raise ValueError(
                 f"row count {dense.shape[0]} != num_nodes {self.graph.num_nodes}"
             )
         self.calls += 1
-        return (self.matrix_t if transpose else self.matrix) @ dense
+        matrix = self.matrix_t if transpose else self.matrix
+        if dense.ndim == 2 and dense.shape[1] == 2:
+            return np.column_stack([matrix @ dense[:, 0], matrix @ dense[:, 1]])
+        return matrix @ dense
 
 
 def build_graph(edges: np.ndarray | list, num_nodes: int) -> Graph:
@@ -141,8 +149,10 @@ def build_graph(edges: np.ndarray | list, num_nodes: int) -> Graph:
         edges = edges[edges[:, 0] != edges[:, 1]]
     if edges.size:
         both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        # Unique (source, target) keys come back sorted — CSR order for free.
-        keys = np.unique(both[:, 0] * num_nodes + both[:, 1])
+        # Sorted (source, target) keys are in CSR order; a repeat is a duplicate
+        # (numpy 2's hash-based ``np.unique`` is 16× slower at preset scale).
+        keys = np.sort(both[:, 0] * num_nodes + both[:, 1])
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         sources = keys // num_nodes
         row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.add.at(row_offsets, sources + 1, 1)

@@ -9,12 +9,13 @@ Dataset directory
 ``masks.csv``     optional; header ``train,val``, rows of 0/1
 
 In memory, features are the C-ordered N×D f32 matrix whose bytes
-``features.bin`` stores; nothing widens them. The file is streamed in blocks
-of whole rows, about ``_BLOCK_BYTES`` each: the writer writes each row block
-(cast to f32 first if the matrix is f64), and the reader allocates the matrix
-once, reads each row block straight into it and checks that block is finite.
-The reader's peak memory is therefore the matrix plus one block's finiteness
-mask; no second copy of the payload is ever held.
+``features.bin`` stores; nothing widens them. The writer writes blocks of whole
+f32 rows, about ``_BLOCK_BYTES`` each, to a new file that replaces
+``features.bin``, so a dataset read from the old file keeps its pages. The
+reader maps the payload read-only, checks its size, then checks each row block
+finite: a read dataset's features are a read-only view of the file's pages (the
+reader allocates one block's finiteness mask) that holds one dup'd file
+descriptor. Rewriting ``features.bin`` in place under it kills the process.
 
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
@@ -24,6 +25,7 @@ padded or non-finite data. The checkpoint format is ``model``'s.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -72,10 +74,12 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
 
     features = dataset.features
     n, d = features.shape
-    with open(directory / "features.bin", "wb") as f:
+    partial = directory / "features.bin.partial"
+    with open(partial, "wb") as f:
         f.write(_FEATURES_HEADER.pack(FEATURES_MAGIC, 1, n, d))
         for rows in _row_blocks(n, d):
             f.write(np.ascontiguousarray(features[rows], dtype="<f4"))
+    os.replace(partial, directory / "features.bin")
 
     labels = dataset.labels.tolist()
     (directory / "labels.csv").write_text("".join(f"{int(y)}\n" for y in labels))
@@ -107,7 +111,7 @@ def _read_ints(path: Path, columns: int, **loadtxt_args) -> np.ndarray:
 
 
 def _read_features(path: Path) -> np.ndarray:
-    """The N×D f32 matrix of a ``features.bin``, read block by block into place."""
+    """The N×D f32 matrix of a ``features.bin``: a read-only view of its mapped payload."""
     with open(path, "rb") as f:
         header = f.read(_FEATURES_HEADER.size)
         if header[:4] != FEATURES_MAGIC:
@@ -117,20 +121,14 @@ def _read_features(path: Path) -> np.ndarray:
         _, version, n, d = _FEATURES_HEADER.unpack(header)
         if version != 1:
             raise FormatError(f"features.bin: unsupported version {version}")
-        expected = _FEATURES_HEADER.size + 4 * n * d
-        found = os.fstat(f.fileno()).st_size
-        if found != expected:
-            raise FormatError(f"features.bin: expected {expected} bytes, found {found}")
-
-        features = np.empty((n, d), dtype="<f4")
-        for rows in _row_blocks(n, d):
-            part = features[rows]
-            if f.readinto(part) != part.nbytes:
-                raise FormatError("features.bin: payload ends early")
-            if not np.isfinite(part).all():
-                raise FormatError("features.bin: non-finite feature value")
-        if f.read(1):
-            raise FormatError("features.bin: bytes after the last row")
+        payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    expected = _FEATURES_HEADER.size + 4 * n * d
+    if len(payload) != expected:
+        raise FormatError(f"features.bin: expected {expected} bytes, found {len(payload)}")
+    features = np.ndarray((n, d), "<f4", payload, offset=_FEATURES_HEADER.size)
+    for rows in _row_blocks(n, d):
+        if not np.isfinite(features[rows]).all():
+            raise FormatError("features.bin: non-finite feature value")
     return features
 
 

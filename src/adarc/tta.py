@@ -117,6 +117,16 @@ def tent_lite(
     return scale, shift, logits
 
 
+def _lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """The set of ``np.argsort(values, kind="stable")[:k]`` by one partition:
+    the positions below the k-th lowest value, then the first ties with it."""
+    if values.size <= k:
+        return np.arange(values.size)
+    cut = np.partition(values, k - 1)[k - 1]
+    below = np.flatnonzero(values < cut)
+    return np.concatenate([below, np.flatnonzero(values == cut)[: k - below.size]])
+
+
 def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPrediction:
     logits = cache.logits(model)
     probs = softmax(logits)
@@ -128,8 +138,7 @@ def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPre
     weights = np.zeros_like(probs)
     for c in range(weights.shape[1]):
         members = np.flatnonzero(hard == c)
-        order = members[np.argsort(node_entropy[members], kind="stable")]
-        kept = order[: kind.keep_per_class]
+        kept = members[_lowest(node_entropy[members], kind.keep_per_class)]
         weights[kept, c] = 1.0 / max(kept.size, 1)
     affine = affine_matrix(model.scale, model.shift)
     prototypes = cache.mix_tdot(model.gamma, weights).T @ affine

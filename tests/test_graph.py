@@ -61,6 +61,20 @@ def test_build_graph_deduplicates_and_ignores_self_loops():
     assert np.trace(A) == 0.0, "self-loops must not appear"
 
 
+def test_build_graph_layout_is_that_of_the_unique_keys():
+    rng = np.random.default_rng(5)
+    n = 40
+    pairs = rng.integers(0, n, size=(300, 2))
+    kept = pairs[pairs[:, 0] != pairs[:, 1]]
+    both = np.concatenate([kept, kept[:, ::-1]])
+    keys = np.unique(both[:, 0] * n + both[:, 1])
+    g = build_graph(pairs, num_nodes=n)
+    np.testing.assert_array_equal(g.neighbor_ids, keys % n)
+    np.testing.assert_array_equal(
+        g.row_offsets, np.searchsorted(keys // n, np.arange(n + 1))
+    )
+
+
 def test_neighbors_sorted_and_edge_list_roundtrip():
     g = build_graph([(3, 1), (0, 3), (3, 2)], num_nodes=4)
     start, stop = g.row_offsets[3:5]
@@ -159,6 +173,20 @@ def test_propagate_counts_calls():
     op.apply(np.ones(5))
     op.apply(np.ones((5, 3)))
     assert op.calls == 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["row", "sym"])
+@pytest.mark.parametrize("transpose", [False, True], ids=["plain", "transpose"])
+def test_propagate_any_width_is_the_sparse_product_in_one_call(width, mode, transpose):
+    # Narrow arrays go column by column; the bits must not change.
+    rng = np.random.default_rng(width)
+    op = PropagationOperator(random_pairs_graph(rng, 60, 150), mode)
+    dense = rng.normal(size=(60, width + 1))[:, :width]  # a strided view
+    calls = op.calls
+    out = op.apply(dense, transpose=transpose)
+    assert op.calls == calls + 1
+    np.testing.assert_array_equal(out, (op.matrix_t if transpose else op.matrix) @ dense)
 
 
 def test_propagate_rejects_wrong_row_count():

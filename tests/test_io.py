@@ -110,6 +110,49 @@ def test_streamed_features_round_trip(tmp_path, n, d):
     np.testing.assert_array_equal(back.labels, dataset.labels)
 
 
+@pytest.mark.parametrize("n, d", [MULTI_BLOCK, (7, 0)], ids=["multi-block", "empty"])
+def test_read_features_are_a_read_only_view_of_the_payload(tmp_path, n, d):
+    write_dataset(_dense_dataset(n, d), tmp_path)
+    features = read_dataset(tmp_path).features
+    assert features.dtype == np.dtype("<f4")
+    assert features.flags.c_contiguous
+    assert not features.flags.writeable
+    assert features.tobytes() == (tmp_path / "features.bin").read_bytes()[16:]
+
+
+def test_rewriting_a_read_dataset_keeps_its_bytes_and_its_features(tmp_path):
+    # The writer replaces features.bin, so a dataset mapped from the old file
+    # keeps its pages; truncating the mapped file would kill the process.
+    write_dataset(_dense_dataset(*MULTI_BLOCK), tmp_path)
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    held = read_dataset(tmp_path)
+    write_dataset(held, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+    write_dataset(_dense_dataset(3, 2), tmp_path)
+    assert held.features.tobytes() == written["features.bin"][16:]
+    assert read_dataset(tmp_path).features.shape == (3, 2)
+
+
+@pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
+def test_read_dataset_featurizes_and_adapts_like_the_in_memory_dataset(
+    tmp_path, tiny_model, tiny_target, variant
+):
+    write_dataset(tiny_target, tmp_path)
+    datasets = (tiny_target, read_dataset(tmp_path))
+    ops = [PropagationOperator(ds.graph, tiny_model.prop_mode) for ds in datasets]
+    caches = [featurize_hops(tiny_model, ds, op) for ds, op in zip(datasets, ops)]
+    np.testing.assert_array_equal(caches[1].hop0, caches[0].hop0)
+    np.testing.assert_array_equal(
+        caches[1].class_scores(tiny_model), caches[0].class_scores(tiny_model)
+    )
+    config = AdaptConfig(base=BaseTtaKind(variant))
+    results = [adapt(tiny_model, ds, op, config) for ds, op in zip(datasets, ops)]
+    np.testing.assert_array_equal(results[1].model.gamma, results[0].model.gamma)
+    np.testing.assert_array_equal(
+        results[1].prediction.probs, results[0].prediction.probs
+    )
+
+
 def test_streamed_write_matches_golden_bytes(tmp_path):
     # Recorded from the single-buffer writer that streaming replaced.
     golden = {
@@ -159,9 +202,11 @@ def test_read_dataset_peak_memory_is_the_matrix_plus_one_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Measured 0.26 MiB above the f32 matrix (an f64 matrix plus one f32 block
-    # read 1.26 MiB above 8·n·d).
-    assert peak <= 4 * n * d + 2**20
+    # The mapped matrix is not traced. Measured 264,551 bytes: one block's
+    # finiteness mask (262 rows, 262,000 bytes) and the CSV tables. Reading
+    # into an allocated f32 matrix read 0.26 MiB above 4·n·d, an f64 matrix
+    # plus one f32 block 1.26 MiB above 8·n·d.
+    assert peak <= 2**18 + 2**14
 
 
 def test_read_dataset_missing_directory(tmp_path):

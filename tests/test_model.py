@@ -26,7 +26,9 @@ from adarc import (
 )
 from adarc.losses import _entropy_terms
 from adarc.model import (
+    BN_EPS,
     SoftPrediction,
+    _normalize,
     affine_matrix,
     backward_ce,
     cross_entropy,
@@ -417,6 +419,23 @@ def test_f32_feature_gemms_match_the_f64_path_to_round_off(
         scale = grads64["W1"] if name == "b1" else grad64
         assert relative(grads32[name], grad64, scale) <= F32_GEMM_TOLERANCE, name
     np.testing.assert_array_equal(logits32.argmax(axis=1), logits64.argmax(axis=1))
+
+
+@pytest.mark.parametrize("n", [255, 257, 270, 513])
+def test_row_block_gemm_gives_the_bits_of_one_product(n):
+    # A remainder of 1 to 15 rows at D=2000 would run in OpenBLAS's
+    # small-product kernel and differ in the last bit.
+    model = init_model(dim=2000, hidden=32, num_classes=2, num_hops=2, seed=n)
+    rng = np.random.default_rng(n)
+    model.b1[:] = rng.normal(size=32)
+    features = rng.standard_normal((n, 2000)).astype(np.float32)
+    xhat = (model.W1.astype(np.float32).T @ features.T).T
+    xhat = np.ascontiguousarray(xhat, dtype=np.float64)
+    xhat += model.b1
+    mean, var = xhat.mean(axis=0), xhat.var(axis=0)
+    xhat -= mean
+    xhat /= np.sqrt(var + BN_EPS)
+    np.testing.assert_array_equal(_normalize(model, features)[0], xhat)
 
 
 def test_stale_cache_error_has_helpful_type():

@@ -341,3 +341,12 @@ def test_base_predictions_do_not_depend_on_node_ids(tiny_model, tiny_target, see
         moved = base_predict(kind, tiny_model, caches[1], renamed)
         np.testing.assert_allclose(moved.probs, original.probs[order], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(moved.hard, original.hard[order])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 12])
+def test_t3a_keeps_the_stable_argsort_set_with_ties_at_the_cut(k):
+    # Few distinct values force ties at the k-th lowest.
+    for seed in range(50):
+        values = np.random.default_rng(seed).integers(0, 4, size=10) / 7.0
+        expected = np.sort(np.argsort(values, kind="stable")[:k])
+        np.testing.assert_array_equal(np.sort(tta._lowest(values, k)), expected)
