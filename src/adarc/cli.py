@@ -11,7 +11,10 @@ run setting names one key (``--lr`` is ``adapt.learning_rate``,
 ``--base-tta`` is ``base.variant``, ``pretrain --seed`` is ``train.seed``)
 and is merged over the file in one place, so flags win. Every command that
 takes ``--config`` builds every section, so a bad value is an input error
-even in a section the command does not read.
+even in a section the command does not read. ``sweep`` builds one arm per
+point of its ``--vary KEY=V1,V2,...`` product, with the point's keys over the
+merged ones, before it runs the first. It rejects ``base.variant`` (each method
+names it), and it and ``decompose`` reject ``train.seed`` (each seed derives it).
 ``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
 ``adapt`` featurizes the target twice: once for the pre-adaptation
@@ -37,6 +40,7 @@ BLAS thread, to compare two source trees.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import textwrap
@@ -58,7 +62,6 @@ from .harness import (
     HEAD_FIT_MAX_ITERATIONS,
     HEAD_FIT_TOLERANCE,
     METHOD_NAMES,
-    SWEEP_AXES,
     ScenarioSpec,
     decompose_gap,
     run_scenario,
@@ -127,8 +130,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line (expected key=value): {raw!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in overrides:
+            raise ValueError(f"config key {key} is set twice in {path}")
+        overrides[key] = value
     return overrides
 
 
@@ -152,19 +157,14 @@ def _convert(example, text: str, key: str):
     return value
 
 
-def _settings(args) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, dict[str, str]]:
-    """Every section of ``_SECTIONS``, and the merged keys they were built from.
+def _build(overrides: dict[str, str]) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig]:
+    """Each ``_SECTIONS`` dataclass from ``overrides``, ``base`` nested into ``AdaptConfig``.
 
-    The ``--config`` file's keys come first and every given flag's key goes
-    over them. Each section is built, and so checked, whether or not the
-    command reads it; ``base`` is nested into the ``AdaptConfig``.
+    Each is built, and so checked, read or not; an unknown key is an error.
     """
-    overrides = _parse_config_file(args.config) if args.config else {}
-    known = _known_keys()
-    unknown = sorted(set(overrides) - known)
+    unknown = sorted(set(overrides) - _known_keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    overrides |= {k: v for k, v in vars(args).items() if k in known and v is not None}
     sections = []
     for prefix, cls in _SECTIONS:
         values = {}
@@ -174,7 +174,21 @@ def _settings(args) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, dict[str, s
                 values[f.name] = _convert(f.default, overrides[key], key)
         sections.append(cls(**values))
     spec, train_config, adapt_config, base = sections
-    return spec, train_config, replace(adapt_config, base=base), overrides
+    return spec, train_config, replace(adapt_config, base=base)
+
+
+def _settings(args) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, dict[str, str]]:
+    """``_build``'s sections and their keys: each given flag's over the ``--config`` file's."""
+    overrides = _parse_config_file(args.config) if args.config else {}
+    overrides |= {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    return *_build(overrides), overrides
+
+
+def _reject_derived(keys, *names: str) -> None:
+    # The command sets these itself, per scenario seed or per method name.
+    for name in names:
+        if name in keys:
+            raise ValueError(f"config key {name} cannot be given: the command derives it")
 
 
 def _load_model_and_op(
@@ -320,32 +334,36 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _parse_grid(axis: str, text: str) -> list:
-    """The grid's items as text (LR:EPOCHS pairs split); ``sweep`` converts them."""
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if axis != "lr_epochs":
-        return items
-    for t in items:
-        if ":" not in t:
-            raise ValueError(f"lr_epochs grid entries use LR:EPOCHS, got {t!r}")
-    return [tuple(t.split(":", 1)) for t in items]
+def _parse_vary(items: list[str]) -> dict[str, list[str]]:
+    """Each ``--vary KEY=V1,V2,...`` as key → values, in the order given."""
+    vary: dict[str, list[str]] = {}
+    for item in items:
+        key, _, text = (part.strip() for part in item.partition("="))
+        values = [t.strip() for t in text.split(",") if t.strip()]
+        if not values or key in vary or len(set(values)) < len(values):
+            raise ValueError(f"--vary takes KEY=V1,V2,..., each key and value once, got {item!r}")
+        vary[key] = values
+    return vary
 
 
 def _cmd_sweep(args) -> int:
-    spec, train_cfg, adapt_cfg, _ = _settings(args)
+    spec, _, _, overrides = _settings(args)
+    vary = _parse_vary(args.vary)
+    _reject_derived(overrides.keys() | vary.keys(), "train.seed", "base.variant")
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
     seeds = _parse_seeds(args.seeds)
-    grid = _parse_grid(args.axis, args.grid)
-    reports = sweep(args.axis, grid, spec, methods, seeds, train_cfg, adapt_cfg)
+    # Every arm is built, and so checked, before the first one runs.
+    arms = []
+    for values in itertools.product(*vary.values()):
+        point = dict(zip(vary, values))
+        tag = ",".join(f"{key}={value}" for key, value in point.items())
+        arms.append((f"{spec.scenario_id}[{tag}]", *_build(overrides | point)))
+    reports = sweep(arms, methods, seeds)
     out = _require_out(args, "sweep")
-    write_json_report(out, {"axis": args.axis, "reports": [asdict(r) for r in reports]})
-    rows = []
-    for report in reports:
-        for method in report.methods:
-            rows.append(
-                [report.scenario, method, report.mean[method], report.sd[method]]
-                + list(report.per_seed[method])
-            )
+    write_json_report(out, {"vary": vary, "reports": [asdict(r) for r in reports]})
+    rows = [
+        [r.scenario, m, r.mean[m], r.sd[m], *r.per_seed[m]] for r in reports for m in r.methods
+    ]
     write_csv(
         out.with_suffix(".csv"),
         ["scenario", "method", "mean", "sd"] + [f"seed_{s}" for s in seeds],
@@ -356,7 +374,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    spec, train_cfg, _, _ = _settings(args)
+    spec, train_cfg, _, overrides = _settings(args)
+    _reject_derived(overrides, "train.seed")
     source = spec.draw("source", args.seed)
     config = replace(train_cfg, seed=scenario_seeds(args.seed)["model"])
     model, _ = pretrain_on(source, config)
@@ -486,16 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     # No abbreviations here: ``--seed`` would silently mean ``--seeds``.
-    p = sub.add_parser(
-        "sweep", help="run a scenario grid along one axis", allow_abbrev=False
-    )
+    p = sub.add_parser("sweep", help="run a scenario over a config-key grid", allow_abbrev=False)
     _add_common(p, seed=False)
     _add_scenario_flags(p)
-    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument(
-        "--grid",
-        required=True,
-        help="comma list; lr_epochs entries use LR:EPOCHS",
+        "--vary", action="append", required=True, metavar="KEY=V1,V2,...",
+        help="a config key and its values; repeat for the product, in the order given",
     )
     p.add_argument(
         "--methods",

@@ -7,7 +7,8 @@ the target graph with ``2s+1``, the train/val split with ``s+777``, and
 model initialization with ``s+1``. ``ScenarioSpec.draw`` draws one role of
 one seed. ``run_scenario`` and ``adarc generate`` draw role by role, so each
 holds one feature matrix at a time; ``adarc decompose`` holds both graphs,
-because ``decompose_gap`` reads both.
+because ``decompose_gap`` reads both. ``sweep`` runs arms that come built:
+each is a label, a scenario and its two configs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .adapt import AdaptConfig, adapt
 from .csbm import (
     PRESET_D,
     PRESET_N,
-    PRESETS,
     CsbmParams,
     attach_split_masks,
     generate,
@@ -40,7 +40,6 @@ from .tta import BASE_TTA_NAMES, BaseTtaKind, base_predict
 
 __all__ = [
     "METHOD_NAMES",
-    "SWEEP_AXES",
     "HEAD_FIT_TOLERANCE",
     "HEAD_FIT_MAX_ITERATIONS",
     "ScenarioSpec",
@@ -55,7 +54,6 @@ __all__ = [
 ]
 
 METHOD_NAMES = BASE_TTA_NAMES + tuple(f"{base}+adarc" for base in BASE_TTA_NAMES)
-SWEEP_AXES = ("shift_level", "lr_epochs", "hops_K", "loss_kind")
 #: ``fit_linear_head`` stops below this gradient norm (converged) or at this cap.
 HEAD_FIT_TOLERANCE = 1e-6
 HEAD_FIT_MAX_ITERATIONS = 5000
@@ -173,14 +171,15 @@ def _config_echo(
     train_config: TrainConfig,
     adapt_config: AdaptConfig,
 ) -> dict:
-    # Each method's name gives its variant, so only the base options are echoed.
-    adapt_echo = asdict(adapt_config)
-    del adapt_echo["base"]["variant"]
+    # Each method's name gives its variant and each seed the model seed, so
+    # neither is echoed.
+    train_echo, adapt_echo = asdict(train_config), asdict(adapt_config)
+    del train_echo["seed"], adapt_echo["base"]["variant"]
     return {
         "scenario": asdict(spec),
         "methods": list(methods),
         "seeds": list(seeds),
-        "train": asdict(train_config),
+        "train": train_echo,
         "adapt": adapt_echo,
     }
 
@@ -255,68 +254,22 @@ def run_scenario(
     )
 
 
-def _whole_number(value, what: str) -> int:
-    """``value`` as an int: 3.0 is 3, and 2.7 is an error, not 2."""
-    number = int(value)
-    if number != float(value):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return number
-
-
-def _apply_axis(
-    axis: str,
-    value,
-    spec: ScenarioSpec,
-    train_config: TrainConfig,
-    adapt_config: AdaptConfig,
-) -> tuple[ScenarioSpec, TrainConfig, AdaptConfig, str]:
-    if axis == "shift_level":
-        level = float(value)
-        # PRESETS holds (d, h) per role: sweep d where the preset shifts it, else h.
-        preset = PRESETS[spec.preset]
-        field = "source_d" if preset["source"][0] != preset["target"][0] else "source_h"
-        return replace(spec, **{field: level}), train_config, adapt_config, f"{field}={level:g}"
-    if axis == "lr_epochs":
-        lr, epochs = float(value[0]), _whole_number(value[1], "epochs")
-        new = replace(adapt_config, learning_rate=lr, epochs=epochs)
-        return spec, train_config, new, f"lr={lr:g},T={epochs}"
-    if axis == "hops_K":
-        k = _whole_number(value, "K")
-        return spec, replace(train_config, num_hops=k), adapt_config, f"K={k}"
-    if axis == "loss_kind":
-        kind = str(value)
-        return spec, train_config, replace(adapt_config, loss=kind), f"loss={kind}"
-    raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-
-
 def sweep(
-    axis: str,
-    grid,
-    spec: ScenarioSpec,
+    arms: list[tuple[str, ScenarioSpec, TrainConfig, AdaptConfig]],
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    train_config: TrainConfig = TrainConfig(),
-    adapt_config: AdaptConfig = AdaptConfig(),
 ) -> list[ExperimentReport]:
-    """One ``run_scenario`` report per grid value along the chosen axis.
+    """One ``run_scenario`` report per ``(label, spec, train, adapt)`` arm, named by its label.
 
-    ``shift_level`` sets whichever of the source's degree or homophily the
-    preset shifts, with the target fixed; ``lr_epochs`` takes
-    (learning-rate, epochs) pairs; ``hops_K`` re-pretrains with a different
-    hop count; ``loss_kind`` switches the surrogate. Epoch and hop counts
-    must be whole numbers. Grid values may be strings: every value is
-    converted and its scenario and configs built, and so checked, before the
-    first arm runs. As in ``run_scenario``, each method's variant comes from
-    its name and its options from ``adapt_config.base``.
+    The arms come built, so each was checked before the first runs. As in
+    ``run_scenario``, a method names its variant and a seed the model's seed.
     """
-    arms = [_apply_axis(axis, v, spec, train_config, adapt_config) for v in grid]
     if not arms:
-        raise ValueError("grid must be nonempty")
-    reports = []
-    for spec_v, train_v, adapt_v, tag in arms:
-        report = run_scenario(spec_v, methods, seeds, train_v, adapt_v)
-        reports.append(replace(report, scenario=f"{spec.scenario_id}[{tag}]"))
-    return reports
+        raise ValueError("arms must be nonempty")
+    return [
+        replace(run_scenario(spec, methods, seeds, train_config, adapt_config), scenario=label)
+        for label, spec, train_config, adapt_config in arms
+    ]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ padded or non-finite data. The checkpoint format is ``model``'s.
 
 from __future__ import annotations
 
+import csv
 import json
 import mmap
 import os
@@ -200,12 +201,14 @@ def write_json_report(path: str | Path, report: dict) -> None:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """Write a small CSV with deterministic ``repr``-style float formatting."""
+    """Write a small CSV with deterministic ``repr``-style floats; a field with a comma is quoted."""
 
     def fmt(value) -> str:
         if isinstance(value, (float, np.floating)):
             return format(float(value), ".17g")
         return str(value)
 
-    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)

@@ -8,6 +8,7 @@ checks pin the byte-determinism contract for all ``--out`` files.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import struct
 import subprocess
@@ -361,6 +362,17 @@ def test_unknown_config_key_exits_2(workspace, tmp_path, line):
     assert line.split("=")[0] in result.stderr
 
 
+def test_a_key_set_twice_in_the_config_file_exits_2(capsys, tmp_path):
+    # The data directory is never read: the file fails first.
+    from adarc import cli
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("train.epochs=5\ntrain.hidden=8\ntrain.epochs = 6\n")
+    argv = ["pretrain", "--data", "data", "--config", str(bad), "--out", "x.ckpt"]
+    assert cli.main(argv) == 2
+    assert "config key train.epochs is set twice" in capsys.readouterr().err
+
+
 def test_malformed_config_line_exits_2(workspace, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("train.epochs 5\n")
@@ -554,16 +566,19 @@ def test_theory_rejects_bad_input_with_exit_2(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--axis", "hops_K", "--grid", "2", "--seed", "1"],
+        ["sweep", "--vary", "train.num_hops=2", "--seed", "1"],
+        ["sweep", "--vary", "train.num_hops=2", "--axis", "hops_K"],
+        ["sweep", "--vary", "train.num_hops=2", "--grid", "2"],
         ["eval", "--ckpt", "m.ckpt", "--data", "data", "--seed", "1"],
         ["adapt", "--ckpt", "m.ckpt", "--data", "data", "--seed", "1"],
         ["theory", "--d", "5", "--h", "0.8", "--config", "run.cfg"],
     ],
-    ids=["sweep-seed", "eval-seed", "adapt-seed", "theory-config"],
+    ids=["sweep-seed", "sweep-axis", "sweep-grid", "eval-seed", "adapt-seed", "theory-config"],
 )
 def test_flag_the_command_does_not_read_exits_2(capsys, argv):
     # sweep derives every seed from --seeds (and must not read --seed as an
-    # abbreviation of it); eval and adapt draw nothing; theory reads no config.
+    # abbreviation of it) and varies config keys, not named axes; eval and
+    # adapt draw nothing; theory reads no config.
     from adarc import cli
 
     with pytest.raises(SystemExit) as exited:
@@ -575,15 +590,15 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv):
 def test_sweep_writes_json_and_csv(workspace, tmp_path):
     out = tmp_path / "sweep.json"
     result = run_cli(
-        "sweep", "--preset", "homo2hetero", "--axis", "hops_K", "--grid", "2",
+        "sweep", "--preset", "homo2hetero", "--vary", "train.num_hops=2",
         "--methods", "erm", "--seeds", "0", "--n", "160", "--dim", "24",
         "--config", workspace["config"], "--out", out,
     )
     assert result.returncode == 0, result.stderr
     payload = json.loads(out.read_text())
-    assert payload["axis"] == "hops_K"
+    assert payload["vary"] == {"train.num_hops": ["2"]}
     (report,) = payload["reports"]
-    assert report["scenario"] == "homo2hetero[K=2]"
+    assert report["scenario"] == "homo2hetero[train.num_hops=2]"
     assert "erm" in report["mean"]
 
     csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -592,16 +607,33 @@ def test_sweep_writes_json_and_csv(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "axis, grid, message",
+    "vary, message",
     [
-        ("loss_kind", "pic,nosuch", "error: loss must be one of"),
-        ("lr_epochs", "0.1:2,0.1:0", "error: epochs must be >= 1"),
-        ("hops_K", "2,two", "error: invalid literal for int()"),
+        (["adapt.loss=pic,nosuch"], "error: loss must be one of"),
+        (["adapt.learning_rate=0.1,-1"], "error: learning_rate must be >= 0"),
+        (["adapt.epochs=2,0"], "error: epochs must be >= 1"),
+        (["train.num_hops=2,-1"], "error: num_hops must be >= 0"),
+        (["scenario.source_h=0.6,1.5"], "error: homophily must lie in [0, 1]"),
+        (["train.num_hops=2,two"], "error: config key train.num_hops: expected int, got 'two'"),
+        (["train.num_hops=2,2.7"], "error: config key train.num_hops: expected int, got '2.7'"),
+        (["train.num_hops=3.0"], "error: config key train.num_hops: expected int, got '3.0'"),
+        (
+            ["adapt.learning_rate=0.1", "adapt.epochs=2,2.9"],
+            "error: config key adapt.epochs: expected int, got '2.9'",
+        ),
+        (["adapt.loss=pic", "adapt.loss=entropy"], "error: --vary takes KEY=V1,V2,..."),
+        (["adapt.loss=pic,entropy,pic"], "error: --vary takes KEY=V1,V2,..."),
+        (["adapt.loss"], "error: --vary takes KEY=V1,V2,..."),
+        (["adapt.nosuch=1"], "error: unknown config keys: adapt.nosuch"),
     ],
-    ids=["loss-nosuch", "epochs-0", "K-not-a-number"],
+    ids=[
+        "loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5",
+        "K-not-a-number", "K-2.7", "K-3.0", "epochs-2.9", "key-twice", "value-twice",
+        "no-values", "unknown-key",
+    ],
 )
 def test_sweep_bad_grid_value_exits_2_before_pretraining(
-    monkeypatch, capsys, tmp_path, axis, grid, message
+    monkeypatch, capsys, tmp_path, vary, message
 ):
     from adarc import cli, harness
 
@@ -610,9 +642,79 @@ def test_sweep_bad_grid_value_exits_2_before_pretraining(
 
     monkeypatch.setattr(harness, "pretrain_on", never)
     out = tmp_path / "sweep.json"
-    argv = ["sweep", "--axis", axis, "--grid", grid, "--n", "160", "--dim", "24"]
+    argv = ["sweep", "--n", "160", "--dim", "24", "--seeds", "0,1"]
+    for item in vary:
+        argv += ["--vary", item]
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_sweep_arms_are_the_vary_product_in_the_order_given(tmp_path):
+    from adarc import cli
+
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_TRAIN_CONFIG + "adapt.epochs=2\n")
+    out = tmp_path / "sweep.json"
+    assert cli.main([
+        "sweep", "--preset", "high2low", "--n", "160", "--dim", "24",
+        "--vary", "adapt.learning_rate=0.5,0.1", "--vary", "train.num_hops=2,1",
+        "--methods", "erm+adarc", "--seeds", "0", "--config", str(config),
+        "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["vary"] == {"adapt.learning_rate": ["0.5", "0.1"], "train.num_hops": ["2", "1"]}
+    points = [(0.5, 2), (0.5, 1), (0.1, 2), (0.1, 1)]
+    labels = [f"high2low[adapt.learning_rate={lr},train.num_hops={k}]" for lr, k in points]
+    reports = payload["reports"]
+    assert [r["scenario"] for r in reports] == labels
+    assert [
+        (r["config"]["adapt"]["learning_rate"], r["config"]["train"]["num_hops"])
+        for r in reports
+    ] == points
+    # The un-varied settings reach every arm.
+    assert all(
+        (r["config"]["adapt"]["epochs"], r["config"]["train"]["hidden"]) == (2, 16)
+        for r in reports
+    )
+    # A label of two keys holds a comma, so the CSV quotes it.
+    with open(tmp_path / "sweep.csv", newline="") as handle:
+        assert [row[0] for row in list(csv.reader(handle))[1:]] == labels
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["sweep", "--vary", "adapt.loss=pic"], "train.seed=123"),
+        (["sweep", "--vary", "train.seed=1,2"], None),
+        (["sweep", "--vary", "adapt.loss=pic", "--methods", "erm"], "base.variant=t3a"),
+        (["sweep", "--vary", "base.variant=tent,t3a"], None),
+        (["decompose"], "train.seed=123"),
+    ],
+    ids=[
+        "sweep-seed-in-file", "sweep-seed-varied", "sweep-variant-in-file",
+        "sweep-variant-varied", "decompose-seed-in-file",
+    ],
+)
+def test_a_key_the_command_derives_exits_2_before_pretraining(
+    monkeypatch, capsys, tmp_path, argv, line
+):
+    # The model seed comes from each scenario seed and the base variant from
+    # each method's name, so a given value would be overwritten without a word.
+    from adarc import cli, harness
+
+    def never(*args):
+        raise AssertionError("the command pretrained before checking its keys")
+
+    monkeypatch.setattr(harness, "pretrain_on", never)
+    monkeypatch.setattr(cli, "pretrain_on", never)
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_TRAIN_CONFIG + (f"{line}\n" if line else ""))
+    out = tmp_path / "out.json"
+    argv = [*argv, "--n", "160", "--dim", "24", "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 2
+    key = (line or argv[2]).split("=")[0]
+    assert f"config key {key} cannot be given" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -778,7 +880,7 @@ def test_bad_value_in_any_section_exits_2(workspace, tmp_path, capsys, command, 
         "pretrain": ["--data", str(data / "source")],
         "adapt": ["--ckpt", ckpt, "--data", str(data / "target")],
         "eval": ["--ckpt", ckpt, "--data", str(data / "target")],
-        "sweep": ["--axis", "hops_K", "--grid", "2", "--seeds", "0", *shape],
+        "sweep": ["--vary", "train.num_hops=2", "--seeds", "0", *shape],
         "decompose": shape,
     }[command]
     # Small settings otherwise, so that ignoring the bad line would finish.
@@ -812,7 +914,7 @@ def test_sweep_runs_each_base_with_the_configured_options(tmp_path):
     out = tmp_path / "sweep.json"
     assert cli.main([
         "sweep", "--preset", "high2low", "--n", "160", "--dim", "24",
-        "--axis", "loss_kind", "--grid", "pic", "--methods", "tent,t3a",
+        "--vary", "adapt.loss=pic", "--methods", "tent,t3a",
         "--seeds", "0", "--config", str(config), "--out", str(out),
     ]) == 0
     (report,) = json.loads(out.read_text())["reports"]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from adarc import (
-    PRESETS,
     AdaptConfig,
     BaseTtaKind,
     GapDecomposition,
@@ -30,7 +29,7 @@ from adarc import (
     sweep,
 )
 from adarc import harness
-from adarc.harness import METHOD_NAMES, SWEEP_AXES
+from adarc.harness import METHOD_NAMES
 from adarc.model import cross_entropy
 
 TINY_SPEC = ScenarioSpec("homo2hetero", n=320, dim=48)
@@ -179,6 +178,9 @@ def test_run_scenario_report_statistics():
         assert report.mean[method] == pytest.approx(np.mean(column))
         assert report.sd[method] == pytest.approx(np.std(column, ddof=1))
     assert report.config["train"]["epochs"] == TINY_TRAIN.epochs
+    # Each seed gives the model seed and each method its variant: neither is echoed.
+    assert "seed" not in report.config["train"]
+    assert "variant" not in report.config["adapt"]["base"]
     assert report.config["adapt"]["epochs"] == TINY_ADAPT.epochs
     assert report.config["scenario"]["preset"] == "homo2hetero"
 
@@ -316,123 +318,24 @@ def test_run_scenario_validation():
         run_scenario(TINY_SPEC, methods=("erm",), seeds=(0, 0))
 
 
-@pytest.mark.parametrize(
-    "preset, moved, kept, levels",
-    [
-        ("homo2hetero", "source_h", "source_d", (0.6, 0.9)),
-        ("hetero2homo", "source_h", "source_d", (0.4, 0.1)),
-        ("high2low", "source_d", "source_h", (4.0, 7.5)),
-        ("low2high", "source_d", "source_h", (4.0, 7.5)),
-    ],
-    ids=["homo2hetero", "hetero2homo", "high2low", "low2high"],
-)
-def test_sweep_shift_level_moves_the_shifted_field(preset, moved, kept, levels):
-    # The preset's source and target differ in exactly the moved field.
-    index = ("source_d", "source_h").index(moved)
-    source, target = PRESETS[preset]["source"], PRESETS[preset]["target"]
-    assert source[index] != target[index] and source[1 - index] == target[1 - index]
-    reports = sweep(
-        "shift_level",
-        levels,
-        ScenarioSpec(preset, n=320, dim=48),
-        methods=("erm",),
-        seeds=(0,),
-        train_config=TINY_TRAIN,
-    )
-    assert [r.scenario for r in reports] == [f"{preset}[{moved}={v:g}]" for v in levels]
-    for report, level in zip(reports, levels):
-        assert report.config["scenario"][moved] == level
-        assert report.config["scenario"][kept] is None
-
-
-def test_sweep_lr_epochs_axis():
-    reports = sweep(
-        "lr_epochs",
-        [(0.05, 2), (0.2, 3)],
-        TINY_SPEC,
-        methods=("erm+adarc",),
-        seeds=(0,),
-        train_config=TINY_TRAIN,
-        adapt_config=TINY_ADAPT,
-    )
-    assert reports[0].config["adapt"]["learning_rate"] == 0.05
-    assert reports[0].config["adapt"]["epochs"] == 2
-    assert reports[1].scenario == "homo2hetero[lr=0.2,T=3]"
-
-
-def test_sweep_hops_axis_repretrains():
-    reports = sweep(
-        "hops_K",
-        (3,),
-        TINY_SPEC,
-        methods=("erm",),
-        seeds=(0,),
-        train_config=TINY_TRAIN,
-    )
-    assert reports[0].config["train"]["num_hops"] == 3
-
-
-def test_sweep_loss_kind_axis():
-    reports = sweep(
-        "loss_kind",
-        ("entropy",),
-        TINY_SPEC,
-        methods=("erm+adarc",),
-        seeds=(0,),
-        train_config=TINY_TRAIN,
-        adapt_config=TINY_ADAPT,
-    )
-    assert reports[0].config["adapt"]["loss"] == "entropy"
-    assert reports[0].scenario == "homo2hetero[loss=entropy]"
-
-
-@pytest.mark.parametrize(
-    "axis, grid",
-    [
-        ("loss_kind", ("entropy", "nosuch")),
-        ("lr_epochs", ((0.1, 2), (-1.0, 2))),
-        ("lr_epochs", ((0.1, 2), (0.1, 0))),
-        ("hops_K", (2, -1)),
-        ("shift_level", (0.6, 1.5)),
-        ("hops_K", (2, 2.7)),
-        ("lr_epochs", ((0.1, 2), (0.1, 2.9))),
-    ],
-    ids=[
-        "loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5",
-        "K-2.7", "epochs-2.9",
-    ],
-)
-def test_sweep_rejects_a_bad_last_value_before_any_pretraining(monkeypatch, axis, grid):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return pretrain_on(*args)
-
-    monkeypatch.setattr(harness, "pretrain_on", counting)
-    with pytest.raises(ValueError):
-        sweep(
-            axis,
-            grid,
-            TINY_SPEC,
-            methods=("erm", "erm+adarc"),
-            seeds=(0, 1),
-            train_config=TINY_TRAIN,
-            adapt_config=TINY_ADAPT,
-        )
-    assert len(calls) == 0
-
-
-def test_sweep_takes_a_whole_float_count_as_an_int():
-    _, train, _, tag = harness._apply_axis(
-        "hops_K", 3.0, TINY_SPEC, TINY_TRAIN, TINY_ADAPT
-    )
-    assert (train.num_hops, type(train.num_hops), tag) == (3, int, "K=3")
-    _, _, adapt_config, tag = harness._apply_axis(
-        "lr_epochs", (0.1, 3.0), TINY_SPEC, TINY_TRAIN, TINY_ADAPT
-    )
-    assert (adapt_config.epochs, type(adapt_config.epochs)) == (3, int)
-    assert tag == "lr=0.1,T=3"
+def test_sweep_runs_each_arm_under_its_label():
+    arms = [
+        ("homo2hetero[a]", TINY_SPEC, TINY_TRAIN, TINY_ADAPT),
+        (
+            "homo2hetero[b]",
+            replace(TINY_SPEC, source_h=0.9),
+            replace(TINY_TRAIN, num_hops=3),
+            replace(TINY_ADAPT, loss="entropy"),
+        ),
+    ]
+    reports = sweep(arms, methods=("erm", "erm+adarc"), seeds=(0,))
+    assert [r.scenario for r in reports] == ["homo2hetero[a]", "homo2hetero[b]"]
+    for report, (_, spec, train_config, adapt_config) in zip(reports, arms):
+        assert report.config["scenario"]["source_h"] == spec.source_h
+        assert report.config["train"]["num_hops"] == train_config.num_hops
+        assert report.config["adapt"]["loss"] == adapt_config.loss
+    with pytest.raises(ValueError, match="arms must be nonempty"):
+        sweep([])
 
 
 @pytest.mark.parametrize(
@@ -449,18 +352,8 @@ def test_sweep_rejects_a_repeat_before_any_pretraining(monkeypatch, methods, see
 
     monkeypatch.setattr(harness, "pretrain_on", counting)
     with pytest.raises(ValueError, match="must not repeat"):
-        sweep("loss_kind", ("pic",), TINY_SPEC, methods, seeds, TINY_TRAIN, TINY_ADAPT)
+        sweep([("arm", TINY_SPEC, TINY_TRAIN, TINY_ADAPT)], methods, seeds)
     assert len(calls) == 0
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep("nosuch", (1,), TINY_SPEC)
-    with pytest.raises(ValueError):
-        sweep("shift_level", (), TINY_SPEC)
-    with pytest.raises(ValueError):
-        sweep("loss_kind", ("nosuch",), TINY_SPEC, seeds=(0,), train_config=TINY_TRAIN)
-    assert SWEEP_AXES == ("shift_level", "lr_epochs", "hops_K", "loss_kind")
 
 
 def blob_head_problem(rng, n=200, separation=1.2):
