@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adarc import (
+    PRESETS,
     AdaptConfig,
     BaseTtaKind,
     GapDecomposition,
@@ -29,12 +30,30 @@ from adarc import (
     sweep,
 )
 from adarc import harness
+from adarc.cli import _build
 from adarc.harness import METHOD_NAMES
 from adarc.model import cross_entropy
 
 TINY_SPEC = ScenarioSpec("homo2hetero", n=320, dim=48)
 TINY_TRAIN = TrainConfig(epochs=60, patience=15, hidden=16, num_hops=4)
 TINY_ADAPT = AdaptConfig(learning_rate=0.1, epochs=3)
+# The tiny settings above as config keys, less the preset.
+TINY_KEYS = {
+    "scenario.n": "320",
+    "scenario.dim": "48",
+    "train.epochs": "60",
+    "train.patience": "15",
+    "train.hidden": "16",
+    "train.num_hops": "4",
+    "adapt.learning_rate": "0.1",
+    "adapt.epochs": "3",
+}
+
+
+def built_arm(point, preset="homo2hetero"):
+    """A sweep arm built as ``sweep --vary`` builds it: ``point``'s keys over the tiny ones."""
+    tag = ",".join(f"{key}={value}" for key, value in point.items())
+    return (f"{preset}[{tag}]", *_build(TINY_KEYS | {"scenario.preset": preset} | point))
 
 
 def test_scenario_seed_expansion():
@@ -318,24 +337,86 @@ def test_run_scenario_validation():
         run_scenario(TINY_SPEC, methods=("erm",), seeds=(0, 0))
 
 
-def test_sweep_runs_each_arm_under_its_label():
-    arms = [
-        ("homo2hetero[a]", TINY_SPEC, TINY_TRAIN, TINY_ADAPT),
-        (
-            "homo2hetero[b]",
-            replace(TINY_SPEC, source_h=0.9),
-            replace(TINY_TRAIN, num_hops=3),
-            replace(TINY_ADAPT, loss="entropy"),
-        ),
-    ]
-    reports = sweep(arms, methods=("erm", "erm+adarc"), seeds=(0,))
-    assert [r.scenario for r in reports] == ["homo2hetero[a]", "homo2hetero[b]"]
-    for report, (_, spec, train_config, adapt_config) in zip(reports, arms):
-        assert report.config["scenario"]["source_h"] == spec.source_h
-        assert report.config["train"]["num_hops"] == train_config.num_hops
-        assert report.config["adapt"]["loss"] == adapt_config.loss
-    with pytest.raises(ValueError, match="arms must be nonempty"):
-        sweep([])
+@pytest.mark.parametrize(
+    "preset, moved, kept, levels",
+    [
+        ("homo2hetero", "source_h", "source_d", (0.6, 0.9)),
+        ("hetero2homo", "source_h", "source_d", (0.4, 0.1)),
+        ("high2low", "source_d", "source_h", (4.0, 7.5)),
+        ("low2high", "source_d", "source_h", (4.0, 7.5)),
+    ],
+    ids=["homo2hetero", "hetero2homo", "high2low", "low2high"],
+)
+def test_sweep_shift_level_moves_the_shifted_field(preset, moved, kept, levels):
+    # The preset's source and target differ in exactly the moved field.
+    index = ("source_d", "source_h").index(moved)
+    source, target = PRESETS[preset]["source"], PRESETS[preset]["target"]
+    assert source[index] != target[index] and source[1 - index] == target[1 - index]
+    key = f"scenario.{moved}"
+    arms = [built_arm({key: f"{v:g}"}, preset) for v in levels]
+    reports = sweep(arms, methods=("erm",), seeds=(0,))
+    assert [r.scenario for r in reports] == [f"{preset}[{key}={v:g}]" for v in levels]
+    for report, level in zip(reports, levels):
+        assert report.config["scenario"][moved] == level
+        assert report.config["scenario"][kept] is None
+
+
+def test_sweep_lr_epochs_axis():
+    points = [("0.05", "2"), ("0.2", "3")]
+    arms = [built_arm({"adapt.learning_rate": lr, "adapt.epochs": t}) for lr, t in points]
+    reports = sweep(arms, methods=("erm+adarc",), seeds=(0,))
+    assert reports[0].config["adapt"]["learning_rate"] == 0.05
+    assert reports[0].config["adapt"]["epochs"] == 2
+    assert reports[1].scenario == "homo2hetero[adapt.learning_rate=0.2,adapt.epochs=3]"
+
+
+def test_sweep_hops_axis_repretrains(monkeypatch):
+    hops = []
+
+    def recording(dataset, config):
+        hops.append(config.num_hops)
+        return pretrain_on(dataset, config)
+
+    monkeypatch.setattr(harness, "pretrain_on", recording)
+    reports = sweep([built_arm({"train.num_hops": "3"})], methods=("erm",), seeds=(0,))
+    assert reports[0].config["train"]["num_hops"] == 3
+    assert hops == [3]
+
+
+def test_sweep_loss_kind_axis():
+    reports = sweep([built_arm({"adapt.loss": "entropy"})], methods=("erm+adarc",), seeds=(0,))
+    assert reports[0].config["adapt"]["loss"] == "entropy"
+    assert reports[0].scenario == "homo2hetero[adapt.loss=entropy]"
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("adapt.loss", ("entropy", "nosuch")),
+        ("adapt.learning_rate", ("0.1", "-1")),
+        ("adapt.epochs", ("2", "0")),
+        ("train.num_hops", ("2", "-1")),
+        ("scenario.source_h", ("0.6", "1.5")),
+        ("train.num_hops", ("2", "2.7")),
+        ("adapt.epochs", ("2", "2.9")),
+    ],
+    ids=[
+        "loss-nosuch", "lr-negative", "epochs-0", "K-negative", "source-h-1.5",
+        "K-2.7", "epochs-2.9",
+    ],
+)
+def test_sweep_rejects_a_bad_last_value_before_any_pretraining(monkeypatch, key, values):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pretrain_on(*args)
+
+    monkeypatch.setattr(harness, "pretrain_on", counting)
+    # The arms come built, so the last one's bad value stops the sweep before it runs.
+    with pytest.raises(ValueError):
+        sweep([built_arm({key: v}) for v in values], ("erm", "erm+adarc"), (0, 1))
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
@@ -354,6 +435,17 @@ def test_sweep_rejects_a_repeat_before_any_pretraining(monkeypatch, methods, see
     with pytest.raises(ValueError, match="must not repeat"):
         sweep([("arm", TINY_SPEC, TINY_TRAIN, TINY_ADAPT)], methods, seeds)
     assert len(calls) == 0
+
+
+def test_sweep_validation():
+    with pytest.raises(ValueError, match="arms must be nonempty"):
+        sweep([])
+    # An old axis name is no config key.
+    with pytest.raises(ValueError, match="unknown config keys: loss_kind"):
+        built_arm({"loss_kind": "entropy"})
+    with pytest.raises(ValueError, match="unknown method"):
+        sweep([built_arm({"adapt.loss": "pic"})], methods=("nosuch",), seeds=(0,))
+    assert built_arm({})[1:] == (TINY_SPEC, TINY_TRAIN, TINY_ADAPT)
 
 
 def blob_head_problem(rng, n=200, separation=1.2):
