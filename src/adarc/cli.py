@@ -64,7 +64,6 @@ from .harness import (
     METHOD_NAMES,
     ScenarioSpec,
     decompose_gap,
-    run_scenario,
     scenario_seeds,
     sweep,
 )
@@ -347,7 +346,7 @@ def _parse_vary(items: list[str]) -> dict[str, list[str]]:
 
 
 def _cmd_sweep(args) -> int:
-    spec, _, _, overrides = _settings(args)
+    *_, overrides = _settings(args)
     vary = _parse_vary(args.vary)
     _reject_derived(overrides.keys() | vary.keys(), "train.seed", "base.variant")
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
@@ -357,7 +356,8 @@ def _cmd_sweep(args) -> int:
     for values in itertools.product(*vary.values()):
         point = dict(zip(vary, values))
         tag = ",".join(f"{key}={value}" for key, value in point.items())
-        arms.append((f"{spec.scenario_id}[{tag}]", *_build(overrides | point)))
+        spec, train_config, adapt_config = _build(overrides | point)
+        arms.append((f"{spec.scenario_id}[{tag}]", spec, train_config, adapt_config))
     reports = sweep(arms, methods, seeds)
     out = _require_out(args, "sweep")
     write_json_report(out, {"vary": vary, "reports": [asdict(r) for r in reports]})

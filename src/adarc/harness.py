@@ -5,10 +5,11 @@ more adaptation methods evaluated on the target graph. Seeds are expanded
 deterministically: scenario seed ``s`` draws the source graph with ``2s``,
 the target graph with ``2s+1``, the train/val split with ``s+777``, and
 model initialization with ``s+1``. ``ScenarioSpec.draw`` draws one role of
-one seed. ``run_scenario`` and ``adarc generate`` draw role by role, so each
-holds one feature matrix at a time; ``adarc decompose`` holds both graphs,
-because ``decompose_gap`` reads both. ``sweep`` runs arms that come built:
-each is a label, a scenario and its two configs.
+one seed. ``sweep`` is the one scenario loop; its arms come built, each a
+label, a scenario and its two configs, and ``run_scenario`` is a one-arm
+sweep. Each seed pretrains once per distinct (scenario, train config), drawing
+role by role as ``adarc generate`` does, so it holds one feature matrix at a
+time; ``adarc decompose`` holds both graphs, because ``decompose_gap`` reads both.
 """
 
 from __future__ import annotations
@@ -164,24 +165,33 @@ def pretrain_scenario(
     return model, spec.draw("target", seed)
 
 
-def _config_echo(
-    spec: ScenarioSpec,
+def _report(
+    arm: tuple[str, ScenarioSpec, TrainConfig, AdaptConfig],
     methods: tuple[str, ...],
     seeds: tuple[int, ...],
-    train_config: TrainConfig,
-    adapt_config: AdaptConfig,
-) -> dict:
+    accs: dict[str, list[float]],
+) -> ExperimentReport:
+    label, spec, train_config, adapt_config = arm
+    per_seed = {m: tuple(v) for m, v in accs.items()}
     # Each method's name gives its variant and each seed the model seed, so
     # neither is echoed.
     train_echo, adapt_echo = asdict(train_config), asdict(adapt_config)
     del train_echo["seed"], adapt_echo["base"]["variant"]
-    return {
-        "scenario": asdict(spec),
-        "methods": list(methods),
-        "seeds": list(seeds),
-        "train": train_echo,
-        "adapt": adapt_echo,
-    }
+    return ExperimentReport(
+        scenario=label,
+        seeds=seeds,
+        methods=methods,
+        per_seed=per_seed,
+        mean={m: float(np.mean(v)) for m, v in per_seed.items()},
+        sd={m: (float(np.std(v, ddof=1)) if len(v) > 1 else 0.0) for m, v in per_seed.items()},
+        config={
+            "scenario": asdict(spec),
+            "methods": list(methods),
+            "seeds": list(seeds),
+            "train": train_echo,
+            "adapt": adapt_echo,
+        },
+    )
 
 
 def run_scenario(
@@ -193,65 +203,12 @@ def run_scenario(
 ) -> ExperimentReport:
     """Generate, pretrain, and evaluate every method on the target graph.
 
-    Each method's variant comes from its name, and its options from
-    ``adapt_config.base``. Target accuracy is measured over all target nodes.
-    One pretrained model per seed is shared by all methods. A plain method
-    whose ``+adarc`` partner also runs reads its accuracy from epoch 0 of
-    that run's trace, which scores the same unadapted base prediction; only
-    plain methods without a partner featurize the target (once per seed,
-    shared). A repeated method or seed is an error.
+    A one-arm ``sweep`` labelled ``spec.scenario_id``, so each seed pretrains
+    once and that model serves every method. Each method's variant comes from
+    its name, its options from ``adapt_config.base``. Target accuracy is
+    measured over all target nodes. A repeated method or seed is an error.
     """
-    for what, values in (("methods", methods), ("seeds", seeds)):
-        if not values:
-            raise ValueError(f"{what} must be nonempty")
-        if len(set(values)) != len(values):
-            raise ValueError(f"{what} must not repeat, got {tuple(values)}")
-    parsed = [(name, *_parse_method(name)) for name in methods]
-    kinds = {base: replace(adapt_config.base, variant=base) for _, base, _ in parsed}
-
-    accs: dict[str, list[float]] = {m: [] for m in methods}
-
-    for seed in seeds:
-        model, target = pretrain_scenario(spec, seed, train_config)
-
-        op = PropagationOperator(target.graph, model.prop_mode)
-        adapted = {
-            base: adapt(model, target, op, replace(adapt_config, base=kinds[base]))
-            for _, base, use_adarc in parsed
-            if use_adarc
-        }
-        plain_cache = None
-        for name, base, use_adarc in parsed:
-            if use_adarc:
-                acc = prediction_accuracy(adapted[base].prediction, target.labels)
-            elif base in adapted:
-                # Epoch 0 of the partner run scored the unadapted base
-                # prediction on this model and target: the plain method's.
-                acc = adapted[base].trace[0].accuracy
-            else:
-                if plain_cache is None:
-                    plain_cache = featurize_hops(model, target, op)
-                prediction = base_predict(kinds[base], model, plain_cache, target)
-                acc = prediction_accuracy(prediction, target.labels)
-            accs[name].append(acc)
-        # Release this seed's graph, model and caches before the next seed draws.
-        del target, model, op, adapted, plain_cache
-
-    per_seed = {m: tuple(v) for m, v in accs.items()}
-    mean = {m: float(np.mean(v)) for m, v in per_seed.items()}
-    sd = {
-        m: (float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
-        for m, v in per_seed.items()
-    }
-    return ExperimentReport(
-        scenario=spec.scenario_id,
-        seeds=tuple(seeds),
-        methods=tuple(methods),
-        per_seed=per_seed,
-        mean=mean,
-        sd=sd,
-        config=_config_echo(spec, tuple(methods), tuple(seeds), train_config, adapt_config),
-    )
+    return sweep([(spec.scenario_id, spec, train_config, adapt_config)], methods, seeds)[0]
 
 
 def sweep(
@@ -259,17 +216,60 @@ def sweep(
     methods: tuple[str, ...] = ("erm", "erm+adarc"),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
 ) -> list[ExperimentReport]:
-    """One ``run_scenario`` report per ``(label, spec, train, adapt)`` arm, named by its label.
+    """One report per ``(label, spec, train, adapt)`` arm, named by its label.
 
-    The arms come built, so each was checked before the first runs. As in
-    ``run_scenario``, a method names its variant and a seed the model's seed.
+    The methods and seeds are checked, and the arms come built, before the
+    first pretraining. Each seed pretrains once per distinct (scenario, train
+    config), in the order its first arm appears, and releases that model and
+    target before the next draw. A method names its variant and a seed the
+    model's seed. A plain method whose ``+adarc`` partner runs reads its
+    accuracy from epoch 0 of that run's trace, which scores the same
+    unadapted base prediction; other plain methods share one featurization
+    per arm and seed.
     """
     if not arms:
         raise ValueError("arms must be nonempty")
-    return [
-        replace(run_scenario(spec, methods, seeds, train_config, adapt_config), scenario=label)
-        for label, spec, train_config, adapt_config in arms
-    ]
+    for what, values in (("methods", methods), ("seeds", seeds)):
+        if not values:
+            raise ValueError(f"{what} must be nonempty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{what} must not repeat, got {tuple(values)}")
+    parsed = [(name, *_parse_method(name)) for name in methods]
+    accs: list[dict[str, list[float]]] = [{m: [] for m in methods} for _ in arms]
+    groups: dict[tuple[ScenarioSpec, TrainConfig], list[tuple[AdaptConfig, dict]]] = {}
+    for (_, spec, train_config, adapt_config), arm_accs in zip(arms, accs):
+        groups.setdefault((spec, train_config), []).append((adapt_config, arm_accs))
+
+    for seed in seeds:
+        for (spec, train_config), members in groups.items():
+            model, target = pretrain_scenario(spec, seed, train_config)
+            op = PropagationOperator(target.graph, model.prop_mode)
+            for adapt_config, arm_accs in members:
+                kinds = {base: replace(adapt_config.base, variant=base) for _, base, _ in parsed}
+                adapted = {
+                    base: adapt(model, target, op, replace(adapt_config, base=kinds[base]))
+                    for _, base, use_adarc in parsed
+                    if use_adarc
+                }
+                plain_cache = None
+                for name, base, use_adarc in parsed:
+                    if use_adarc:
+                        acc = prediction_accuracy(adapted[base].prediction, target.labels)
+                    elif base in adapted:
+                        # Epoch 0 of the partner run scored the unadapted base
+                        # prediction on this model and target: the plain method's.
+                        acc = adapted[base].trace[0].accuracy
+                    else:
+                        if plain_cache is None:
+                            plain_cache = featurize_hops(model, target, op)
+                        prediction = base_predict(kinds[base], model, plain_cache, target)
+                        acc = prediction_accuracy(prediction, target.labels)
+                    arm_accs[name].append(acc)
+                del adapted, plain_cache
+            # Release this draw's graph, model and operator before the next one.
+            del target, model, op
+
+    return [_report(arm, tuple(methods), tuple(seeds), a) for arm, a in zip(arms, accs)]
 
 
 @dataclass(frozen=True)

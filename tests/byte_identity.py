@@ -10,7 +10,8 @@ on its source, pretrains it again at ``HALVING_LR`` (``halving.cfg``, written
 to ``model-halving.bin``), where some steps raise the objective and are
 rejected, adapts the first checkpoint to its target for erm, tent and t3a,
 each by default and with ``--ablation joint --persist-base-tta``, evaluates
-the checkpoint, runs a one-seed sweep over ``adapt.loss`` and a gap decomposition
+the checkpoint, runs a two-seed sweep over ``adapt.loss`` × ``train.num_hops``
+(the two losses of one hop count share a pretraining) and a gap decomposition
 on the same scenario, and evaluates the closed-form theory with a Monte Carlo
 check. Every adapt writes ``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
 per file under WORKDIR, sorted by name, so the outputs of two source trees
@@ -90,8 +91,8 @@ def commands(workdir: Path, size: str) -> list[list[str]]:
         ["eval", "--ckpt", ckpt, "--data", str(data / "target"),
          "--out", str(workdir / "eval.json")],
         ["sweep", "--preset", "high2low", *scenario, "--config", str(config),
-         "--vary", "adapt.loss=pic,entropy",
-         "--methods", "erm,tent,t3a+adarc,tent+adarc", "--seeds", "0",
+         "--vary", "adapt.loss=pic,entropy", "--vary", "train.num_hops=2,3",
+         "--methods", "erm,tent,t3a+adarc,tent+adarc", "--seeds", "0,1",
          "--out", str(workdir / "sweep.json")],
         ["decompose", "--preset", "high2low", *scenario, "--config", str(config),
          "--out", str(workdir / "decompose.json")],

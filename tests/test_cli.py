@@ -682,6 +682,30 @@ def test_sweep_arms_are_the_vary_product_in_the_order_given(tmp_path):
         assert [row[0] for row in list(csv.reader(handle))[1:]] == labels
 
 
+def test_sweep_labels_each_arm_with_its_own_scenario_id(tmp_path):
+    from adarc import cli
+
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_TRAIN_CONFIG)
+    out = tmp_path / "sweep.json"
+    # No --preset: the un-varied settings' id would be homo2hetero.
+    assert cli.main([
+        "sweep", "--n", "160", "--dim", "24",
+        "--vary", "scenario.preset=high2low,low2high",
+        "--vary", "scenario.attribute_shift=false,true",
+        "--methods", "erm", "--seeds", "0", "--config", str(config), "--out", str(out),
+    ]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["scenario"] for r in reports] == [
+        f"{preset}{attr}[scenario.preset={preset},scenario.attribute_shift={shift}]"
+        for preset in ("high2low", "low2high")
+        for attr, shift in (("", "false"), ("+attr", "true"))
+    ]
+    assert [r["config"]["scenario"]["preset"] for r in reports] == [
+        "high2low", "high2low", "low2high", "low2high"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

@@ -51,9 +51,13 @@ TINY_KEYS = {
 
 
 def built_arm(point, preset="homo2hetero"):
-    """A sweep arm built as ``sweep --vary`` builds it: ``point``'s keys over the tiny ones."""
+    """A sweep arm built as ``sweep --vary`` builds it: ``point``'s keys over the tiny ones.
+
+    Its label is its own scenario's id, tagged with ``point``.
+    """
     tag = ",".join(f"{key}={value}" for key, value in point.items())
-    return (f"{preset}[{tag}]", *_build(TINY_KEYS | {"scenario.preset": preset} | point))
+    spec, train, adapt_config = _build(TINY_KEYS | {"scenario.preset": preset} | point)
+    return (f"{spec.scenario_id}[{tag}]", spec, train, adapt_config)
 
 
 def test_scenario_seed_expansion():
@@ -355,7 +359,8 @@ def test_sweep_shift_level_moves_the_shifted_field(preset, moved, kept, levels):
     key = f"scenario.{moved}"
     arms = [built_arm({key: f"{v:g}"}, preset) for v in levels]
     reports = sweep(arms, methods=("erm",), seeds=(0,))
-    assert [r.scenario for r in reports] == [f"{preset}[{key}={v:g}]" for v in levels]
+    labels = [f"{preset}+{moved}={v:g}[{key}={v:g}]" for v in levels]
+    assert [r.scenario for r in reports] == labels
     for report, level in zip(reports, levels):
         assert report.config["scenario"][moved] == level
         assert report.config["scenario"][kept] is None
@@ -378,9 +383,16 @@ def test_sweep_hops_axis_repretrains(monkeypatch):
         return pretrain_on(dataset, config)
 
     monkeypatch.setattr(harness, "pretrain_on", recording)
-    reports = sweep([built_arm({"train.num_hops": "3"})], methods=("erm",), seeds=(0,))
-    assert reports[0].config["train"]["num_hops"] == 3
-    assert hops == [3]
+    points = [{"adapt.loss": "pic"}, {"adapt.loss": "entropy"}, {"train.num_hops": "3"}]
+    arms = [built_arm(point) for point in points]
+    methods, seeds = ("erm", "erm+adarc"), (0, 1)
+    reports = sweep(arms, methods, seeds)
+    assert [r.config["train"]["num_hops"] for r in reports] == [4, 4, 3]
+    # The two loss arms share one pretraining per seed; the seeds run in order.
+    assert hops == [4, 3, 4, 3]
+    for (label, spec, train, adapt_config), report in zip(arms, reports):
+        alone = run_scenario(spec, methods, seeds, train, adapt_config)
+        assert report == replace(alone, scenario=label)
 
 
 def test_sweep_loss_kind_axis():

@@ -1,8 +1,8 @@
 """Peak-memory budgets: a run holds its f32 feature matrices plus a few columns.
 
 No run holds a (K+1)×N×(H+1) hop stack: featurization, adaptation and
-pretraining predict, then propagate. ``run_scenario`` and ``adarc generate``
-hold one feature matrix at a time.
+pretraining predict, then propagate. ``run_scenario``, ``sweep`` and ``adarc
+generate`` hold one feature matrix at a time.
 
 Each bound is in units of the run's own arrays: the f32 feature matrix and
 "columns", N×(H+1) f64 arrays; a hop stack is K+1 = 10 columns. Features read
@@ -17,11 +17,13 @@ from __future__ import annotations
 import contextlib
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adarc import (
+    AdaptConfig,
     ScenarioSpec,
     TrainConfig,
     PropagationOperator,
@@ -33,6 +35,7 @@ from adarc import (
     pretrain_on,
     run_scenario,
     save_checkpoint,
+    sweep,
     train_source,
     write_dataset,
 )
@@ -127,11 +130,17 @@ def test_run_scenario_releases_each_seed_before_the_next():
         assert len(report.per_seed["erm+adarc"]) == len(seeds)
         return peak
 
+    # A sweep of two groups (K=2 and K=3) over two seeds draws four times.
+    arms = [(f"K={k}", spec, replace(train, num_hops=k), AdaptConfig()) for k in (2, 3)]
+    reports, two_groups = traced_peak(lambda: sweep(arms, ("erm", "erm+adarc"), (0, 1)))
+    assert [len(r.per_seed["erm+adarc"]) for r in reports] == [2, 2]
     one, three = run((0,)), run((0, 1, 2))
-    # Measured: 2.96 MB for both (a 1.6 MB f32 feature matrix per graph).
-    # Holding the previous seed's graphs while the next one drew read 12.76 MB
-    # with f64 features.
+    # Measured: 2.96 MB for both and 2.98 MB for the sweep (a 1.6 MB f32
+    # feature matrix per graph, so a second target held would show). Holding
+    # the previous seed's graphs while the next one drew read 12.76 MB with
+    # f64 features.
     assert three <= one + spec.n * spec.dim * 4 // 4
+    assert two_groups <= one + spec.n * spec.dim * 4 // 4
 
 
 def test_run_scenario_holds_one_feature_matrix():
