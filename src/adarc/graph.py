@@ -64,6 +64,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         n = self.graph.num_nodes
+        if n == 0:
+            raise ValueError("dataset has no nodes")
         features = self.features
         if features.ndim != 2 or features.dtype not in (np.float32, np.float64):
             raise ValueError(
@@ -74,9 +76,7 @@ class Dataset:
             raise ValueError(f"feature rows {features.shape[0]} != num_nodes {n}")
         if self.labels.shape[0] != n:
             raise ValueError(f"label count {self.labels.shape[0]} != num_nodes {n}")
-        if self.labels.size and (
-            int(self.labels.min()) < 0 or int(self.labels.max()) >= self.num_classes
-        ):
+        if int(self.labels.min()) < 0 or int(self.labels.max()) >= self.num_classes:
             raise ValueError(f"label value out of range [0, {self.num_classes})")
         for name, mask in self.masks.items():
             if mask.shape[0] != n:

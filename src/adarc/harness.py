@@ -47,7 +47,6 @@ __all__ = [
     "ExperimentReport",
     "GapDecomposition",
     "scenario_seeds",
-    "pretrain_scenario",
     "run_scenario",
     "sweep",
     "fit_linear_head",

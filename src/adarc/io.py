@@ -20,6 +20,10 @@ descriptor. Rewriting ``features.bin`` in place under it kills the process.
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
 padded or non-finite data. The checkpoint format is ``model``'s.
+
+Reports are ``json`` text with sorted keys and ``repr`` floats. A numpy scalar
+or array is written as the Python value of its ``tolist`` (an f32 as the f64
+it widens to), a tuple as a list; keys follow ``json``'s own rules.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import mmap
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,6 @@ import numpy as np
 from .graph import Dataset, build_graph
 
 __all__ = [
-    "FEATURES_MAGIC",
     "FormatError",
     "read_dataset",
     "write_dataset",
@@ -98,10 +102,12 @@ def _read_ints(path: Path, columns: int, **loadtxt_args) -> np.ndarray:
     """The int64 table of an integer CSV with ``columns`` columns.
 
     A value numpy cannot parse, or a line with another column count, is a
-    ``FormatError``.
+    ``FormatError``. A file with no lines reads as no rows, without a warning.
     """
     try:
-        table = np.loadtxt(path, dtype=np.int64, ndmin=2, **loadtxt_args)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, dtype=np.int64, ndmin=2, **loadtxt_args)
     except ValueError as exc:
         raise FormatError(f"{path.name}: {exc}") from exc
     if table.shape[1] != columns:
@@ -172,27 +178,16 @@ def read_dataset(directory: str | Path) -> Dataset:
     return Dataset(graph, features, labels, num_classes, masks)
 
 
-def _canonical(obj):
-    """Make a report JSON-serializable with deterministic float text."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    # bool before int: ``bool`` is a subclass of ``int``.
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    return obj
+def _plain(obj):
+    """``json``'s hook for numpy values: the Python values of ``tolist``."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def report_text(report: dict) -> str:
     """Deterministic JSON serialization (sorted keys, repr floats)."""
-    return json.dumps(_canonical(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def write_json_report(path: str | Path, report: dict) -> None:

@@ -17,10 +17,11 @@ takes one path:
   Σ_k γ_k P_k + b_cls, from the per-hop class scores
   P_k = Ã^k [X̂ | 1]·A·W_cls that every base predictor reads, so component k
   of the γ-gradient is ⟨P_k, ∂L/∂logits⟩ and no propagate call is made while
-  the head is unchanged. ``entropy``'s two halves,
-  ``_entropy_terms`` and ``_entropy_grad_logits``, are also Tent's objective:
-  ``tta.tent_lite`` descends them over the norm affine, and a trial step
-  computes no gradient.
+  the head is unchanged. ``_entropy_terms`` is the lab's one entropy
+  routine: with ``_entropy_grad_logits`` it is this surrogate and Tent's
+  objective (``tta.tent_lite`` descends them over the norm affine, and a
+  trial step computes no gradient), and its probabilities and row entropies
+  are T3A's ranking (``tta._t3a_predict``).
 - ``pic`` and ``diff`` never build Z. With B_k = Ã^k [X̂ | 1] A, b̄_k the mean
   row of B_k and Z = Σ_k γ_k B_k, each variance is a quadratic form in γ
   (Fisher's LDA criterion over K+1 hop directions):

@@ -77,7 +77,6 @@ __all__ = [
     "EpochRecord",
     "GprModel",
     "HopCache",
-    "HopMoments",
     "SoftPrediction",
     "StaleCacheError",
     "init_model",
@@ -404,8 +403,10 @@ def _normalize(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, ...]:
         xhat[start:stop] = part
     xhat += model.b1
     mean = xhat.mean(axis=0)
-    var = xhat.var(axis=0)
     xhat -= mean
+    # ``np.var``'s own arithmetic, less its second pass for the mean.
+    var = np.square(xhat).sum(axis=0)
+    var /= n
     xhat /= np.sqrt(var + BN_EPS)
     return xhat, mean, var
 

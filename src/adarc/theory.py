@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "TheoryPoint",
     "AttributeShiftAccuracy",
-    "std_normal_cdf",
     "closed_form_accuracy",
     "optimal_gamma",
     "attribute_shift_accuracy",

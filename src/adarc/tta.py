@@ -7,15 +7,17 @@ linear head (W, b) on Z is scored as mix·(A·W) + b by one Horner pass on N×C
 arrays (``HopCache.mix_dot``), and mixᵀ·G by one transpose pass
 (``HopCache.mix_tdot``).
 
-``tent_lite`` takes a few steps on the mean entropy of the classifier's logits
-over cloned scale/shift (Tent's norm-affine-only update); the entropy is
-``losses._entropy_terms``, the ``entropy`` surrogate's own routine. Its
-prediction is the softmax of the accepted logits, and ``adapt`` calls it
-directly to write that affine back. ``erm`` is ``tent_lite`` with no step.
-``t3a`` ranks nodes by the entropy of those logits, takes each class's
-prototype p_c as the mean of its most confident mix rows times A (W_cls[:, c]
-for an empty class) and predicts softmax(−‖z_i − p_c‖²). ‖z_i‖² is the same
-for every class, so that is softmax(2 z_i·p_c − ‖p_c‖²): a linear head.
+Every entropy here comes from ``losses._entropy_terms``, the one entropy
+routine, which the ``entropy`` surrogate also reads. ``tent_lite`` takes a few
+steps on its mean over the classifier's logits, over cloned scale/shift
+(Tent's norm-affine-only update). Its prediction is the softmax of the
+accepted logits, and ``adapt`` calls it directly to write that affine back.
+``erm`` is ``tent_lite`` with no step. ``t3a`` takes the probabilities and
+row entropies of those logits from the same routine, ranks nodes by entropy,
+takes each class's prototype p_c as the mean of its most confident mix rows
+times A (W_cls[:, c] for an empty class) and predicts softmax(−‖z_i − p_c‖²).
+‖z_i‖² is the same for every class, so that is softmax(2 z_i·p_c − ‖p_c‖²): a
+linear head.
 
 None of the variants mutates γ. Propagate calls, for K hops and a cache whose
 class scores match the model's head: ``erm`` makes none; ``tent`` makes 2K per
@@ -37,8 +39,6 @@ from .model import (
     SoftPrediction,
     StaleCacheError,
     affine_matrix,
-    class_sum,
-    log_softmax,
     softmax,
 )
 
@@ -128,10 +128,8 @@ def _lowest(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _t3a_predict(kind: BaseTtaKind, model: GprModel, cache: HopCache) -> SoftPrediction:
-    logits = cache.logits(model)
-    probs = softmax(logits)
+    _, (probs, _, node_entropy) = _entropy_terms(cache.logits(model))
     hard = SoftPrediction(probs).hard
-    node_entropy = -class_sum(probs * log_softmax(logits))
 
     # Column c of ``weights`` averages the kept nodes of class c, so
     # mixᵀ·weights holds each class's mean mix row.

@@ -3,6 +3,7 @@
 Usage::
 
     python tests/byte_identity.py WORKDIR [--size tiny|small] [--src DIR]
+                                          [--against OTHER_SRC]
 
 The script runs in one subprocess whose environment pins the BLAS thread
 count to 1 before numpy loads. It generates a high2low scenario, pretrains
@@ -15,7 +16,10 @@ the checkpoint, runs a two-seed sweep over ``adapt.loss`` × ``train.num_hops``
 on the same scenario, and evaluates the closed-form theory with a Monte Carlo
 check. Every adapt writes ``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
 per file under WORKDIR, sorted by name, so the outputs of two source trees
-(``--src``, default this checkout's ``src``) compare with ``diff``.
+(``--src``, default this checkout's ``src``) compare with ``diff``. With
+``--against OTHER_SRC`` it runs the script for ``--src`` into WORKDIR/tree and
+for OTHER_SRC into WORKDIR/against, prints each file whose hash differs (or
+that only one run wrote) and a count, and exits 1 if any file differs.
 
 Hashes hold only for a fixed OpenBLAS build, CPU kernel and thread count
 (see ``adarc.cli``), so none are committed: compare two runs on one machine.
@@ -124,20 +128,36 @@ def run(workdir: Path, size: str = "tiny", src: Path = REPO_SRC) -> list[tuple[s
     ]
 
 
+def compare(workdir: Path, size: str, src: Path, against: Path) -> list[str]:
+    """Run the script for ``src`` and ``against`` into ``workdir``/tree and
+    ``workdir``/against; the sorted names whose bytes differ between the two."""
+    tree = {name: digest for digest, name in run(workdir / "tree", size, src)}
+    other = {name: digest for digest, name in run(workdir / "against", size, against)}
+    return sorted(n for n in tree.keys() | other.keys() if tree.get(n) != other.get(n))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workdir", type=Path, help="empty (or new) output directory")
     parser.add_argument("--size", choices=sorted(SIZES), default="tiny")
     parser.add_argument("--src", type=Path, default=REPO_SRC, help="source tree to run")
+    parser.add_argument("--against", type=Path, help="source tree to compare --src with")
     args = parser.parse_args(argv)
+    src = args.src.resolve()
     try:
-        hashes = run(args.workdir, args.size, args.src.resolve())
+        if args.against is None:
+            for digest, name in run(args.workdir, args.size, src):
+                print(f"{digest}  {name}")
+            return 0
+        differing = compare(args.workdir, args.size, src, args.against.resolve())
     except RuntimeError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    for digest, name in hashes:
-        print(f"{digest}  {name}")
-    return 0
+    for name in differing:
+        print(name)
+    compared = sum(1 for p in (args.workdir / "tree").rglob("*") if p.is_file())
+    print(f"{compared} files, {len(differing)} differ")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from adarc.model import BN_EPS, affine_matrix, cross_entropy, featurize_hops
+from adarc.model import (
+    BN_EPS,
+    SoftPrediction,
+    affine_matrix,
+    class_sum,
+    cross_entropy,
+    featurize_hops,
+    log_softmax,
+    softmax,
+)
 
 
 def random_instance(
@@ -254,6 +263,36 @@ def dense_t3a(model, hops, keep_per_class: int) -> np.ndarray:
             order = members[np.argsort(node_entropy[members], kind="stable")]
             prototypes[c] = Z[order[:keep_per_class]].mean(axis=0)
     return row_softmax(-((Z[:, None, :] - prototypes[None, :, :]) ** 2).sum(axis=2))
+
+
+def softmax_ranked_t3a(model, cache, keep_per_class: int) -> np.ndarray:
+    """T3A's probabilities with nodes ranked by −Σ_c softmax(L)·log_softmax(L).
+
+    The lab's T3A takes its probabilities and row entropies from
+    ``losses._entropy_terms`` (exp of log_softmax), which can differ from
+    ``softmax`` in the last bit. This is the ranking it replaced, on the same
+    Horner passes, so the two agree bit for bit unless two entropies tie
+    within an ulp at a class's keep cut.
+    """
+    logits = cache.logits(model)
+    probs = softmax(logits)
+    hard = SoftPrediction(probs).hard
+    node_entropy = -class_sum(probs * log_softmax(logits))
+    weights = np.zeros_like(probs)
+    for c in range(weights.shape[1]):
+        members = np.flatnonzero(hard == c)
+        kept = members[np.argsort(node_entropy[members], kind="stable")[:keep_per_class]]
+        weights[kept, c] = 1.0 / max(kept.size, 1)
+    affine = affine_matrix(model.scale, model.shift)
+    prototypes = cache.mix_tdot(model.gamma, weights).T @ affine
+    empty = ~weights.any(axis=0)
+    prototypes[empty] = model.W_cls.T[empty]
+    head = affine @ (2.0 * prototypes.T)
+    bias = -(prototypes * prototypes).sum(axis=1)
+    scores = np.zeros_like(probs)
+    scores[:, :-1] = cache.mix_dot(model.gamma, head[:, :-1] - head[:, -1:])
+    scores[:, :-1] += bias[:-1] - bias[-1]
+    return softmax(scores)
 
 
 def stack_backward_ce(model, dataset, mask, op):

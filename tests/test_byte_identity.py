@@ -1,4 +1,5 @@
-"""The fixed CLI script of ``byte_identity.py`` writes the same bytes twice."""
+"""The fixed CLI script of ``byte_identity.py`` writes the same bytes twice,
+through the same comparison as ``byte_identity.py --against``."""
 
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ EXPECTED_FILES = {
 
 
 def test_two_runs_of_the_cli_script_write_identical_bytes(tmp_path):
-    first = byte_identity.run(tmp_path / "first")
-    second = byte_identity.run(tmp_path / "second")
-    assert {name for _, name in first} == EXPECTED_FILES
-    assert first == second
+    src = byte_identity.REPO_SRC
+    assert byte_identity.compare(tmp_path, "tiny", src, src) == []
+    tree = tmp_path / "tree"
+    assert {p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()} == (
+        EXPECTED_FILES
+    )

@@ -396,6 +396,21 @@ def test_pretrain_rejects_zero_hidden_width_with_exit_2(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_a_dataset_with_no_nodes_exits_2_with_one_line(workspace, tmp_path, command):
+    data = tmp_path / "empty"
+    data.mkdir()
+    (data / "features.bin").write_bytes(struct.pack("<4sIII", b"ADRC", 1, 0, 24))
+    (data / "labels.csv").write_text("")
+    (data / "edges.csv").write_text("")
+    result = run_cli(
+        command, "--ckpt", workspace["ckpt"], "--data", data, "--out", tmp_path / "r.json",
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: dataset has no nodes\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_dataset_exits_2(workspace, tmp_path):
     result = run_cli(
         "eval", "--ckpt", workspace["ckpt"], "--data", tmp_path / "nowhere"

@@ -67,13 +67,10 @@ def test_no_earlier_export_is_dropped():
     assert [n for n in EARLIER_EXPORTS if n not in adarc.__all__] == []
 
 
-def test_every_export_is_read_by_the_package_or_perfbench():
-    # An export that only tests read is dead API: each name must appear as a
-    # name, an attribute or an import in the package or the benchmark.
-    bench = sorted(Path(__file__).resolve().parents[1].joinpath("perfbench").glob("*.py"))
-    assert bench, "perfbench/*.py not found"
+def _names_read(paths) -> set[str]:
+    """Every name, attribute and imported name in the Python files ``paths``."""
     seen = set()
-    for path in [*Path(adarc.__file__).parent.glob("*.py"), *bench]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 seen.add(node.id)
@@ -81,4 +78,33 @@ def test_every_export_is_read_by_the_package_or_perfbench():
                 seen.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 seen.update(alias.name for alias in node.names)
+    return seen
+
+
+def _package_and_bench_files() -> list[Path]:
+    bench = sorted(Path(__file__).resolve().parents[1].joinpath("perfbench").glob("*.py"))
+    assert bench, "perfbench/*.py not found"
+    return [*sorted(Path(adarc.__file__).parent.glob("*.py")), *bench]
+
+
+def test_every_export_is_read_by_the_package_or_perfbench():
+    # An export that only tests read is dead API: each name must appear as a
+    # name, an attribute or an import in the package or the benchmark.
+    seen = _names_read(_package_and_bench_files())
     assert [n for n in adarc.__all__ if n not in seen] == []
+
+
+def test_every_later_export_is_read_outside_its_module():
+    # A name its own module reads is still dead API if nothing else does; the
+    # 0.2.0 exports stay whoever reads them.
+    files = _package_and_bench_files()
+    unread = []
+    for module in LIBRARY_MODULES:
+        own = Path(module.__file__).resolve()
+        seen = _names_read(p for p in files if p.resolve() != own)
+        unread += [
+            f"{module.__name__}.{n}"
+            for n in module.__all__
+            if n not in EARLIER_EXPORTS and n not in seen
+        ]
+    assert unread == []

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,6 +209,20 @@ def test_read_dataset_peak_memory_is_the_matrix_plus_one_block(tmp_path):
     # into an allocated f32 matrix read 0.26 MiB above 4·n·d, an f64 matrix
     # plus one f32 block 1.26 MiB above 8·n·d.
     assert peak <= 2**18 + 2**14
+
+
+def test_a_dataset_with_no_nodes_is_rejected_where_it_enters(tmp_path):
+    with pytest.raises(ValueError, match="dataset has no nodes"):
+        _dense_dataset(0, 4)
+    # An N = 0 features.bin with empty labels and edges reads up to the
+    # Dataset, which rejects it; nothing warns on the way.
+    (tmp_path / "features.bin").write_bytes(struct.pack("<4sIII", b"ADRC", 1, 0, 4))
+    (tmp_path / "labels.csv").write_text("")
+    (tmp_path / "edges.csv").write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dataset has no nodes"):
+            read_dataset(tmp_path)
 
 
 def test_read_dataset_missing_directory(tmp_path):
@@ -453,6 +469,38 @@ def test_report_text_is_canonical():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"'), "keys must be sorted"
     assert report_text(report) == text, "formatting must be deterministic"
+
+
+def test_report_text_writes_numpy_values_as_their_python_values():
+    report = {
+        "array": np.array([[0.5, 1.0], [2.0, -0.25]], dtype=np.float32),
+        "bool": np.bool_(True),
+        "f32": np.float32(0.1),
+        "f64": np.float64(0.1),
+        "i64": np.int64(-3),
+        "tuple": (np.int64(1), (np.float64(2.5), np.arange(2))),
+    }
+    plain = {
+        "array": [[0.5, 1.0], [2.0, -0.25]],
+        "bool": True,
+        "f32": 0.10000000149011612,
+        "f64": 0.1,
+        "i64": -3,
+        "tuple": [1, [2.5, [0, 1]]],
+    }
+    expected = (
+        '{\n  "array": [\n    [\n      0.5,\n      1.0\n    ],\n    [\n      2.0,\n'
+        '      -0.25\n    ]\n  ],\n  "bool": true,\n  "f32": 0.10000000149011612,\n'
+        '  "f64": 0.1,\n  "i64": -3,\n  "tuple": [\n    1,\n    [\n      2.5,\n'
+        '      [\n        0,\n        1\n      ]\n    ]\n  ]\n}\n'
+    )
+    assert report_text(report) == expected
+    assert report_text(plain) == expected
+
+
+def test_report_text_rejects_what_json_cannot_encode():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        report_text({"names": {"a"}})
 
 
 def test_write_json_report_byte_deterministic(tmp_path):

@@ -438,6 +438,22 @@ def test_row_block_gemm_gives_the_bits_of_one_product(n):
     np.testing.assert_array_equal(_normalize(model, features)[0], xhat)
 
 
+@pytest.mark.parametrize("n", [300, 767])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_statistics_are_the_bits_of_numpy_mean_and_var(n, dtype):
+    # An identity W1 and a zero b1 make the pre-activations X itself.
+    h = 24
+    model = init_model(dim=h, hidden=h, num_classes=2, num_hops=2, seed=n)
+    model.W1[:] = np.eye(h)
+    model.b1[:] = 0.0
+    rng = np.random.default_rng(n)
+    features = (3.0 + rng.standard_normal((n, h)) * rng.uniform(0.1, 5.0, h)).astype(dtype)
+    _, mean, var = _normalize(model, features)
+    widened = features.astype(np.float64)
+    np.testing.assert_array_equal(mean, np.mean(widened, axis=0))
+    np.testing.assert_array_equal(var, np.var(widened, axis=0))
+
+
 def test_stale_cache_error_has_helpful_type():
     assert issubclass(StaleCacheError, RuntimeError)
 

@@ -22,7 +22,7 @@ from adarc.losses import _entropy_grad_logits, _entropy_terms
 from adarc.model import SoftPrediction, affine_matrix, log_softmax, softmax
 from adarc.tta import BASE_TTA_NAMES, _entropy_grad_affine, tent_lite
 
-from oracle_utils import fd_grad, relative_error, tent_affine_grad_z
+from oracle_utils import fd_grad, relative_error, softmax_ranked_t3a, tent_affine_grad_z
 
 
 @pytest.fixture()
@@ -262,6 +262,18 @@ def test_t3a_empty_class_falls_back_to_the_classifier_direction(
     # Relative, because class 1's probabilities are tiny (7e-15 measured).
     np.testing.assert_allclose(pred.probs, expected, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(pred.hard, expected.argmax(axis=1))
+
+
+@pytest.mark.parametrize("keep", [1, 5, 15, 20])
+def test_t3a_ranks_nodes_as_the_softmax_entropy_formula(
+    tiny_model, tiny_target, cache_and_op, keep
+):
+    # The entropies of ``_entropy_terms`` keep the same nodes as those of
+    # softmax(L)·log_softmax(L), so every output bit is the same.
+    cache, _ = cache_and_op
+    pred = tta._t3a_predict(BaseTtaKind("t3a", keep_per_class=keep), tiny_model, cache)
+    expected = softmax_ranked_t3a(tiny_model, cache, keep)
+    np.testing.assert_array_equal(pred.probs, expected)
 
 
 def test_t3a_keep_larger_than_class_is_fine(tiny_model, tiny_target, cache_and_op):
