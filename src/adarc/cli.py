@@ -20,7 +20,9 @@ names it), and it and ``decompose`` reject ``train.seed`` (each seed derives it)
 ``adapt`` featurizes the target twice: once for the pre-adaptation
 prediction, whose hop cache it drops at once, and once inside
 ``adapt.adapt``. A hop cache holds no hop stack, only a few N×(H+1) arrays,
-so the run holds the features and one such cache at a time.
+and each pass over the read features releases the pages it has read (see
+``io``), so ``adapt`` and ``eval`` hold about one row block of
+``features.bin`` and one such cache at a time.
 ``generate`` draws only the roles it writes, and writes each before the next.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.

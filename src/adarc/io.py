@@ -17,6 +17,14 @@ finite: a read dataset's features are a read-only view of the file's pages (the
 reader allocates one block's finiteness mask) that holds one dup'd file
 descriptor. Rewriting ``features.bin`` in place under it kills the process.
 
+Resident pages: each full pass over a read dataset's features releases the
+whole pages below the rows it has read (``_release_rows``): the reader's
+finiteness check after each block, and ``model``'s X·W1 after each row block.
+A read dataset so holds about one row block of ``features.bin`` resident during
+either pass and at most one page after it. ``backward_ce``'s Xᵀ·∂L/∂pre is one
+GEMM: pretraining on a read dataset holds the whole payload from that product
+until the next featurization.
+
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
 padded or non-finite data. The checkpoint format is ``model``'s.
@@ -58,6 +66,25 @@ _BLOCK_BYTES = 1 << 20
 
 class FormatError(ValueError):
     """A file does not conform to its declared on-disk format."""
+
+
+class _Mapping(mmap.mmap):
+    """The read-only shared mapping of a ``features.bin`` that ``_read_features`` made."""
+
+
+def _release_rows(features: np.ndarray, stop: int) -> None:
+    """Release the whole mapped pages of ``features.bin`` below row ``stop``.
+
+    Acts only on a matrix that ``_read_features`` returned. Its pages map the
+    file read-only and shared, so a later read faults the same bytes back in
+    and no result changes. Any other array is left alone (a copy-on-write
+    ``np.memmap`` would lose its writes), and so is every array where ``mmap``
+    has no ``madvise``.
+    """
+    payload = features.base
+    if isinstance(payload, _Mapping) and hasattr(payload, "madvise"):
+        end = _FEATURES_HEADER.size + stop * features.strides[0]
+        payload.madvise(mmap.MADV_DONTNEED, 0, end - end % mmap.PAGESIZE)
 
 
 def _row_blocks(n: int, d: int):
@@ -128,7 +155,7 @@ def _read_features(path: Path) -> np.ndarray:
         _, version, n, d = _FEATURES_HEADER.unpack(header)
         if version != 1:
             raise FormatError(f"features.bin: unsupported version {version}")
-        payload = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        payload = _Mapping(f.fileno(), 0, access=mmap.ACCESS_READ)
     expected = _FEATURES_HEADER.size + 4 * n * d
     if len(payload) != expected:
         raise FormatError(f"features.bin: expected {expected} bytes, found {len(payload)}")
@@ -136,6 +163,7 @@ def _read_features(path: Path) -> np.ndarray:
     for rows in _row_blocks(n, d):
         if not np.isfinite(features[rows]).all():
             raise FormatError("features.bin: non-finite feature value")
+        _release_rows(features, rows.stop)
     return features
 
 

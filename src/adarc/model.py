@@ -29,13 +29,15 @@ one column of [X̂ | 1] at a time, the same way under ``row`` and ``sym``:
 each column's hops (K propagate calls on an N-vector) fill a transient
 (K+1)×N array that is centered and reduced by one GEMM.
 
-Memory budget: a run holds its f32 feature matrices (40 MB each at N=5000,
-D=2000; a read dataset's are mapped pages of ``features.bin``, see ``io``) and
-a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class scores and, while the
-moments are built, two (K+1)×N arrays. The two GEMMs that read X, X·W1 in
-``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the features' dtype
-and widen their N×H and D×H results to f64, so X is never widened; everything
-else is f64. X·W1 runs by row blocks: at preset, 2 threads, 6.5 against 8.7 ms
+Memory budget: a run holds its in-memory f32 feature matrices (40 MB each at
+N=5000, D=2000) and a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class
+scores and, while the moments are built, two (K+1)×N arrays. Of a read
+dataset's mapped ``features.bin`` it holds about one row block: ``_normalize``
+releases each block's pages once X·W1 has read them (see ``io``), though
+``backward_ce``'s Xᵀ·∂L/∂pre faults them all back in. The two GEMMs that read
+X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
+features' dtype and widen their N×H and D×H results to f64, so X is never
+widened; everything else is f64. X·W1 runs by row blocks: at preset, 2 threads, 6.5 against 8.7 ms
 for (W1ᵀ @ Xᵀ)ᵀ, and +0.7 against +2.3 MB of peak RSS (+9.3 MB for one X @ W1).
 ``backward_ce`` holds no Z: with head = A·W_cls it propagates the C class
 scores [X̂ | 1]·head and its Horner pass runs on N×C arrays; its N×H arrays are
@@ -71,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import PROP_MODES, Dataset, PropagationOperator
-from .io import FormatError
+from .io import FormatError, _release_rows
 
 __all__ = [
     "EpochRecord",
@@ -401,6 +403,7 @@ def _normalize(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, ...]:
         part = buffer[: stop - start]
         np.matmul(features[start:stop], w1, out=part)
         xhat[start:stop] = part
+        _release_rows(features, stop)
     xhat += model.b1
     mean = xhat.mean(axis=0)
     xhat -= mean

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import mmap
 import struct
 import tempfile
 import tracemalloc
@@ -25,6 +27,7 @@ from adarc import (
     adapt,
     attach_split_masks,
     base_predict,
+    cli,
     featurize_hops,
     generate,
     init_model,
@@ -36,7 +39,7 @@ from adarc import (
     write_json_report,
 )
 from adarc.graph import build_graph
-from adarc.io import report_text
+from adarc.io import _row_blocks, report_text
 
 from conftest import TINY_N, tiny_params
 
@@ -209,6 +212,109 @@ def test_read_dataset_peak_memory_is_the_matrix_plus_one_block(tmp_path):
     # into an allocated f32 matrix read 0.26 MiB above 4·n·d, an f64 matrix
     # plus one f32 block 1.26 MiB above 8·n·d.
     assert peak <= 2**18 + 2**14
+
+
+# --- a full pass over read features releases the pages it has read ---
+
+# 1000×1000 f32 values are 4 MB: 4 blocks, and 3 row blocks of X·W1.
+RELEASED = (1000, 1000)
+
+
+def _f32_dataset(n: int, d: int) -> Dataset:
+    """``_dense_dataset`` with the f32 features that ``features.bin`` stores."""
+    dataset = _dense_dataset(n, d)
+    return replace(dataset, features=dataset.features.astype(np.float32))
+
+
+def _mapped_rss(path: Path) -> int:
+    """Resident bytes of this process's mappings of ``path``, from ``/proc/self/smaps``."""
+    smaps = Path("/proc/self/smaps")
+    if not smaps.exists():
+        pytest.skip("no /proc/self/smaps on this platform")
+    kib, mappings, inside = 0, 0, False
+    for line in smaps.read_text().splitlines():
+        key = line.split(maxsplit=1)[0]
+        if not key.endswith(":"):
+            inside = line.endswith(f" {path}")
+            mappings += inside
+        elif inside and key == "Rss:":
+            kib += int(line.split()[1])
+    assert mappings, f"{path} is not mapped"
+    return kib * 1024
+
+
+def test_a_read_dataset_holds_one_block_of_features_bin(tmp_path):
+    n, d = RELEASED
+    write_dataset(_dense_dataset(n, d), tmp_path)
+    rows = next(_row_blocks(n, d))
+    bound = (rows.stop - rows.start) * 4 * d + mmap.PAGESIZE
+    dataset = read_dataset(tmp_path)
+    path = tmp_path / "features.bin"
+    # Measured 4 KiB after each; 3,908 KiB, the whole payload, before the
+    # passes released their pages.
+    assert _mapped_rss(path) <= bound
+    model = init_model(d, 8, dataset.num_classes, 3, seed=0)
+    featurize_hops(model, dataset, PropagationOperator(dataset.graph, model.prop_mode))
+    assert _mapped_rss(path) <= bound
+
+
+def test_released_pages_read_back_the_same_bits(tmp_path):
+    n, d = RELEASED
+    in_memory = _f32_dataset(n, d)
+    write_dataset(in_memory, tmp_path)
+    read = read_dataset(tmp_path)
+    model = init_model(d, 8, read.num_classes, 3, seed=0)
+    op = PropagationOperator(read.graph, model.prop_mode)
+    caches = [featurize_hops(model, ds, op) for ds in (in_memory, read, read)]
+    for cache in caches[1:]:
+        np.testing.assert_array_equal(cache.hop0, caches[0].hop0)
+        np.testing.assert_array_equal(
+            cache.class_scores(model), caches[0].class_scores(model)
+        )
+    assert read.features.tobytes() == (tmp_path / "features.bin").read_bytes()[16:]
+
+
+def test_a_copy_on_write_memmap_keeps_its_writes(tmp_path):
+    # Released pages of a private mapping would read back the file, not the
+    # writes: only the matrix that the reader mapped is released.
+    n, d = RELEASED
+    dataset = _f32_dataset(n, d)
+    dataset.features.tofile(tmp_path / "x.f32")
+    features = np.memmap(tmp_path / "x.f32", "<f4", "c", shape=(n, d))
+    features += 1.0
+    model = init_model(d, 8, dataset.num_classes, 3, seed=0)
+    op = PropagationOperator(dataset.graph, model.prop_mode)
+    featurize_hops(model, replace(dataset, features=features), op)
+    np.testing.assert_array_equal(features, dataset.features + np.float32(1.0))
+
+
+def test_eval_of_a_read_dataset_reports_the_in_memory_accuracies(tmp_path):
+    n, d = RELEASED
+    in_memory = _f32_dataset(n, d)
+    write_dataset(in_memory, tmp_path / "data")
+    save_checkpoint(init_model(d, 8, 3, 3, seed=4), tmp_path / "model.ckpt")
+    model = load_checkpoint(tmp_path / "model.ckpt")
+    op = PropagationOperator(in_memory.graph, model.prop_mode)
+    prediction = base_predict(
+        BaseTtaKind(), model, featurize_hops(model, in_memory, op), in_memory
+    )
+    out = tmp_path / "eval.json"
+    argv = [
+        "eval", "--ckpt", str(tmp_path / "model.ckpt"),
+        "--data", str(tmp_path / "data"), "--out", str(out),
+    ]
+    assert cli.main(argv) == 0
+    covered = in_memory.masks["train"] | in_memory.masks["val"]
+    assert json.loads(out.read_text()) == {
+        "accuracy_all": prediction_accuracy(prediction, in_memory.labels),
+        "accuracy_train": prediction_accuracy(
+            prediction, in_memory.labels, in_memory.masks["train"]
+        ),
+        "accuracy_val": prediction_accuracy(
+            prediction, in_memory.labels, in_memory.masks["val"]
+        ),
+        "accuracy_test": prediction_accuracy(prediction, in_memory.labels, ~covered),
+    }
 
 
 def test_a_dataset_with_no_nodes_is_rejected_where_it_enters(tmp_path):

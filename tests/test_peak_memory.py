@@ -6,10 +6,13 @@ generate`` hold one feature matrix at a time.
 
 Each bound is in units of the run's own arrays: the f32 feature matrix and
 "columns", N×(H+1) f64 arrays; a hop stack is K+1 = 10 columns. Features read
-from disk are mapped pages, which ``tracemalloc`` does not trace. The slack
-above the budget comes from the traced peaks measured at these sizes (numpy
-2.4.6), written next to each bound; each bound is below the peak of a run that
-holds a hop stack, a second seed's data or an f64 copy of its features.
+from disk are mapped pages, which ``tracemalloc`` does not trace; each pass
+over them releases the pages it has read, so a read dataset keeps about one row
+block of ``features.bin`` resident (``tests/test_io.py`` reads that from
+``/proc/self/smaps``). The slack above the budget comes from the traced peaks
+measured at these sizes (numpy 2.4.6), written next to each bound; each bound
+is below the peak of a run that holds a hop stack, a second seed's data or an
+f64 copy of its features.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def test_featurize_hops_holds_no_stack(high2low):
 
 
 # The read target's features are mapped pages of ``features.bin``, which are
-# not traced. Measured: 3.40 (erm), 3.35 (tent) and 3.34 (t3a) columns, with
+# not traced; the run keeps about one row block of them resident. Measured: 3.40 (erm), 3.35 (tent) and 3.34 (t3a) columns, with
 # [X̂ | 1], the class scores and, while the hop moments are built, two (K+1)×N
 # arrays; each bound is 0.15 above, less than a copy of the f32 features (0.24
 # columns). Features read into an allocated matrix added 3.53, 3.38 and 3.36
