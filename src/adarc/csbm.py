@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Dataset, Graph, build_graph
+from .io import _row_blocks
 
 __all__ = [
     "CsbmParams",
@@ -32,8 +33,6 @@ PRESET_D = 2000
 PRESET_MU_ENTRY = 0.03
 #: Attribute-shift entry magnitude for presets (‖Δmu‖ = 0.02·√D ≈ 0.894).
 PRESET_DELTA_MU_ENTRY = 0.02
-#: Size of the f64 buffer ``generate`` draws the feature noise into (1 MiB).
-_NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,9 @@ def generate(params: CsbmParams) -> Dataset:
     permutation relabels node ids so structure statistics are
     position-independent. Features are a C-ordered f32 matrix, the values
     ``features.bin`` stores. It is the only N×D array: the noise is drawn in
-    row blocks of about ``_NOISE_BLOCK_BYTES`` of f64, each block is shifted
-    to its class center and rounded into the matrix, and the matrix is then
-    row-permuted in place.
+    ``io``'s row blocks, each at most 1 MiB of f64 rows, each block is shifted
+    to its class center and rounded into the matrix in one call, and the
+    matrix is then row-permuted in place.
     """
     p, q = edge_probs(params)
     rng = np.random.default_rng(params.seed)
@@ -153,18 +152,15 @@ def generate(params: CsbmParams) -> Dataset:
     block_labels = np.repeat(np.array([0, 1], dtype=np.int64), half)
     # The noise is drawn row block by row block, in the order one N×D draw
     # takes, so the values are those of rng.standard_normal((N, D)). IEEE
-    # addition commutes, so z + (c + Δμ) is exactly (c + Δμ) + z.
+    # addition commutes, so z + (c + Δμ) is exactly (c + Δμ) + z. Each block
+    # is freed before the next is drawn, so one is held at a time.
     features = np.empty((params.n, params.dim), dtype=np.float32)
-    rows = max(1, _NOISE_BLOCK_BYTES // (8 * max(params.dim, 1)))
-    noise = np.empty((min(rows, half), params.dim))
     centers = (params.mu + params.delta_mu, -params.mu + params.delta_mu)
-    for first, center in zip((0, half), centers):
-        for start in range(first, first + half, rows):
-            block = noise[: min(rows, first + half - start)]
-            rng.standard_normal(out=block)
-            block += center
-            features[start : start + len(block)] = block
-    del noise
+    for part, center in zip((features[:half], features[half:]), centers):
+        for rows in _row_blocks(part, row_bytes=8 * params.dim):
+            block = rng.standard_normal((rows.stop - rows.start, params.dim))
+            np.add(block, center, out=part[rows], casting="same_kind")
+            del block
 
     perm = rng.permutation(params.n)
     labels = np.empty(params.n, dtype=np.int64)

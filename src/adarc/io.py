@@ -9,21 +9,21 @@ Dataset directory
 ``masks.csv``     optional; header ``train,val``, rows of 0/1
 
 In memory, features are the C-ordered N×D f32 matrix whose bytes
-``features.bin`` stores; nothing widens them. The writer writes blocks of whole
-f32 rows, about ``_BLOCK_BYTES`` each, to a new file that replaces
-``features.bin``, so a dataset read from the old file keeps its pages. The
-reader maps the payload read-only, checks its size, then checks each row block
-finite: a read dataset's features are a read-only view of the file's pages (the
-reader allocates one block's finiteness mask) that holds one dup'd file
-descriptor. Rewriting ``features.bin`` in place under it kills the process.
+``features.bin`` stores; nothing widens them. The writer writes them to a new
+file that replaces ``features.bin``, so a dataset read from the old file keeps
+its pages. The reader maps the payload read-only, checks its size, then checks
+each row block finite by its min and max: a read dataset's features are a
+read-only view of the file's pages that holds one dup'd file descriptor.
+Rewriting ``features.bin`` in place under it kills the process.
 
-Resident pages: each full pass over a read dataset's features releases the
-whole pages below the rows it has read (``_release_rows``): the reader's
-finiteness check after each block, and ``model``'s X·W1 after each row block.
-A read dataset so holds about one row block of ``features.bin`` resident during
-either pass and at most one page after it. ``backward_ce``'s Xᵀ·∂L/∂pre is one
-GEMM: pretraining on a read dataset holds the whole payload from that product
-until the next featurization.
+Row blocks: every pass over a feature matrix (the writer, the reader's check,
+``model``'s X·W1, ``csbm.generate``'s noise draw) walks ``_row_blocks``: even
+blocks of at most 1 MiB of the rows it reads or fills (128 or 129 f32 rows at
+N=5000, D=2000), releasing the mapped pages behind each. A read dataset so
+holds about one row block of ``features.bin`` resident during a pass and at
+most one page after it. ``backward_ce``'s Xᵀ·∂L/∂pre is one GEMM: pretraining
+on a read dataset holds the whole payload from that product until the next
+featurization.
 
 All writers produce byte-identical files for identical inputs; readers
 round-trip f32 payloads bit-exactly, and raise ``FormatError`` on truncated,
@@ -60,7 +60,7 @@ __all__ = [
 FEATURES_MAGIC = b"ADRC"
 #: ``features.bin`` header: magic, version, N, D.
 _FEATURES_HEADER = struct.Struct("<4sIII")
-#: Size of the row blocks ``features.bin`` is streamed in (1 MiB of f32).
+#: The most bytes of rows in one block of ``_row_blocks`` (1 MiB).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -72,29 +72,31 @@ class _Mapping(mmap.mmap):
     """The read-only shared mapping of a ``features.bin`` that ``_read_features`` made."""
 
 
-def _release_rows(features: np.ndarray, stop: int) -> None:
-    """Release the whole mapped pages of ``features.bin`` below row ``stop``.
+def _row_blocks(array: np.ndarray, row_bytes: int | None = None):
+    """Walk the rows of ``array`` in even blocks: yields slices of whole rows.
 
-    Acts only on a matrix that ``_read_features`` returned. Its pages map the
+    Each block is at least one row and at most ``_BLOCK_BYTES`` of rows of
+    ``row_bytes`` each (by default the array's own, ``itemsize`` × columns);
+    the blocks of one walk differ by at most one row. When the caller is done
+    with a block, the walk releases the whole mapped pages below it if
+    ``array`` is a matrix that ``_read_features`` returned. Those pages map the
     file read-only and shared, so a later read faults the same bytes back in
     and no result changes. Any other array is left alone (a copy-on-write
     ``np.memmap`` would lose its writes), and so is every array where ``mmap``
     has no ``madvise``.
     """
-    payload = features.base
-    if isinstance(payload, _Mapping) and hasattr(payload, "madvise"):
-        end = _FEATURES_HEADER.size + stop * features.strides[0]
-        payload.madvise(mmap.MADV_DONTNEED, 0, end - end % mmap.PAGESIZE)
-
-
-def _row_blocks(n: int, d: int):
-    """Slices of whole rows of an N×D ``features.bin``, about ``_BLOCK_BYTES`` each.
-
-    Every block is at least one row; the last may be shorter.
-    """
-    rows = max(1, _BLOCK_BYTES // (4 * max(d, 1)))
-    for start in range(0, n, rows):
-        yield slice(start, min(start + rows, n))
+    n = len(array)
+    if row_bytes is None:
+        row_bytes = array.itemsize * array.shape[1]
+    blocks = -(-n // max(1, _BLOCK_BYTES // max(row_bytes, 1)))
+    payload = array.base
+    mapped = isinstance(payload, _Mapping) and hasattr(payload, "madvise")
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        yield rows
+        if mapped:
+            end = _FEATURES_HEADER.size + rows.stop * array.strides[0]
+            payload.madvise(mmap.MADV_DONTNEED, 0, end - end % mmap.PAGESIZE)
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -109,7 +111,7 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     partial = directory / "features.bin.partial"
     with open(partial, "wb") as f:
         f.write(_FEATURES_HEADER.pack(FEATURES_MAGIC, 1, n, d))
-        for rows in _row_blocks(n, d):
+        for rows in _row_blocks(features):
             f.write(np.ascontiguousarray(features[rows], dtype="<f4"))
     os.replace(partial, directory / "features.bin")
 
@@ -160,10 +162,11 @@ def _read_features(path: Path) -> np.ndarray:
     if len(payload) != expected:
         raise FormatError(f"features.bin: expected {expected} bytes, found {len(payload)}")
     features = np.ndarray((n, d), "<f4", payload, offset=_FEATURES_HEADER.size)
-    for rows in _row_blocks(n, d):
-        if not np.isfinite(features[rows]).all():
+    # NaN propagates through min and max, and ±inf shows in one of them.
+    for rows in _row_blocks(features):
+        block = features[rows]
+        if block.size and not (np.isfinite(block.min()) and np.isfinite(block.max())):
             raise FormatError("features.bin: non-finite feature value")
-        _release_rows(features, rows.stop)
     return features
 
 

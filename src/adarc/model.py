@@ -32,13 +32,15 @@ each column's hops (K propagate calls on an N-vector) fill a transient
 Memory budget: a run holds its in-memory f32 feature matrices (40 MB each at
 N=5000, D=2000) and a few N×(H+1) f64 columns: [X̂ | 1], the (K+1)×N×C class
 scores and, while the moments are built, two (K+1)×N arrays. Of a read
-dataset's mapped ``features.bin`` it holds about one row block: ``_normalize``
-releases each block's pages once X·W1 has read them (see ``io``), though
+dataset's mapped ``features.bin`` it holds about one row block: X·W1 walks X
+by ``io``'s row blocks, which release each block's pages once read, though
 ``backward_ce``'s Xᵀ·∂L/∂pre faults them all back in. The two GEMMs that read
 X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
 features' dtype and widen their N×H and D×H results to f64, so X is never
-widened; everything else is f64. X·W1 runs by row blocks: at preset, 2 threads, 6.5 against 8.7 ms
-for (W1ᵀ @ Xᵀ)ᵀ, and +0.7 against +2.3 MB of peak RSS (+9.3 MB for one X @ W1).
+widened; everything else is f64. X·W1 by row blocks, at preset: 5.0 against
+6.9 ms for (W1ᵀ @ Xᵀ)ᵀ at 2 threads, 8.1 against 12.2 ms at 1, and +1.1
+against +2.5 MB of peak RSS. ``featurize_hops`` normalizes straight into the
+cache's [X̂ | 1], so it makes no N×H copy.
 ``backward_ce`` holds no Z: with head = A·W_cls it propagates the C class
 scores [X̂ | 1]·head and its Horner pass runs on N×C arrays; its N×H arrays are
 X̂ and ∂L/∂pre.
@@ -73,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import PROP_MODES, Dataset, PropagationOperator
-from .io import FormatError, _release_rows
+from .io import FormatError, _row_blocks
 
 __all__ = [
     "EpochRecord",
@@ -379,31 +381,28 @@ def _check_operator(model: GprModel, dataset: Dataset, op: PropagationOperator) 
         raise ValueError(f"op ({op.mode!r}) must apply {model.prop_mode!r} to this graph")
 
 
-def _normalize(model: GprModel, features: np.ndarray) -> tuple[np.ndarray, ...]:
+def _normalize(
+    model: GprModel, features: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """(X̂, mean, var): X W1 + b1 normalized over all nodes, and its statistics.
 
-    X̂ is a C-ordered N×H f64 array; mean and var are those of X W1 + b1.
+    X̂ is a new C-ordered N×H f64 array, or is written into ``out``, an N×H f64
+    view with C-ordered rows; mean and var are those of X W1 + b1.
     """
     if features.shape[1] != model.W1.shape[0]:
         raise ValueError("feature dimension does not match the model")
     # X·W1 runs in the features' dtype (f32 for every dataset the lab creates
-    # or reads) as X[rows] @ W1 over even blocks of 256 to 511 rows, widened
-    # into the f64 X̂ through one small buffer, with the bits of (W1ᵀ @ Xᵀ)ᵀ at
-    # 1 and 2 threads for H ≥ 16. A shorter block can differ in the last bit:
-    # OpenBLAS runs a product of at most 10⁶ multiply-adds in another kernel.
-    # ``xhat`` must be C-ordered, or mean/var would sum in another order; its
-    # in-place updates give the same bits as the out-of-place forms.
+    # or reads) as X[rows] @ W1 over ``io``'s even row blocks, each widened into
+    # X̂, with the bits of (W1ᵀ @ Xᵀ)ᵀ at 1 and 2 threads for H ≥ 16. A block
+    # of a few rows could differ in the last bit: OpenBLAS runs a product of at
+    # most 10⁶ multiply-adds in another kernel. X̂'s rows must be C-ordered
+    # (a view of [X̂ | 1] keeps that order), or mean/var would sum in another
+    # order; its in-place updates give the same bits as the out-of-place forms.
     w1 = model.W1.astype(features.dtype, copy=False)
     n = features.shape[0]
-    blocks = max(n // 256, 1)
-    bounds = [n * i // blocks for i in range(blocks + 1)]
-    xhat = np.empty((n, w1.shape[1]))
-    buffer = np.empty((-(-n // blocks), w1.shape[1]), dtype=features.dtype)
-    for start, stop in zip(bounds, bounds[1:]):
-        part = buffer[: stop - start]
-        np.matmul(features[start:stop], w1, out=part)
-        xhat[start:stop] = part
-        _release_rows(features, stop)
+    xhat = np.empty((n, w1.shape[1])) if out is None else out
+    for rows in _row_blocks(features):
+        xhat[rows] = features[rows] @ w1
     xhat += model.b1
     mean = xhat.mean(axis=0)
     xhat -= mean
@@ -424,11 +423,9 @@ def featurize_hops(
     only read. The K calls build the class scores of the model's head.
     """
     _check_operator(model, dataset, op)
-    xhat, mean, var = _normalize(model, dataset.features)
-    n, h = xhat.shape
-    hop0 = np.empty((n, h + 1))
-    hop0[:, :h] = xhat
-    del xhat
+    h = model.W1.shape[1]
+    hop0 = np.empty((dataset.num_nodes, h + 1))
+    _, mean, var = _normalize(model, dataset.features, out=hop0[:, :h])
     hop0[:, h] = 1.0
     cache = HopCache(
         hop0=hop0,

@@ -243,6 +243,11 @@ def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, v
     fresh = base_predict(BaseTtaKind(variant=variant), model, cache, dataset)
     expected = prediction_accuracy(fresh, dataset.labels)
     assert json.loads(out.read_text())["accuracy_before"] == expected
+    # The trace's epoch 0 is scored at the same, unadapted γ.
+    with open(out.with_suffix(".trace.csv"), newline="") as handle:
+        first = next(csv.DictReader(handle))
+    assert first["epoch"] == "0"
+    assert float(first["accuracy"]) == expected
 
 
 def test_adapt_out_echoes_every_adapt_and_base_setting(workspace, tmp_path):

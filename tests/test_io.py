@@ -174,7 +174,7 @@ def test_streamed_write_matches_golden_bytes(tmp_path):
     assert written == golden
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_in_last_block_is_a_format_error(tmp_path, value):
     write_dataset(_dense_dataset(*MULTI_BLOCK), tmp_path)
     features = tmp_path / "features.bin"
@@ -207,16 +207,16 @@ def test_read_dataset_peak_memory_is_the_matrix_plus_one_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The mapped matrix is not traced. Measured 264,551 bytes: one block's
-    # finiteness mask (262 rows, 262,000 bytes) and the CSV tables. Reading
-    # into an allocated f32 matrix read 0.26 MiB above 4·n·d, an f64 matrix
-    # plus one f32 block 1.26 MiB above 8·n·d.
+    # The mapped matrix is not traced, and the finiteness check allocates no
+    # mask. Measured 144,790 bytes; 264,551 with one block's mask (262,000).
+    # Reading into an allocated f32 matrix read 0.26 MiB above 4·n·d, an f64
+    # matrix plus one f32 block 1.26 MiB above 8·n·d.
     assert peak <= 2**18 + 2**14
 
 
 # --- a full pass over read features releases the pages it has read ---
 
-# 1000×1000 f32 values are 4 MB: 4 blocks, and 3 row blocks of X·W1.
+# 1000×1000 f32 values are 4 MB: 4 blocks of 250 rows, for the check and X·W1.
 RELEASED = (1000, 1000)
 
 
@@ -246,7 +246,7 @@ def _mapped_rss(path: Path) -> int:
 def test_a_read_dataset_holds_one_block_of_features_bin(tmp_path):
     n, d = RELEASED
     write_dataset(_dense_dataset(n, d), tmp_path)
-    rows = next(_row_blocks(n, d))
+    rows = next(_row_blocks(np.empty((n, d), np.float32)))
     bound = (rows.stop - rows.start) * 4 * d + mmap.PAGESIZE
     dataset = read_dataset(tmp_path)
     path = tmp_path / "features.bin"

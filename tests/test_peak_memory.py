@@ -138,7 +138,7 @@ def test_run_scenario_releases_each_seed_before_the_next():
     reports, two_groups = traced_peak(lambda: sweep(arms, ("erm", "erm+adarc"), (0, 1)))
     assert [len(r.per_seed["erm+adarc"]) for r in reports] == [2, 2]
     one, three = run((0,)), run((0, 1, 2))
-    # Measured: 2.96 MB for both and 2.98 MB for the sweep (a 1.6 MB f32
+    # Measured: 2.78 MB for both and 2.81 MB for the sweep (a 1.6 MB f32
     # feature matrix per graph, so a second target held would show). Holding
     # the previous seed's graphs while the next one drew read 12.76 MB with
     # f64 features.
@@ -153,7 +153,7 @@ def test_run_scenario_holds_one_feature_matrix():
         lambda: run_scenario(spec, ("erm", "erm+adarc"), (0,), train)
     )
     assert len(report.per_seed["erm+adarc"]) == 1
-    # Measured: 2.96 MB, the 1.6 MB matrix and generate's f64 noise block.
+    # Measured: 2.78 MB, the 1.6 MB matrix and generate's f64 noise block.
     # Drawing the target while the source was held read 5.54 MB.
     assert peak <= 2 * spec.n * spec.dim * 4
 
@@ -166,7 +166,7 @@ def test_cli_generate_holds_one_feature_matrix(tmp_path, role):
     with contextlib.redirect_stdout(sink):
         code, peak = traced_peak(lambda: cli.main([*argv, "--out", str(tmp_path)]))
     assert code == 0, sink.getvalue()
-    # Measured: 2.85 (source), 2.90 (target) and 2.88 MB (both), a 1.6 MB
+    # Measured: 2.69 (source), 2.72 (target) and 2.70 MB (both), a 1.6 MB
     # f32 matrix and generate's f64 noise block. Drawing both graphs for any
     # role, and holding the source while the target drew, read 4.51 MB.
     assert peak <= 2 * n * dim * 4
@@ -177,7 +177,8 @@ def test_generate_holds_one_f32_matrix():
     params = preset_params("homo2hetero", "target", seed=0, n=n, dim=dim)
     dataset, peak = traced_peak(lambda: generate(params))
     assert dataset.features.dtype == np.float32
-    # Measured 1.77 MiB above the 8 MB matrix: the 1 MiB f64 noise block, the
-    # edges and the graph. Drawing the noise as one f64 matrix and rounding it
-    # read 8.39 MiB above.
+    # Measured 1.26 MiB above the 8 MB matrix: an f64 noise block (at most
+    # 1 MiB) and the edges. Holding the last noise block through the graph
+    # build read 1.77 MiB above; drawing the noise as one f64 matrix and
+    # rounding it read 8.39 MiB above.
     assert peak <= n * dim * 4 + 2 * 2**20
