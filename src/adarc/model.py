@@ -37,10 +37,10 @@ by ``io``'s row blocks, which release each block's pages once read, though
 ``backward_ce``'s Xᵀ·∂L/∂pre faults them all back in. The two GEMMs that read
 X, X·W1 in ``_normalize`` and Xᵀ·∂L/∂pre in ``backward_ce``, run in the
 features' dtype and widen their N×H and D×H results to f64, so X is never
-widened; everything else is f64. X·W1 by row blocks, at preset: 5.0 against
-6.9 ms for (W1ᵀ @ Xᵀ)ᵀ at 2 threads, 8.1 against 12.2 ms at 1, and +1.1
-against +2.5 MB of peak RSS. ``featurize_hops`` normalizes straight into the
-cache's [X̂ | 1], so it makes no N×H copy.
+widened; everything else is f64. X·W1 by row blocks, at preset with H=16:
+5.0 against 6.9 ms for (W1ᵀ @ Xᵀ)ᵀ at 2 threads, 8.1 against 12.2 ms at 1,
+and +1.1 against +2.5 MB of peak RSS. ``featurize_hops`` normalizes straight
+into the cache's [X̂ | 1], so it makes no N×H copy.
 ``backward_ce`` holds no Z: with head = A·W_cls it propagates the C class
 scores [X̂ | 1]·head and its Horner pass runs on N×C arrays; its N×H arrays are
 X̂ and ∂L/∂pre.

@@ -82,18 +82,20 @@ def test_featurize_hops_holds_no_stack(high2low):
     op = PropagationOperator(target.graph, model.prop_mode)
     cache, peak = traced_peak(lambda: featurize_hops(model, target, op))
     assert cache.hop0.shape == (N, H + 1)
-    # Measured: 2.07 columns, [X̂ | 1], X̂ and the (K+1)×N×C class scores.
-    # 11.0 while the cache was a hop stack.
+    # Measured: 2.10 columns, [X̂ | 1] and the transient square of X̂ in its
+    # variance, then the (K+1)×N×C class scores. 11.0 while the cache was a
+    # hop stack.
     assert peak <= 2.5 * COLUMN
 
 
 # The read target's features are mapped pages of ``features.bin``, which are
-# not traced; the run keeps about one row block of them resident. Measured: 3.40 (erm), 3.35 (tent) and 3.34 (t3a) columns, with
-# [X̂ | 1], the class scores and, while the hop moments are built, two (K+1)×N
-# arrays; each bound is 0.15 above, less than a copy of the f32 features (0.24
-# columns). Features read into an allocated matrix added 3.53, 3.38 and 3.36
-# columns to it; a hop stack read 12.43, 12.28 and 12.26, and 23.0 to 25.0
-# while the pre-adaptation stack was still held.
+# not traced; the run keeps about one row block of them resident. Measured:
+# 3.52 (erm), 3.39 (tent) and 3.37 (t3a) columns, with [X̂ | 1], the class
+# scores and, while the hop moments are built, two (K+1)×N arrays; each bound
+# is less than a copy of the f32 features (0.24 columns) above that. Features
+# read into an allocated matrix added 3.53, 3.38 and 3.36 columns to it; a hop
+# stack read 12.43, 12.28 and 12.26, and 23.0 to 25.0 while the
+# pre-adaptation stack was still held.
 ADAPT_COLUMNS = {"erm": 3.55, "tent": 3.50, "t3a": 3.49}
 
 
@@ -116,7 +118,7 @@ def test_train_source_holds_no_stack(high2low):
     model = init_model(D, H, source.num_classes, K, seed=TRAIN.seed)
     (_, history), peak = traced_peak(lambda: train_source(model, source, TRAIN))
     assert len(history) == TRAIN.epochs
-    # Measured: 3.01 columns, with backward_ce propagating N×C class scores.
+    # Measured: 2.96 columns, with backward_ce propagating N×C class scores.
     # 15.1 while each epoch built a stack (10 columns) and propagated ∂L/∂Z;
     # 23.2 while the previous epoch's stack was still held.
     assert peak <= 4 * COLUMN
