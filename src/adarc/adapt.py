@@ -109,7 +109,10 @@ def adapt(
     holds the surrogate loss, the all-node accuracy of that epoch's base
     prediction and ‖∇γL‖, all before the epoch's step, and the γ after it;
     the returned prediction comes from one final base-predictor call after
-    the last step.
+    the last step. So ``trace[0].accuracy`` is the accuracy of the unadapted
+    base prediction, at the input's γ, scale and shift and before any γ step
+    or affine write-back: the CLI's ``accuracy_before`` and ``sweep``'s plain
+    methods read it there instead of featurizing again.
     """
     model = replace(model, **{n: getattr(model, n).copy() for n in ("gamma", "scale", "shift")})
     cache = featurize_hops(model, dataset, op)

@@ -17,12 +17,11 @@ merged ones, before it runs the first. It rejects ``base.variant`` (each method
 names it), and it and ``decompose`` reject ``train.seed`` (each seed derives it).
 ``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
-``adapt`` featurizes the target twice: once for the pre-adaptation
-prediction, whose hop cache it drops at once, and once inside
-``adapt.adapt``. A hop cache holds no hop stack, only a few N×(H+1) arrays,
-and each pass over the read features releases the pages it has read (see
-``io``), so ``adapt`` and ``eval`` hold about one row block of
-``features.bin`` and one such cache at a time.
+``adapt`` featurizes the target once, inside ``adapt.adapt``, and reports
+epoch 0 of its trace as ``accuracy_before``. A hop cache holds no hop stack,
+only a few N×(H+1) arrays, and each pass over the read features releases the
+pages it has read (see ``io``), so ``adapt`` and ``eval`` hold about one row
+block of ``features.bin`` and one such cache at a time.
 ``generate`` draws only the roles it writes, and writes each before the next.
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure.
@@ -264,11 +263,6 @@ def _cmd_adapt(args) -> int:
     _, _, config, overrides = _settings(args)
     dataset = read_dataset(args.data)
     model, op = _load_model_and_op(args, overrides, dataset)
-
-    # The pre-adaptation cache is dropped before ``adapt`` builds its own, so
-    # the run holds one hop cache at a time.
-    before = base_predict(config.base, model, featurize_hops(model, dataset, op), dataset)
-
     try:
         result = adapt(model, dataset, op, config)
     except AdaptationDivergedError as exc:
@@ -281,7 +275,7 @@ def _cmd_adapt(args) -> int:
         raise
 
     report = {
-        "accuracy_before": prediction_accuracy(before, dataset.labels),
+        "accuracy_before": result.trace[0].accuracy,
         "accuracy_after": prediction_accuracy(result.prediction, dataset.labels),
         "gamma_before": [float(v) for v in model.gamma],
         "gamma_after": [float(v) for v in result.model.gamma],

@@ -222,9 +222,8 @@ def sweep(
     config), in the order its first arm appears, and releases that model and
     target before the next draw. A method names its variant and a seed the
     model's seed. A plain method whose ``+adarc`` partner runs reads its
-    accuracy from epoch 0 of that run's trace, which scores the same
-    unadapted base prediction; other plain methods share one featurization
-    per arm and seed.
+    accuracy from epoch 0 of that run's trace (see ``adapt``); other plain
+    methods share one featurization per arm and seed.
     """
     if not arms:
         raise ValueError("arms must be nonempty")
@@ -255,8 +254,6 @@ def sweep(
                     if use_adarc:
                         acc = prediction_accuracy(adapted[base].prediction, target.labels)
                     elif base in adapted:
-                        # Epoch 0 of the partner run scored the unadapted base
-                        # prediction on this model and target: the plain method's.
                         acc = adapted[base].trace[0].accuracy
                     else:
                         if plain_cache is None:

@@ -218,8 +218,18 @@ def test_eval_rejects_unknown_config_key(workspace, tmp_path):
     assert "not.a_key" in result.stderr
 
 
-@pytest.mark.parametrize("variant", ["erm", "tent", "t3a"])
-def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, variant):
+@pytest.mark.parametrize(
+    "variant, flags",
+    [
+        *(pytest.param(v, [], id=v) for v in ("erm", "tent", "t3a")),
+        # Epoch 0 is scored before the θ step or the persisted Tent writes back.
+        pytest.param("erm", ["--ablation", "theta"], id="erm-theta"),
+        pytest.param(
+            "tent", ["--ablation", "joint", "--persist-base-tta"], id="tent-joint-persist"
+        ),
+    ],
+)
+def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, variant, flags):
     from adarc import (
         BaseTtaKind,
         PropagationOperator,
@@ -235,7 +245,7 @@ def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, v
     assert cli.main([
         "adapt", "--ckpt", str(workspace["ckpt"]),
         "--data", str(workspace["data"] / "target"),
-        "--base-tta", variant, "--epochs", "2", "--out", str(out),
+        "--base-tta", variant, *flags, "--epochs", "2", "--out", str(out),
     ]) == 0
     dataset = read_dataset(workspace["data"] / "target")
     model = load_checkpoint(workspace["ckpt"])
@@ -248,6 +258,40 @@ def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, v
         first = next(csv.DictReader(handle))
     assert first["epoch"] == "0"
     assert float(first["accuracy"]) == expected
+
+
+def test_adapt_featurizes_once_within_the_propagate_budget(workspace, tmp_path, monkeypatch):
+    """One ``adarc adapt`` (erm, pic) featurizes once and makes K(1 + (H+1) + T) calls.
+
+    The budget is ``adapt``'s own (see its module docstring): the CLI adds no
+    featurization or base prediction of its own to score ``accuracy_before``.
+    """
+    from adarc import AdaptConfig, PropagationOperator, cli, load_checkpoint
+
+    counts = {"featurize": 0, "propagate": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # ``adarc.adapt`` is the function, so the module is taken by name.
+    for module in (sys.modules["adarc.adapt"], cli):
+        monkeypatch.setattr(module, "featurize_hops", counted(module.featurize_hops, "featurize"))
+    monkeypatch.setattr(
+        PropagationOperator, "apply", counted(PropagationOperator.apply, "propagate")
+    )
+
+    assert cli.main([
+        "adapt", "--ckpt", str(workspace["ckpt"]),
+        "--data", str(workspace["data"] / "target"),
+        "--base-tta", "erm", "--loss", "pic", "--out", str(tmp_path / "adapt.json"),
+    ]) == 0
+    model = load_checkpoint(workspace["ckpt"])
+    k, h, t = model.num_hops, model.W1.shape[1], AdaptConfig().epochs
+    assert counts == {"featurize": 1, "propagate": k * (1 + (h + 1) + t)}
 
 
 def test_adapt_out_echoes_every_adapt_and_base_setting(workspace, tmp_path):

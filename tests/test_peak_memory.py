@@ -90,7 +90,7 @@ def test_featurize_hops_holds_no_stack(high2low):
 
 # The read target's features are mapped pages of ``features.bin``, which are
 # not traced; the run keeps about one row block of them resident. Measured:
-# 3.52 (erm), 3.39 (tent) and 3.37 (t3a) columns, with [X̂ | 1], the class
+# 3.46 (erm), 3.30 (tent) and 3.28 (t3a) columns, with [X̂ | 1], the class
 # scores and, while the hop moments are built, two (K+1)×N arrays; each bound
 # is less than a copy of the f32 features (0.24 columns) above that. Features
 # read into an allocated matrix added 3.53, 3.38 and 3.36 columns to it; a hop
