@@ -41,9 +41,9 @@ widened; everything else is f64. X·W1 by row blocks, at preset with H=16:
 5.0 against 6.9 ms for (W1ᵀ @ Xᵀ)ᵀ at 2 threads, 8.1 against 12.2 ms at 1,
 and +1.1 against +2.5 MB of peak RSS. ``featurize_hops`` normalizes straight
 into the cache's [X̂ | 1], so it makes no N×H copy.
-``backward_ce`` holds no Z: with head = A·W_cls it propagates the C class
-scores [X̂ | 1]·head and its Horner pass runs on N×C arrays; its N×H arrays are
-X̂ and ∂L/∂pre.
+``backward_ce`` holds no Z: its X̂, class scores and logits are those of the
+``featurize_hops`` cache, whose scores it frees before its Horner pass on N×C
+arrays; its N×H arrays are the cache's X̂ and ∂L/∂pre.
 
 Featurization reads the model and writes nothing to it: the cache keeps
 the mean and variance it normalized with. ``running_mean``/``running_var``
@@ -382,12 +382,12 @@ def _check_operator(model: GprModel, dataset: Dataset, op: PropagationOperator) 
 
 
 def _normalize(
-    model: GprModel, features: np.ndarray, out: np.ndarray | None = None
+    model: GprModel, features: np.ndarray, xhat: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """(X̂, mean, var): X W1 + b1 normalized over all nodes, and its statistics.
 
-    X̂ is a new C-ordered N×H f64 array, or is written into ``out``, an N×H f64
-    view with C-ordered rows; mean and var are those of X W1 + b1.
+    X̂ is written into ``xhat``, an N×H f64 array or view with C-ordered rows;
+    mean and var are those of X W1 + b1.
     """
     if features.shape[1] != model.W1.shape[0]:
         raise ValueError("feature dimension does not match the model")
@@ -400,14 +400,13 @@ def _normalize(
     # order; its in-place updates give the same bits as the out-of-place forms.
     w1 = model.W1.astype(features.dtype, copy=False)
     n = features.shape[0]
-    xhat = np.empty((n, w1.shape[1])) if out is None else out
     for rows in _row_blocks(features):
         xhat[rows] = features[rows] @ w1
     xhat += model.b1
     mean = xhat.mean(axis=0)
     xhat -= mean
-    # ``np.var``'s own arithmetic, less its second pass for the mean.
-    var = np.square(xhat).sum(axis=0)
+    # ``np.var``'s arithmetic in its order, less its mean pass and its N×H square.
+    var = np.einsum("ij,ij->j", xhat, xhat)
     var /= n
     xhat /= np.sqrt(var + BN_EPS)
     return xhat, mean, var
@@ -425,7 +424,7 @@ def featurize_hops(
     _check_operator(model, dataset, op)
     h = model.W1.shape[1]
     hop0 = np.empty((dataset.num_nodes, h + 1))
-    _, mean, var = _normalize(model, dataset.features, out=hop0[:, :h])
+    _, mean, var = _normalize(model, dataset.features, hop0[:, :h])
     hop0[:, h] = 1.0
     cache = HopCache(
         hop0=hop0,
@@ -546,31 +545,22 @@ def backward_ce(
     scale, shift, gamma, W_cls, b_cls, the N×C logits Z·W_cls + b_cls of
     every node, so a caller can score any other mask without a second
     forward pass, and the mean and variance of X W1 + b1 that the features
-    were normalized with. Makes 2K propagate calls on N×C arrays.
+    were normalized with, all read from the ``featurize_hops`` cache. Makes 2K
+    propagate calls on N×C arrays: K for the cache's class scores, K by Horner.
     """
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("empty training mask")
-    _check_operator(model, dataset, op)
-    xhat, mean, var = _normalize(model, dataset.features)
+    cache = featurize_hops(model, dataset, op)
+    xhat, mean, var = cache.hop0[:, :-1], cache.mean, cache.var
     n = xhat.shape[0]
-    k = model.num_hops
-
-    # Predict, then propagate: the logits Σ_k γ_k Ã^k [X̂ | 1]·head + b_cls
-    # propagate the C class scores P_0 = [X̂ | 1]·head, not the H features.
     head = affine_matrix(model.scale, model.shift) @ model.W_cls
-    p0 = xhat @ head[:-1]
-    p0 += head[-1]
-    scores = _hop_powers(op, p0, k)
-    del p0
-    logits = np.tensordot(model.gamma, scores, axes=1)
-    logits += model.b_cls
-
+    logits = cache.logits(model)
     loss, masked_dlogits = cross_entropy(logits[rows], dataset.labels[rows])
     dlogits = np.zeros_like(logits)
     dlogits[rows] = masked_dlogits
-    grad_gamma = np.tensordot(scores, dlogits, axes=([1, 2], [0, 1]))
-    del scores
+    grad_gamma = np.tensordot(cache.class_scores(model), dlogits, axes=([1, 2], [0, 1]))
+    del cache  # release the class scores; X̂ keeps only [X̂ | 1] alive
 
     # ∂L/∂P_0 via Horner: G = Σ_k γ_k (Ãᵀ)^k ∂L/∂logits.
     G = _horner(op, model.gamma, dlogits, transpose=True)

@@ -17,9 +17,10 @@ steps from the accepted point without evaluating, since the restored
 parameters would reproduce that point bit for bit: it costs no propagate
 call. Rejected and retry rows count toward patience.
 
-An epoch builds no hop stack: ``backward_ce`` propagates the C class scores
-instead of the H features (see ``model``) and returns the normalization mean
-and variance, which are kept for the best epoch's running statistics.
+An epoch builds no hop stack: ``backward_ce``'s forward pass is the
+``featurize_hops`` cache that every later reader scores with (see ``model``),
+and it returns the normalization mean and variance, which are kept for the
+best epoch's running statistics.
 
 After restoring, the hop-weight vector is gauge-normalized: logits are
 invariant under γ → γ/c, W_cls → c·W_cls, and cross-entropy training

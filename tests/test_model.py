@@ -329,6 +329,18 @@ def test_backward_ce_matches_finite_differences(tiny_source):
         assert grads["W1"][r, c] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
 
+def test_backward_ce_logits_are_the_bits_of_the_hop_cache():
+    # Pretraining's val accuracy and every later reader score one forward
+    # pass. At this trained shape a second formula, P_0 = X̂·head[:H] + head[H]
+    # in place of [X̂ | 1]·head, moved 802 of the 1200 logits by up to 1.1e-16.
+    source = ScenarioSpec("high2low", n=600, dim=32).draw("source", 0)
+    train = TrainConfig(epochs=5, patience=5, hidden=16, num_hops=4, learning_rate=2.0)
+    model, _ = pretrain_on(source, train)
+    op = PropagationOperator(source.graph, model.prop_mode)
+    logits = backward_ce(model, source, source.masks["train"], op)[2]
+    np.testing.assert_array_equal(logits, featurize_hops(model, source, op).logits(model))
+
+
 #: Largest relative difference between ``backward_ce`` and the hop-stack path:
 #: the two reorder the same sums. Measured on the four cases below: at most
 #: 1.1e-15 for every output but ``b1``. ``b1`` cannot move the normalized
@@ -435,7 +447,7 @@ def test_row_block_gemm_gives_the_bits_of_one_product(n):
     mean, var = xhat.mean(axis=0), xhat.var(axis=0)
     xhat -= mean
     xhat /= np.sqrt(var + BN_EPS)
-    np.testing.assert_array_equal(_normalize(model, features)[0], xhat)
+    np.testing.assert_array_equal(_normalize(model, features, np.empty((n, 32)))[0], xhat)
 
 
 @pytest.mark.parametrize("n", [300, 767])
@@ -448,7 +460,7 @@ def test_normalize_statistics_are_the_bits_of_numpy_mean_and_var(n, dtype):
     model.b1[:] = 0.0
     rng = np.random.default_rng(n)
     features = (3.0 + rng.standard_normal((n, h)) * rng.uniform(0.1, 5.0, h)).astype(dtype)
-    _, mean, var = _normalize(model, features)
+    _, mean, var = _normalize(model, features, np.empty((n, h)))
     widened = features.astype(np.float64)
     np.testing.assert_array_equal(mean, np.mean(widened, axis=0))
     np.testing.assert_array_equal(var, np.var(widened, axis=0))
