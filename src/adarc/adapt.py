@@ -2,14 +2,17 @@
 
 Each epoch obtains a soft prediction from the base predictor, then takes one
 descent step on γ through the chosen unsupervised surrogate while holding
-that prediction constant. No hop stack is built: ``featurize_hops`` caches
-[X̂ | 1] and the per-hop class scores of the model's head (K propagate calls),
-and each reader predicts, then propagates. With an ``erm`` base and ``pic``, a
-run of T epochs makes K(1 + (H+1) + T) propagate calls: the cache's K, K per
-column of [X̂ | 1] for the hop moments (once per run) and K per epoch to
-propagate Ŷ for σ²_inter. ``tent`` adds 2K and ``t3a`` 2K per base
-prediction (see ``tta``), and a norm-affine write-back K more per epoch, to
-rebuild the class scores of the new head.
+that prediction constant. No hop stack is built: the caller's ``HopCache``
+(``featurize_hops``, K propagate calls) holds [X̂ | 1] and the per-hop class
+scores of the model's head, and each reader predicts, then propagates. γ and
+the norm affine are all that adaptation writes, so [X̂ | 1] and its hop
+moments hold for every run on one (model, target): ``sweep`` builds one cache
+for all its methods, and the CLI one for ``adapt``. With an ``erm`` base and
+``pic``, a run of T epochs makes K((H+1) + T) propagate calls: K per column of
+[X̂ | 1] for the hop moments (once per cache) and K per epoch to propagate Ŷ
+for σ²_inter. ``tent`` adds 2K and ``t3a`` 2K per base prediction (see
+``tta``), and a norm-affine write-back K more per epoch, to rebuild the class
+scores of the new head.
 
 The ``theta`` and ``joint`` ablations and ``persist_base_tta`` (with a
 ``tent`` base) also write a norm affine back each epoch, after the γ step:
@@ -18,8 +21,8 @@ ablation plus the base's ``steps`` for a persisted Tent. ``tent_lite`` stops
 at its first rejected step, so those n steps are the θ step followed by the
 base Tent.
 
-For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch
-computes the cache's per-column hop moments once (``HopCache.moments``),
+For ``pic`` and ``diff`` the surrogate never builds Z. The first epoch that
+reads them computes the cache's per-column hop moments (``HopCache.moments``),
 which give σ² = γᵀS_tγ under whatever scale and shift the epoch holds, so
 the ``theta`` and ``joint`` ablations and ``persist_base_tta`` take the same
 path as ``gamma``. Each epoch then takes Ŷᵀ·hops for σ²_inter as
@@ -32,13 +35,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Dataset, PropagationOperator
+from .graph import Dataset
 from .losses import LOSS_KINDS, surrogate_loss_and_grad_gamma
 from .model import (
     EpochRecord,
     GprModel,
+    HopCache,
     SoftPrediction,
-    featurize_hops,
+    featurize_hops,  # not called here; perfbench.tracing.PATCHES wraps this binding
     prediction_accuracy,
 )
 from .tta import BaseTtaKind, base_predict, tent_lite
@@ -99,23 +103,25 @@ class AdaptationDivergedError(RuntimeError):
 def adapt(
     model: GprModel,
     dataset: Dataset,
-    op: PropagationOperator,
+    cache: HopCache,
     config: AdaptConfig,
 ) -> AdaptResult:
-    """Adapt ``model`` to ``dataset`` and return a copy with the result.
+    """Adapt ``model`` to ``dataset`` on the caller's ``cache`` and return a copy.
 
-    The input model is never mutated: the copy owns its γ, scale and shift,
-    the only arrays adaptation writes, and shares the rest. Each trace record
-    holds the surrogate loss, the all-node accuracy of that epoch's base
-    prediction and ‖∇γL‖, all before the epoch's step, and the γ after it;
-    the returned prediction comes from one final base-predictor call after
-    the last step. So ``trace[0].accuracy`` is the accuracy of the unadapted
-    base prediction, at the input's γ, scale and shift and before any γ step
-    or affine write-back: the CLI's ``accuracy_before`` and ``sweep``'s plain
-    methods read it there instead of featurizing again.
+    ``cache`` is ``featurize_hops(model, dataset, op)``: ``base_predict``
+    raises ``StaleCacheError`` for a cache of another featurizer, graph or
+    operator mode. The input model is never mutated: the copy owns its γ,
+    scale and shift, the only arrays adaptation writes, and shares the rest.
+    The cache is only read, but for its class scores, which a norm-affine
+    write-back rebuilds for the new head; the next reader at another head
+    rebuilds its own. Each trace record holds the surrogate loss, the all-node
+    accuracy of that epoch's base prediction and ‖∇γL‖, all before the
+    epoch's step, and the γ after it; the returned prediction comes from one
+    final base-predictor call after the last step. So ``trace[0].accuracy`` is
+    the accuracy of the unadapted base prediction, before any γ step or affine
+    write-back: the CLI reports it as ``accuracy_before``.
     """
     model = replace(model, **{n: getattr(model, n).copy() for n in ("gamma", "scale", "shift")})
-    cache = featurize_hops(model, dataset, op)
 
     trace: list[EpochRecord] = []
     update_gamma = config.ablation in ("gamma", "joint")

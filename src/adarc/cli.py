@@ -17,7 +17,7 @@ merged ones, before it runs the first. It rejects ``base.variant`` (each method
 names it), and it and ``decompose`` reject ``train.seed`` (each seed derives it).
 ``adapt`` and ``eval`` propagate under the checkpoint's ``prop_mode``; a
 ``train.prop_mode`` in ``--config`` that contradicts it is an input error.
-``adapt`` featurizes the target once, inside ``adapt.adapt``, and reports
+``adapt`` and ``eval`` featurize the target once, and ``adapt`` reports
 epoch 0 of its trace as ``accuracy_before``. A hop cache holds no hop stack,
 only a few N×(H+1) arrays, and each pass over the read features releases the
 pages it has read (see ``io``), so ``adapt`` and ``eval`` hold about one row
@@ -79,6 +79,7 @@ from .io import (
 from .losses import LOSS_KINDS, DegenerateRepresentationError
 from .model import (
     GprModel,
+    HopCache,
     featurize_hops,
     load_checkpoint,
     prediction_accuracy,
@@ -191,10 +192,8 @@ def _reject_derived(keys, *names: str) -> None:
             raise ValueError(f"config key {name} cannot be given: the command derives it")
 
 
-def _load_model_and_op(
-    args, overrides: dict[str, str], dataset
-) -> tuple[GprModel, PropagationOperator]:
-    """The checkpoint's model, and its operator on the graph under its own mode."""
+def _load_model_and_cache(args, overrides: dict[str, str], dataset) -> tuple[GprModel, HopCache]:
+    """The checkpoint's model, and its hop cache of the dataset under its own mode."""
     model = load_checkpoint(args.ckpt)
     if dataset.num_classes > model.W_cls.shape[1]:
         raise ValueError(
@@ -207,7 +206,8 @@ def _load_model_and_op(
             f"config key train.prop_mode={configured} contradicts the checkpoint, "
             f"which was trained with prop_mode={model.prop_mode}"
         )
-    return model, PropagationOperator(dataset.graph, model.prop_mode)
+    op = PropagationOperator(dataset.graph, model.prop_mode)
+    return model, featurize_hops(model, dataset, op)
 
 
 def _require_out(args, what: str) -> Path:
@@ -262,9 +262,9 @@ def _adapt_config_echo(config: AdaptConfig) -> dict:
 def _cmd_adapt(args) -> int:
     _, _, config, overrides = _settings(args)
     dataset = read_dataset(args.data)
-    model, op = _load_model_and_op(args, overrides, dataset)
+    model, cache = _load_model_and_cache(args, overrides, dataset)
     try:
-        result = adapt(model, dataset, op, config)
+        result = adapt(model, dataset, cache, config)
     except AdaptationDivergedError as exc:
         sys.stderr.write(f"adaptation diverged: {exc}\n")
         for record in exc.trace:
@@ -304,11 +304,9 @@ def _cmd_adapt(args) -> int:
 def _cmd_eval(args) -> int:
     *_, overrides = _settings(args)
     dataset = read_dataset(args.data)
-    model, op = _load_model_and_op(args, overrides, dataset)
+    model, cache = _load_model_and_cache(args, overrides, dataset)
     # The ERM prediction: one featurization serves every mask.
-    prediction = base_predict(
-        BaseTtaKind(), model, featurize_hops(model, dataset, op), dataset
-    )
+    prediction = base_predict(BaseTtaKind(), model, cache, dataset)
     labels = dataset.labels
     report = {"accuracy_all": prediction_accuracy(prediction, labels)}
     if dataset.masks:

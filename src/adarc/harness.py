@@ -219,11 +219,11 @@ def sweep(
 
     The methods and seeds are checked, and the arms come built, before the
     first pretraining. Each seed pretrains once per distinct (scenario, train
-    config), in the order its first arm appears, and releases that model and
-    target before the next draw. A method names its variant and a seed the
-    model's seed. A plain method whose ``+adarc`` partner runs reads its
-    accuracy from epoch 0 of that run's trace (see ``adapt``); other plain
-    methods share one featurization per arm and seed.
+    config), in the order its first arm appears, featurizes that target once,
+    and releases that model, target and cache before the next draw. Every
+    method of every arm in the group reads that one cache and its hop moments
+    (see ``adapt``): a plain method is ``base_predict`` on it. A method names
+    its variant and a seed the model's seed.
     """
     if not arms:
         raise ValueError("arms must be nonempty")
@@ -242,28 +242,18 @@ def sweep(
         for (spec, train_config), members in groups.items():
             model, target = pretrain_scenario(spec, seed, train_config)
             op = PropagationOperator(target.graph, model.prop_mode)
+            cache = featurize_hops(model, target, op)
             for adapt_config, arm_accs in members:
-                kinds = {base: replace(adapt_config.base, variant=base) for _, base, _ in parsed}
-                adapted = {
-                    base: adapt(model, target, op, replace(adapt_config, base=kinds[base]))
-                    for _, base, use_adarc in parsed
-                    if use_adarc
-                }
-                plain_cache = None
                 for name, base, use_adarc in parsed:
+                    kind = replace(adapt_config.base, variant=base)
                     if use_adarc:
-                        acc = prediction_accuracy(adapted[base].prediction, target.labels)
-                    elif base in adapted:
-                        acc = adapted[base].trace[0].accuracy
+                        config = replace(adapt_config, base=kind)
+                        prediction = adapt(model, target, cache, config).prediction
                     else:
-                        if plain_cache is None:
-                            plain_cache = featurize_hops(model, target, op)
-                        prediction = base_predict(kinds[base], model, plain_cache, target)
-                        acc = prediction_accuracy(prediction, target.labels)
-                    arm_accs[name].append(acc)
-                del adapted, plain_cache
-            # Release this draw's graph, model and operator before the next one.
-            del target, model, op
+                        prediction = base_predict(kind, model, cache, target)
+                    arm_accs[name].append(prediction_accuracy(prediction, target.labels))
+            # Release this draw's graph, model and cache before the next one.
+            del target, model, op, cache
 
     return [_report(arm, tuple(methods), tuple(seeds), a) for arm, a in zip(arms, accs)]
 

@@ -326,8 +326,8 @@ class HopCache:
         return hop_moments(self.op, self.hop0, self.num_hops)
 
     def is_fresh(self, model: GprModel, graph) -> bool:
-        """Whether W1, b1 and the graph still equal those the cache was built from."""
-        return all(
+        """Whether the model's prop_mode, W1, b1 and the graph match the cache's."""
+        return self.op.mode == model.prop_mode and all(
             # The NaN-aware compare is slower, so it only runs on a mismatch.
             np.array_equal(built, now) or np.array_equal(built, now, equal_nan=True)
             for built, now in zip(self.theta, _theta(model, graph))

@@ -12,7 +12,8 @@ to ``model-halving.bin``), where some steps raise the objective and are
 rejected, adapts the first checkpoint to its target for erm, tent and t3a,
 each by default and with ``--ablation joint --persist-base-tta``, evaluates
 the checkpoint, runs a two-seed sweep over ``adapt.loss`` × ``train.num_hops``
-(the two losses of one hop count share a pretraining) and a gap decomposition
+× ``adapt.ablation`` (the four arms of one hop count share a pretraining and a
+hop cache, whose class scores a ``joint`` arm moves) and a gap decomposition
 on the same scenario, and evaluates the closed-form theory with a Monte Carlo
 check. Every adapt writes ``--out`` and ``--trace``. The script then prints one ``sha256  name`` line
 per file under WORKDIR, sorted by name, so the outputs of two source trees
@@ -96,6 +97,7 @@ def commands(workdir: Path, size: str) -> list[list[str]]:
          "--out", str(workdir / "eval.json")],
         ["sweep", "--preset", "high2low", *scenario, "--config", str(config),
          "--vary", "adapt.loss=pic,entropy", "--vary", "train.num_hops=2,3",
+         "--vary", "adapt.ablation=gamma,joint",
          "--methods", "erm,tent,t3a+adarc,tent+adarc", "--seeds", "0,1",
          "--out", str(workdir / "sweep.json")],
         ["decompose", "--preset", "high2low", *scenario, "--config", str(config),

@@ -13,6 +13,7 @@ from adarc import (
     BaseTtaKind,
     EpochRecord,
     PropagationOperator,
+    StaleCacheError,
     adapt,
     base_predict,
     convergence_report,
@@ -27,7 +28,8 @@ STATIC_PARAMS = ("W1", "b1", "scale", "shift", "W_cls", "b_cls")
 
 def run(tiny_model, tiny_target, **overrides):
     op = PropagationOperator(tiny_target.graph, "sym")
-    return adapt(tiny_model, tiny_target, op, AdaptConfig(**overrides)), op
+    cache = featurize_hops(tiny_model, tiny_target, op)
+    return adapt(tiny_model, tiny_target, cache, AdaptConfig(**overrides)), op
 
 
 def test_zero_rate_is_a_noop(tiny_model, tiny_target):
@@ -74,12 +76,21 @@ def test_input_model_is_never_mutated(tiny_model, tiny_target):
             np.testing.assert_array_equal(original, now, err_msg=str(overrides))
 
 
+def test_a_cache_of_another_featurizer_is_rejected(tiny_model, tiny_target):
+    cache = featurize_hops(tiny_model, tiny_target, PropagationOperator(tiny_target.graph, "sym"))
+    other_w1 = tiny_model.copy()
+    other_w1.W1[0, 0] += 1.0
+    for stale in (replace(tiny_model, prop_mode="row"), other_w1):
+        with pytest.raises(StaleCacheError):
+            adapt(stale, tiny_target, cache, AdaptConfig(epochs=1))
+
+
 def test_propagate_counter_equals_num_hops(tiny_model, tiny_target):
     """An erm+pic run of T epochs makes exactly K(1 + (H+1) + T) propagate calls.
 
-    K to featurize (the class scores), K per column of [X̂ | 1] for the hop
-    moments (once per run) and K per epoch to propagate Ŷ; the erm predictions
-    and the γ steps make none.
+    K for the caller to featurize (the class scores), K per column of [X̂ | 1]
+    for the hop moments (once per cache) and K per epoch to propagate Ŷ; the
+    erm predictions and the γ steps make none.
     """
     k, h = tiny_model.num_hops, tiny_model.W1.shape[1]
     for epochs in (1, 7):

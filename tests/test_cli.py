@@ -263,8 +263,9 @@ def test_adapt_accuracy_before_is_a_fresh_base_prediction(workspace, tmp_path, v
 def test_adapt_featurizes_once_within_the_propagate_budget(workspace, tmp_path, monkeypatch):
     """One ``adarc adapt`` (erm, pic) featurizes once and makes K(1 + (H+1) + T) calls.
 
-    The budget is ``adapt``'s own (see its module docstring): the CLI adds no
-    featurization or base prediction of its own to score ``accuracy_before``.
+    The CLI featurizes the target (K calls) and ``adapt`` reads that cache
+    (the rest, see its module docstring): no second featurization or base
+    prediction scores ``accuracy_before``.
     """
     from adarc import AdaptConfig, PropagationOperator, cli, load_checkpoint
 
@@ -879,7 +880,7 @@ def test_flag_beats_the_config_file(
     with pytest.raises(_Captured):
         cli.main([*argv, "--config", str(config), *flag])
     # spec.draw(role, seed), pretrain_on(dataset, config) or
-    # adapt(model, dataset, op, config): the configuration is the last argument
+    # adapt(model, dataset, cache, config): the configuration is the last argument
     # but for spec.draw, whose first argument is the spec itself.
     built = seen[0] if section == "scenario" else seen[-1]
     if section == "base":

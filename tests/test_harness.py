@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -30,9 +31,10 @@ from adarc import (
     sweep,
 )
 from adarc import harness
+from adarc import model as adarc_model
 from adarc.cli import _build
 from adarc.harness import METHOD_NAMES
-from adarc.model import cross_entropy
+from adarc.model import cross_entropy, hop_moments
 
 TINY_SPEC = ScenarioSpec("homo2hetero", n=320, dim=48)
 TINY_TRAIN = TrainConfig(epochs=60, patience=15, hidden=16, num_hops=4)
@@ -245,51 +247,81 @@ def test_run_scenario_all_method_names():
 def test_adarc_epoch_zero_scores_the_plain_base_prediction(
     tiny_model, tiny_target, variant
 ):
-    # run_scenario reads a plain method's accuracy from here when the
-    # method's +adarc partner runs too.
+    # The CLI reports this as accuracy_before; sweep scores the plain method
+    # with base_predict on the same cache.
     kind = BaseTtaKind(variant)
     op = PropagationOperator(tiny_target.graph, tiny_model.prop_mode)
+    cache = featurize_hops(tiny_model, tiny_target, op)
     config = AdaptConfig(learning_rate=0.1, epochs=2, base=kind, ablation="joint")
-    result = adapt(tiny_model, tiny_target, op, config)
-    plain = base_predict(
-        kind, tiny_model, featurize_hops(tiny_model, tiny_target, op), tiny_target
-    )
+    result = adapt(tiny_model, tiny_target, cache, config)
+    plain = base_predict(kind, tiny_model, cache, tiny_target)
     assert result.trace[0].accuracy == prediction_accuracy(plain, tiny_target.labels)
 
 
 @pytest.mark.parametrize(
-    "methods, plain_featurizations",
+    "methods",
     [
-        (("erm", "erm+adarc"), 0),
-        (("erm", "tent", "erm+adarc", "tent+adarc"), 0),
-        (("erm", "tent+adarc"), 1),
-        (("erm", "t3a"), 1),
+        ("erm", "erm+adarc"),
+        ("erm+adarc", "tent+adarc"),
+        ("erm", "tent", "erm+adarc", "tent+adarc"),
+        ("erm", "tent+adarc"),
+        ("erm", "t3a"),
     ],
 )
-def test_run_scenario_featurizes_for_plain_methods_only_without_partner(
-    monkeypatch, methods, plain_featurizations
-):
+def test_run_scenario_featurizes_each_target_once(monkeypatch, methods):
+    # Pretraining featurizes its source inside model.backward_ce; every target
+    # featurization goes through the harness or adapt binding.
     calls = []
 
     def counting(*args):
         calls.append(args)
         return featurize_hops(*args)
 
-    monkeypatch.setattr(harness, "featurize_hops", counting)
+    for module in (harness, sys.modules["adarc.adapt"]):
+        monkeypatch.setattr(module, "featurize_hops", counting)
     report = run_scenario(
         TINY_SPEC,
         methods=methods,
-        seeds=(0,),
+        seeds=(0, 1),
         train_config=replace(TINY_TRAIN, epochs=5),
         adapt_config=TINY_ADAPT,
     )
-    assert len(calls) == plain_featurizations
+    assert len(calls) == 2
+    assert all(not dataset.masks for _, dataset, _ in calls)
     assert set(report.per_seed) == set(methods)
+
+
+def test_sweep_builds_the_hop_moments_once_per_seed(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hop_moments(*args)
+
+    monkeypatch.setattr(adarc_model, "hop_moments", counting)
+    arms = [built_arm({"adapt.learning_rate": lr}) for lr in ("0.05", "0.1", "0.2")]
+    reports = sweep(arms, methods=("erm", "erm+adarc", "tent+adarc"), seeds=(0, 1))
+    assert len(calls) == 2
+    assert len({r.per_seed["erm+adarc"] for r in reports}) > 1
+
+
+def test_sweep_arm_after_an_affine_write_back_scores_as_alone():
+    # The joint arm with a persisted Tent leaves the shared cache's class
+    # scores at an adapted head; each later method and arm must score as it
+    # does with a cache of its own.
+    tent = {"base.lr": "0.5", "base.steps": "3"}
+    persist = {"adapt.ablation": "joint", "adapt.persist_base_tta": "true"}
+    arms = [built_arm(tent | persist), built_arm(tent | {"adapt.ablation": "gamma"})]
+    methods, seeds = ("tent+adarc", "erm", "tent", "erm+adarc"), (0, 1)
+    for (label, spec, train, adapt_config), report in zip(arms, sweep(arms, methods, seeds)):
+        for method in methods:
+            alone = run_scenario(spec, (method,), seeds, train, adapt_config)
+            assert report.per_seed[method] == alone.per_seed[method], (label, method)
 
 
 def test_run_scenario_runs_each_base_with_the_configured_options():
     # Each method's variant comes from its name, its options from
-    # adapt_config.base; plain tent reads its +adarc partner's epoch 0.
+    # adapt_config.base; each reads the seed's one cache.
     options = BaseTtaKind("tent", steps=3, lr=0.5, keep_per_class=3)
     adapt_config = replace(TINY_ADAPT, base=options)
     report = run_scenario(
@@ -313,7 +345,7 @@ def test_run_scenario_runs_each_base_with_the_configured_options():
         assert report.per_seed[variant] == (accuracy(kind),)
         # The options move the accuracy here, so dropping them would show.
         assert accuracy(kind) != accuracy(BaseTtaKind(variant))
-    adapted = adapt(model, target, op, replace(adapt_config, base=options))
+    adapted = adapt(model, target, cache, replace(adapt_config, base=options))
     expected = prediction_accuracy(adapted.prediction, target.labels)
     assert report.per_seed["tent+adarc"] == (expected,)
 

@@ -151,7 +151,7 @@ def test_read_dataset_featurizes_and_adapts_like_the_in_memory_dataset(
         caches[1].class_scores(tiny_model), caches[0].class_scores(tiny_model)
     )
     config = AdaptConfig(base=BaseTtaKind(variant))
-    results = [adapt(tiny_model, ds, op, config) for ds, op in zip(datasets, ops)]
+    results = [adapt(tiny_model, ds, cache, config) for ds, cache in zip(datasets, caches)]
     np.testing.assert_array_equal(results[1].model.gamma, results[0].model.gamma)
     np.testing.assert_array_equal(
         results[1].prediction.probs, results[0].prediction.probs
@@ -486,8 +486,9 @@ def test_adapt_from_f32_checkpoint_matches_in_memory(
     save_checkpoint(tiny_model, tmp_path / "model.ckpt")
     loaded = load_checkpoint(tmp_path / "model.ckpt")
     config = AdaptConfig(base=BaseTtaKind(variant))
+    op = PropagationOperator(tiny_target.graph)
     results = [
-        adapt(model, tiny_target, PropagationOperator(tiny_target.graph), config)
+        adapt(model, tiny_target, featurize_hops(model, tiny_target, op), config)
         for model in (tiny_model, loaded)
     ]
     accuracies = [prediction_accuracy(r.prediction, tiny_target.labels) for r in results]

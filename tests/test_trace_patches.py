@@ -49,7 +49,7 @@ def test_traced_scenario_counts_both_draws():
     assert metrics["csbm.generate.calls"] == 2
     assert metrics["csbm.generate.self_ms"] > 0
     # Each evaluated pretraining epoch featurizes its source inside
-    # backward_ce, and erm+adarc featurizes the target once more.
+    # backward_ce, and the seed featurizes its target once for both methods.
     assert metrics["model.featurize_hops.calls"] == metrics["model.backward_ce.calls"] + 1
     assert 0 <= metrics["untraced.share"] <= 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,23 @@ def test_base_predict_rejects_stale_cache(tiny_model, tiny_target, cache_and_op)
     changed.W1[0, 0] += 1.0
     with pytest.raises(StaleCacheError):
         base_predict(BaseTtaKind("erm"), changed, cache, tiny_target)
+
+
+def test_base_predict_rejects_a_cache_of_another_mode(tiny_model, tiny_target, cache_and_op):
+    # The cache propagates under sym: a row-mode model must not predict with it.
+    cache, _ = cache_and_op
+    with pytest.raises(StaleCacheError):
+        base_predict(BaseTtaKind("erm"), replace(tiny_model, prop_mode="row"), cache, tiny_target)
+
+
+def test_base_predict_rejects_a_cache_of_another_graph(
+    tiny_model, tiny_source, tiny_target, cache_and_op
+):
+    # Both graphs have 320 nodes and one featurizer: only the graph tells them apart.
+    cache, _ = cache_and_op
+    assert tiny_source.num_nodes == tiny_target.num_nodes
+    with pytest.raises(StaleCacheError):
+        base_predict(BaseTtaKind("erm"), tiny_model, cache, tiny_source)
 
 
 def test_base_predict_uses_no_propagate_calls(tiny_model, tiny_target, monkeypatch):
